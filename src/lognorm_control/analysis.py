@@ -68,8 +68,8 @@ def json_default(obj):
 class QuadResult:
     """Outcome of an adaptive quadrature.
 
-    ``converged=False`` means some subinterval hit the recursion depth cap
-    before meeting its error share; the value is still the best estimate
+    ``converged=False`` means some panel hit the depth cap before meeting
+    its error share; the value is still the best estimate
     and ``est_error`` accounts for the unconverged remainder.
     """
     value: float
@@ -78,56 +78,109 @@ class QuadResult:
     converged: bool
 
 
-class _QuadState:
-    __slots__ = ("evals", "error", "converged", "f", "max_depth")
-
-    def __init__(self, f, max_depth):
-        self.f = f
-        self.max_depth = max_depth
-        self.evals = 0
-        self.error = 0.0
-        self.converged = True
-
-    def eval(self, x):
-        self.evals += 1
-        v = float(self.f(x))
-        if not math.isfinite(v):
-            raise ValueError(f"integrand returned a non-finite value at {x!r}")
-        return v
+def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Interleave two equal-length arrays: u0, v0, u1, v1, ..."""
+    return np.column_stack((u, v)).ravel()
 
 
-def _adapt(st: _QuadState, a, fa, m, fm, b, fb, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = st.eval(lm)
-    frm = st.eval(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # Richardson: the refined estimate is in error by about delta / 15.
-    # Below the rounding noise of the panel values no further refinement
-    # can help, so accept there too.
-    noise = 1e-15 * (abs(left) + abs(right))
-    if depth >= st.max_depth:
-        st.converged = False
-        st.error += abs(delta) / 15.0
-        return left + right + delta / 15.0
-    if abs(delta) <= max(15.0 * tol, noise):
-        st.error += abs(delta) / 15.0
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return (_adapt(st, a, fa, lm, flm, m, fm, left, half, depth + 1)
-            + _adapt(st, m, fm, rm, frm, b, fb, right, half, depth + 1))
+def _values(f, x: np.ndarray) -> np.ndarray:
+    """``f(x)`` for an array of nodes, checked for shape and finiteness."""
+    v = np.asarray(f(x), dtype=float)
+    if v.shape != x.shape:
+        raise ValueError(f"integrand returned shape {v.shape} for "
+                         f"{len(x)} nodes")
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise ValueError("integrand returned a non-finite value at "
+                         f"{float(x[bad][0])!r}")
+    return v
+
+
+def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
+    """Adaptive Simpson on every cell of ``grid``, one level at a time.
+
+    Each level evaluates the two new nodes of every pending panel in one
+    call ``f(nodes)`` (nodes ascending).  Acceptance follows the
+    recursive rule panel by panel: Richardson ``|delta| <= 15 tol``, the
+    tolerance halved per split, a panel below its rounding noise accepted
+    too, and forced acceptance (unconverged) at ``max_depth``.  Values
+    and errors are summed in the recursion's order, so the result equals
+    the per-cell recursion bit for bit.  Returns ``(cell_values,
+    est_error, evals, converged)``.
+    """
+    ncell = len(grid) - 1
+    x = np.empty(2 * ncell + 1)    # grid nodes and cell midpoints
+    x[0::2] = grid
+    x[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    fx = _values(f, x)
+    evals = len(x)
+    a, m, b = x[0:-1:2], x[1::2], x[2::2]
+    fa, fm, fb = fx[0:-1:2], fx[1::2], fx[2::2]
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    cell = np.arange(ncell)
+    levels = []                    # (accepted, value) per level
+    leaf_a, leaf_cell, leaf_err = [], [], []
+    converged = True
+    depth = 0
+    while len(a):
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        fnew = _values(f, _pair(lm, rm))
+        evals += len(fnew)
+        flm, frm = fnew[0::2], fnew[1::2]
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if depth >= max_depth:
+            done = np.ones(len(a), dtype=bool)
+            converged = False
+        else:
+            # Richardson: the refined estimate is in error by about
+            # delta / 15.  Below the rounding noise of the panel values no
+            # further refinement can help, so accept there too.
+            noise = 1e-15 * (np.abs(left) + np.abs(right))
+            done = np.abs(delta) <= np.maximum(15.0 * tol, noise)
+        levels.append((done, left + right + delta / 15.0))
+        leaf_a.append(a[done])
+        leaf_cell.append(cell[done])
+        leaf_err.append(np.abs(delta[done]) / 15.0)
+        s = ~done
+        # split panels become their left and right halves, in order
+        a, m, b = _pair(a[s], m[s]), _pair(lm[s], rm[s]), _pair(m[s], b[s])
+        fa, fm, fb = (_pair(fa[s], fm[s]), _pair(flm[s], frm[s]),
+                      _pair(fm[s], fb[s]))
+        whole = _pair(left[s], right[s])
+        cell = np.repeat(cell[s], 2)
+        tol = 0.5 * tol
+        depth += 1
+    # a split panel's value is the sum of its two children's, bottom up
+    value = np.empty(0)
+    for done, leaf_value in reversed(levels):
+        leaf_value[~done] = value[0::2] + value[1::2]
+        value = leaf_value
+    # errors accumulate leaf by leaf from the left, first within each cell
+    # and then over the cells; leaves tile the grid, so sorting by left
+    # end restores that order
+    order = np.argsort(np.concatenate(leaf_a), kind="stable")
+    cell_err = [0.0] * ncell
+    for c, e in zip(np.concatenate(leaf_cell)[order].tolist(),
+                    np.concatenate(leaf_err)[order].tolist()):
+        cell_err[c] += e
+    err = 0.0
+    for e in cell_err:
+        err += e
+    return value, err, evals, converged
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
               tol: float = 1e-8, max_depth: int = 40) -> QuadResult:
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
-    The absolute error target is ``tol``; acceptance of a panel uses the
-    usual Richardson comparison ``|S(fine) - S(coarse)| <= 15 tol`` with
-    the tolerance halved at each split.  Exact for polynomials of degree
-    three or less.  Non-finite integrand values raise.
+    ``f`` takes one float and returns one float.  The absolute error
+    target is ``tol``; acceptance of a panel uses the usual Richardson
+    comparison ``|S(fine) - S(coarse)| <= 15 tol`` with the tolerance
+    halved at each split.  Exact for polynomials of degree three or
+    less.  Non-finite integrand values raise.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -137,14 +190,13 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         raise ValueError("tol must be positive")
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
-    st = _QuadState(f, max_depth)
-    fa = st.eval(a)
-    m = 0.5 * (a + b)
-    fm = st.eval(m)
-    fb = st.eval(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    value = _adapt(st, a, fa, m, fm, b, fb, whole, tol, 0)
-    return QuadResult(value, st.error, st.evals, st.converged)
+
+    def pointwise(x):
+        return np.array([float(f(s)) for s in x.tolist()])
+
+    value, err, evals, ok = _simpson(pointwise, np.array([a, b], dtype=float),
+                                     tol, max_depth)
+    return QuadResult(float(value[0]), err, evals, ok)
 
 
 def integrate_mu(F: Callable[[float], np.ndarray], kind, a: float, b: float,
@@ -153,29 +205,27 @@ def integrate_mu(F: Callable[[float], np.ndarray], kind, a: float, b: float,
     return integrate(lambda s: lognorm(F(s), kind), a, b, tol)
 
 
-def cumulative_integral(f: Callable[[float], float], grid,
+def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
                         tol: float = 1e-9):
     """Integrate ``f`` cell by cell over an increasing grid.
 
+    ``f`` is evaluated on arrays: it takes a 1-d array of nodes and
+    returns the array of integrand values there.  Every cell is refined
+    by adaptive Simpson to ``tol`` (see :func:`integrate`), all cells
+    together one level at a time, and the grid nodes shared by two cells
+    are evaluated once.
+
     Returns ``(values, est_error, evals, converged)`` with
-    ``values[k] = int_{grid[0]}^{grid[k]} f``; each cell is integrated to
-    ``tol``, so the total estimated error is roughly ``tol * (len - 1)``.
+    ``values[k] = int_{grid[0]}^{grid[k]} f``; the total estimated error
+    is roughly ``tol * (len - 1)``.  A non-finite integrand value raises
+    ValueError naming the node.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or len(grid) < 2 or (np.diff(grid) <= 0).any():
         raise ValueError("grid must be strictly increasing with >= 2 points")
+    cells, err, evals, ok = _simpson(f, grid, tol)
     out = np.zeros(len(grid))
-    err = 0.0
-    evals = 0
-    ok = True
-    acc = 0.0
-    for k in range(len(grid) - 1):
-        q = integrate(f, grid[k], grid[k + 1], tol)
-        acc += q.value
-        out[k + 1] = acc
-        err += q.est_error
-        evals += q.evals
-        ok = ok and q.converged
+    np.cumsum(cells, out=out[1:])
     return out, err, evals, ok
 
 
@@ -250,9 +300,10 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
     ``int_{t0}^{inf} |mu[Delta(s)]| ds < inf``.
 
     Checked by comparing the integral at the horizon against the integral
-    at the midpoint (Cauchy tail).  ``Delta`` absent is trivially
-    supported with integral zero.  Never refuted: a heavy tail on a
-    finite horizon proves nothing either way.
+    at the midpoint (Cauchy tail), both from one cumulative quadrature
+    over ``[t0, mid, T]``.  ``Delta`` absent is trivially supported with
+    integral zero.  Never refuted: a heavy tail on a finite horizon
+    proves nothing either way.
     """
     h = heuristics or Heuristics()
     k = norm if norm is not None else spec.norm
@@ -260,19 +311,18 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
         return Evidence("A1", "supported", {"I": 0.0},
                         "no uncertainty declared; integral is zero")
     D = spec.Delta.compiled()
-    f = lambda s: abs(lognorm(D(s), k))
     tm = spec.t0 + 0.5 * (T - spec.t0)
     try:
-        q1 = integrate(f, spec.t0, tm, quad_tol)
-        q2 = integrate(f, tm, T, quad_tol)
+        vals, err, _, ok = cumulative_integral(
+            lambda s: np.abs(lognorm(D(s), k)), [spec.t0, tm, T], quad_tol)
     except EvalError as exc:
         return Evidence("A1", "inconclusive", {},
                         f"could not evaluate the uncertainty: {exc}")
-    I_half, I = q1.value, q1.value + q2.value
+    I_half, I = float(vals[1]), float(vals[2])
     tail = I - I_half
     measured = {"I": I, "I_half": I_half, "tail": tail, "T": T,
-                "quad_error": q1.est_error + q2.est_error}
-    if not (q1.converged and q2.converged):
+                "quad_error": err}
+    if not ok:
         return Evidence("A1", "inconclusive", measured,
                         "quadrature did not converge")
     if tail <= max(h.tail_abs, h.tail_rel * abs(I)):
@@ -282,8 +332,9 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
                     f"tail {tail:.3g} has not settled by T={T:g}")
 
 
-def _doubling_evidence(id_: str, f: Callable[[float], float], t0: float,
-                       T: float, quad_tol: float, description: str) -> Evidence:
+def _doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
+                       t0: float, T: float, quad_tol: float,
+                       description: str) -> Evidence:
     # integrate cell by cell so endpoint singularities (sqrt-type plant
     # entries at t0) cannot exhaust the recursion depth of a single panel
     grid = np.linspace(t0, T, 129)
@@ -325,7 +376,7 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     mu = lambda t: lognorm(cl(t), k)
     try:
         window = h.window_grid(spec.t0, T)
-        vals = np.array([mu(float(t)) for t in window])
+        vals = mu(window)
     except EvalError as exc:
         a2 = Evidence("A2", "inconclusive", {}, f"could not evaluate: {exc}")
     else:
@@ -365,17 +416,12 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     cl = closed_loop_function(spec, ctrl)
     try:
         grid = h.tail_grid(spec.t0, T)
-        r = []
-        for t in grid:
-            w = wb(float(t))
-            m = abs(lognorm(cl(float(t)), k))
-            if m == 0.0:
-                r.append(0.0 if w == 0.0 else float("inf"))
-            else:
-                r.append(w / m)
-        r = np.asarray(r)
+        w = np.array([wb(t) for t in grid.tolist()])
+        m = np.abs(lognorm(cl(grid), k))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(m == 0.0, np.where(w == 0.0, 0.0, np.inf), w / m)
     measured = {"ratio_start": float(r[0]), "ratio_end": float(r[-1]), "T": T}
     if not np.isfinite(r).all():
         t_bad = float(grid[int(np.nonzero(~np.isfinite(r))[0][0])])
@@ -484,7 +530,7 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 
     # US: mu <= 0 at every sampled time (sufficient for J(t) - J(tau)
     # bounded over all pairs).  A steadily growing drawup of J refutes.
-    mu_grid = np.array([mu_up(float(t)) for t in grid])
+    mu_grid = mu_up(grid)
     sup_mu = float(mu_grid.max())
     drawup = J - np.minimum.accumulate(J)
     dgrowth = float(drawup[widx:].max() - drawup[:widx + 1].max())

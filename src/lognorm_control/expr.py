@@ -508,8 +508,6 @@ def _gen(e: Expr) -> str:
         return f"({_gen(e.left)}{e.op}{_gen(e.right)})"
     if isinstance(e, Call):
         args = ", ".join(_gen(a) for a in e.args)
-        if e.fn in ("abs", "min", "max"):
-            return f"{e.fn}({args})"
         return f"{e.fn}({args})"
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -614,23 +612,60 @@ class MatrixFunction(_Grid):
 
     def compiled(self) -> Callable[..., np.ndarray]:
         """A fast evaluator ``f(t[, x]) -> ndarray``, bit-identical to
-        :meth:`__call__` and falling back to it on domain failures."""
+        :meth:`__call__` and falling back to it on domain failures.
+
+        ``t`` may also be a 1-d array of m times (with one state ``x`` for
+        all of them); the result is then the (m, n, n) stack of the
+        matrices at those times, equal bit for bit to stacking the scalar
+        calls.  The batch runs the same generated code per entry and
+        checks finiteness once; on any failure it redoes the batch
+        through the scalar path, so a domain error raises the same
+        located EvalError as a scalar call at the first failing time.
+        """
         if self._compiled is not None:
             return self._compiled
         names = self._names()
+        args = ", ".join(names)
         rows = ", ".join(
             "[" + ", ".join(_gen(e) for e in row) + "]" for row in self.entries)
         g = dict(_GEN_GLOBALS)
         g["_array"] = np.array
-        raw = eval(f"lambda {', '.join(names)}: _array([{rows}])", g)
+        raw = eval(f"lambda {args}: _array([{rows}])", g)
+        raw_batch = None  # compiled on first use: scalar-only callers skip it
         state = self.state_dependent
+        n = self.n
+        # closure-bound: the scalar path runs ~70k times per simulation
+        ndarray, isfinite = np.ndarray, np.isfinite
+
+        def batch(ts, x):
+            nonlocal raw_batch
+            if ts.ndim != 1:
+                raise ValueError(f"times must be a scalar or a 1-d array, "
+                                 f"got shape {ts.shape}")
+            if raw_batch is None:
+                # one list comprehension over the times per entry
+                columns = ", ".join(f"[{_gen(e)} for t in _ts]"
+                                    for e in self._flat())
+                params = ", ".join(("_ts",) + names[1:])
+                raw_batch = eval(f"lambda {params}: [{columns}]", g)
+            try:
+                cols = raw_batch(ts.tolist(), *x) if state \
+                    else raw_batch(ts.tolist())
+                out = np.ascontiguousarray(np.array(cols).T).reshape(-1, n, n)
+            except Exception:
+                out = None
+            if out is None or not isfinite(out).all():
+                return np.array([fn(t, x) for t in ts.tolist()])
+            return out
 
         def fn(t, x=None):
+            if type(t) is ndarray and t.ndim:
+                return batch(t, x)
             try:
                 out = raw(t, *x) if state else raw(t)
             except Exception:
                 out = None
-            if out is None or not np.isfinite(out).all():
+            if out is None or not isfinite(out).all():
                 return eval_matrix(self, t, x)
             return out
 

@@ -260,7 +260,7 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     states, steps, nrej = _integrate(f, spec.t0, spec.x0, T, tol, h_min,
                                      h_max, grid, diag_mu=diag)
     grid = np.asarray(grid, dtype=float)
-    mu_vals = np.array([lognorm(Acl(float(t)), k) for t in grid])
+    mu_vals = lognorm(Acl(grid), k)
     norms = np.array([vector_norm(x, k) for x in states])
 
     x0n = vector_norm(spec.x0, k)
@@ -360,14 +360,21 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     the base slack plus log1p(C * phi_tol * (e^{J-(tau)} + e^{J-(t)}))
     with J- the cumulative integral of mu[-F].  The pair sample always
     contains (t0, T), (t0, mid) and (mid, T); the rest is drawn from a
-    seeded generator, so the report is reproducible.
+    seeded generator, so the report is reproducible.  A trace of m points
+    has only m (m - 1) / 2 pairs; with fewer than ``n_pairs`` every pair
+    is checked once.
     """
     times = tt.times
     m = len(times)
+
+    def stacked(ts):
+        # F takes one time; the quadrature asks for a level of nodes
+        return np.array([F(t) for t in ts])
+
     J_up, e_up, _, _ = cumulative_integral(
-        lambda t: lognorm(F(t), kind), times, quad_tol)
+        lambda ts: lognorm(stacked(ts), kind), times, quad_tol)
     J_low, e_low, _, _ = cumulative_integral(
-        lambda t: lognorm(-F(t), kind), times, quad_tol)
+        lambda ts: lognorm(-stacked(ts), kind), times, quad_tol)
     base_slack = math.log1p(tol_slack) + 4.0 * (e_up + e_low)
 
     def pair_slack(i: int, j: int) -> float:
@@ -382,8 +389,10 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
         return base_slack + float(np.logaddexp(0.0, noise_log))
 
     rng = np.random.default_rng(seed)
-    pairs = {(0, m - 1), (0, m // 2), (m // 2, m - 1)}
-    while len(pairs) < n_pairs:
+    pairs = {p for p in ((0, m - 1), (0, m // 2), (m // 2, m - 1))
+             if p[0] < p[1]}
+    # a short trace has fewer than n_pairs distinct pairs; stop at all
+    while len(pairs) < min(n_pairs, m * (m - 1) // 2):
         i, j = sorted(rng.integers(0, m, size=2))
         if i < j:
             pairs.add((int(i), int(j)))

@@ -115,13 +115,16 @@ class ControllerSpec:
         """The pointwise closed-loop rate ``Gamma(t) = max_i(lam_i + gamma_i(t))``.
 
         Positive entries of ``lam + gamma`` mean the controller is not
-        contracting at that time.
+        contracting at that time.  A 1-d array of times gives the array
+        of rates, one scalar evaluation per time.
         """
         from .expr import compile_expr
         gs = [compile_expr(g, ("t",)) for g in self.gamma]
         lam = self.lam
 
-        def fn(t: float) -> float:
+        def fn(t):
+            if isinstance(t, np.ndarray):
+                return np.array([fn(s) for s in t.tolist()])
             return max(lam[i] + gs[i](t) for i in range(len(lam)))
 
         return fn
@@ -146,19 +149,23 @@ def closed_loop_matrix(spec: SystemSpec, ctrl: ControllerSpec | None, t: float,
 
 def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
                          include_delta: bool = False,
-                         negate: bool = False) -> Callable[[float], np.ndarray]:
+                         negate: bool = False) -> Callable:
     """A compiled evaluator ``t -> A(t) + B K(t) [+ Delta(t)]``.
 
     Used on hot paths (quadrature, simulation); results match
     :func:`closed_loop_matrix` bit for bit.  ``negate=True`` returns the
-    negated matrix, which the instability test integrates.
+    negated matrix, which the instability test integrates.  Given a 1-d
+    array of m times the evaluator returns the (m, n, n) stack, equal bit
+    for bit to stacking the scalar results: each part is evaluated as a
+    batch (see :meth:`MatrixFunction.compiled`) and ``B K`` is one
+    stacked matmul.
     """
     A = spec.A.compiled()
     K = ctrl.K.compiled() if ctrl is not None else None
     B = spec.B
     D = spec.Delta.compiled() if (include_delta and spec.Delta is not None) else None
 
-    def fn(t: float) -> np.ndarray:
+    def fn(t):
         M = A(t)
         if K is not None:
             M = M + B @ K(t)

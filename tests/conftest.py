@@ -21,3 +21,28 @@ def example():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+# a fast-rotating plant with a weak symmetric part, a decaying uncertainty
+# and a state-dependent disturbance: the accuracy-bound counterpart of the
+# stiff built-in example
+OSCILLATOR_CONFIG = {
+    "n": 2, "t0": 0.0, "x0": [1.2, -0.7], "norm": "two",
+    "A": [["0.1500*cos(t)", "-0.2000+22.5000*(1+0.5*sin(0.9000*t))"],
+          ["-0.2000-22.5000*(1+0.5*sin(0.9000*t))", "0.1000"]],
+    "Delta": [["0.3000*exp(-t)", "-0.1000*exp(-t)"],
+              ["0.2000*exp(-t)", "-0.4000*exp(-t)"]],
+    "B": [[1.0, 0.0], [0.0, 1.0]],
+    "omega": ["0.1*sin(x2)", "0.1*sin(x1)"],
+    "omega_bound": "0.1500",
+    "controller": {"lambda": [-0.2, -0.2], "gamma": "auto", "margin": 0.02},
+    "horizon": 20.0, "tol": 1e-8,
+}
+
+
+@pytest.fixture(scope="session")
+def oscillator():
+    """OSCILLATOR_CONFIG with its synthesized controller."""
+    from lognorm_control.config import load_config
+    cfg = load_config(OSCILLATOR_CONFIG)
+    return cfg.spec, cfg.controller.build(cfg.spec)

@@ -2,10 +2,12 @@
 
 Nothing here goes through lognorm_control's own numerics: eigenvalues
 come from LAPACK or from inertia bisection, induced two-norms from power
-iteration, quadrature from a dense composite trapezoid, and reference
-trajectories from a fixed-step classical RK4.  Agreement between these
-and the package is what the tests check.
+iteration, quadrature from a dense composite trapezoid or a recursive
+adaptive Simpson, and reference trajectories from a fixed-step classical
+RK4.  Agreement between these and the package is what the tests check.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import ldl
@@ -95,6 +97,80 @@ def trapezoid_ref(f, a, b, n=1_000_001):
     y = np.asarray(f(x), dtype=float)
     h = (b - a) / (n - 1)
     return float(h * (y.sum() - 0.5 * (y[0] + y[-1])))
+
+
+class _SimpsonState:
+    __slots__ = ("evals", "error", "converged", "f", "max_depth")
+
+    def __init__(self, f, max_depth):
+        self.f = f
+        self.max_depth = max_depth
+        self.evals = 0
+        self.error = 0.0
+        self.converged = True
+
+    def eval(self, x):
+        self.evals += 1
+        v = float(self.f(x))
+        if not math.isfinite(v):
+            raise ValueError(f"integrand returned a non-finite value at {x!r}")
+        return v
+
+
+def _simpson_adapt(st, a, fa, m, fm, b, fb, whole, tol, depth):
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = st.eval(lm)
+    frm = st.eval(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    delta = left + right - whole
+    noise = 1e-15 * (abs(left) + abs(right))
+    if depth >= st.max_depth:
+        st.converged = False
+        st.error += abs(delta) / 15.0
+        return left + right + delta / 15.0
+    if abs(delta) <= max(15.0 * tol, noise):
+        st.error += abs(delta) / 15.0
+        return left + right + delta / 15.0
+    half = 0.5 * tol
+    return (_simpson_adapt(st, a, fa, lm, flm, m, fm, left, half, depth + 1)
+            + _simpson_adapt(st, m, fm, rm, frm, b, fb, right, half,
+                             depth + 1))
+
+
+def simpson_ref(f, a, b, tol=1e-8, max_depth=40):
+    """Recursive adaptive Simpson of a scalar integrand over [a, b]:
+    ``(value, est_error, evals, converged)``.  Panels are accepted when
+    ``|S(fine) - S(coarse)| <= max(15 tol, rounding noise)``, with tol
+    halved per split and forced (unconverged) acceptance at max_depth.
+    This is the rule the package's level-synchronous quadrature follows,
+    written as the plain depth-first recursion."""
+    st = _SimpsonState(f, max_depth)
+    fa = st.eval(a)
+    m = 0.5 * (a + b)
+    fm = st.eval(m)
+    fb = st.eval(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    value = _simpson_adapt(st, a, fa, m, fm, b, fb, whole, tol, 0)
+    return value, st.error, st.evals, st.converged
+
+
+def cumulative_simpson_ref(f, grid, tol=1e-9):
+    """``simpson_ref`` cell by cell over grid, accumulated:
+    ``(values, est_error, evals, converged)`` with values[0] = 0."""
+    out = np.zeros(len(grid))
+    acc = err = 0.0
+    evals = 0
+    ok = True
+    for k in range(len(grid) - 1):
+        value, e, n, conv = simpson_ref(f, grid[k], grid[k + 1], tol)
+        acc += value
+        out[k + 1] = acc
+        err += e
+        evals += n
+        ok = ok and conv
+    return out, err, evals, ok
 
 
 def rk4_solve(f, t0, x0, T, n_steps):

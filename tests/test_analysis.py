@@ -20,9 +20,14 @@ from lognorm_control.analysis import (
     integrate_mu,
 )
 from lognorm_control.expr import parse, parse_matrix, parse_vector
-from lognorm_control.linalg import Weighted, lyapunov_solve, symmetric_eigen_max
+from lognorm_control.linalg import (
+    Weighted,
+    lognorm,
+    lyapunov_solve,
+    symmetric_eigen_max,
+)
 from lognorm_control.synthesis import ExplicitGamma, synthesize
-from lognorm_control.system import SystemSpec
+from lognorm_control.system import SystemSpec, closed_loop_function
 
 
 def make_spec(**over):
@@ -81,7 +86,7 @@ def test_integrate_rejects_bad_bounds(a, b):
 def test_cumulative_integral_sqrt_endpoint():
     # integrand with infinite slope at 0; per-cell subdivision absorbs it
     grid = np.linspace(0.0, 1.0, 11)
-    vals, err, _, ok = cumulative_integral(lambda t: math.sqrt(t), grid)
+    vals, err, _, ok = cumulative_integral(np.sqrt, grid)
     assert ok
     assert vals[0] == 0.0
     assert vals[-1] == pytest.approx(2.0 / 3.0, abs=5e-9)
@@ -100,6 +105,47 @@ def test_cumulative_integral_decreasing_for_negative_integrand():
 def test_cumulative_integral_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="grid"):
         cumulative_integral(lambda t: t, grid)
+
+
+def _closed_loop_mu(system, negate=False):
+    spec, ctrl = system
+    cl = closed_loop_function(spec, ctrl, include_delta=True, negate=negate)
+    return lambda ts: lognorm(cl(ts), "two")
+
+
+@pytest.mark.parametrize("case", ["smooth", "sqrt", "bundled", "bundled-neg",
+                                  "oscillator"])
+def test_cumulative_integral_matches_recursive_reference(case, example,
+                                                         oscillator):
+    # the level-synchronous quadrature against the depth-first recursion
+    # it replaced: same panels, so the same values and convergence, and
+    # evals lower by exactly the interior grid nodes it shares
+    grid, tol = np.linspace(0.0, 10.0, 257), 1e-10
+    if case == "smooth":
+        f, grid = (lambda t: np.sin(3.0 * t) + t * t), np.linspace(0, 5, 17)
+    elif case == "sqrt":
+        f, grid, tol = np.sqrt, np.linspace(0.0, 1.0, 11), 1e-9
+    elif case == "oscillator":
+        f, grid = _closed_loop_mu(oscillator), np.linspace(0.0, 20.0, 201)
+    else:
+        f = _closed_loop_mu(example, negate=case == "bundled-neg")
+    vals, err, evals, ok = cumulative_integral(f, grid, tol)
+    ref_vals, ref_err, ref_evals, ref_ok = oracles.cumulative_simpson_ref(
+        lambda t: f(np.array([t]))[0], grid, tol)
+    assert ok == ref_ok
+    assert evals == ref_evals - (len(grid) - 2)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-13 * (1.0 + np.abs(ref_vals)))
+    assert err == pytest.approx(ref_err, rel=1e-12)
+
+
+def test_cumulative_integral_names_nonfinite_node():
+    # a grid node, then a node of the first refinement level
+    with pytest.raises(ValueError, match=r"non-finite value at 0\.5"):
+        cumulative_integral(lambda t: np.where(t == 0.5, np.inf, t),
+                            np.linspace(0, 1, 3))
+    with pytest.raises(ValueError, match=r"non-finite value at 0\.375"):
+        cumulative_integral(lambda t: np.where(t == 0.375, np.nan, t),
+                            np.linspace(0, 1, 3))
 
 
 def test_integrate_mu_matches_arctan(example):

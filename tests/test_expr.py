@@ -171,16 +171,31 @@ def test_format_parse_round_trip_structural(e):
 
 @settings(max_examples=150)
 @given(e=_tree, t=st.floats(0.1, 5.0), x1=st.floats(-3.0, 3.0),
-       x2=st.floats(-3.0, 3.0))
-def test_compiled_matches_interpreted_bitwise(e, t, x1, x2):
+       x2=st.floats(-3.0, 3.0),
+       ts=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=5))
+def test_compiled_matches_interpreted_bitwise(e, t, x1, x2, ts):
     fn = compile_expr(e, ("t", "x1", "x2"))
     try:
         want = eval_expr(e, t=t, x=[x1, x2])
     except EvalError:
         with pytest.raises(EvalError):
             fn(t, x1, x2)
+    else:
+        assert fn(t, x1, x2) == want  # bit-identical, not approximately
+    # the batched matrix path over an array of times, against the
+    # checked evaluator time by time
+    batch = MatrixFunction([[e, Lit(1.0)], [Neg(e), e]],
+                           ("t", "x1", "x2")).compiled()
+    try:
+        want = [eval_expr(e, t=s, x=[x1, x2]) for s in ts]
+    except EvalError:
+        with pytest.raises(EvalError):
+            batch(np.array(ts), [x1, x2])
         return
-    assert fn(t, x1, x2) == want  # bit-identical, not approximately
+    got = batch(np.array(ts), [x1, x2])
+    assert got.shape == (len(ts), 2, 2)
+    assert np.array_equal(got[:, 0, 0], want)
+    assert np.array_equal(got[:, 1, 0], np.negative(want))
 
 
 def test_thousand_random_trees_eval_round_trip():
@@ -283,6 +298,34 @@ def test_matrix_function_compiled_matches_interpreted():
     fast = F.compiled()
     for t in (0.0, 0.3, 1.0, 2.5, 7.0):
         assert np.array_equal(fast(t), F(t))
+
+
+def test_matrix_function_batch_matches_scalar_calls():
+    F = parse_matrix([["t*(t^6+1)^(1/2)", "sin(t)"], ["exp(0-t)", "1"]],
+                     ("t",))
+    fast = F.compiled()
+    ts = np.linspace(0.0, 7.0, 50)
+    got = fast(ts)
+    assert got.shape == (50, 2, 2) and got.flags.c_contiguous
+    assert np.array_equal(got, np.array([fast(float(t)) for t in ts]))
+    assert fast(ts[:0]).shape == (0, 2, 2)
+    with pytest.raises(ValueError, match="1-d"):
+        fast(ts.reshape(5, 10))
+
+
+def test_matrix_function_batch_domain_error_is_scalar_error():
+    # the batch crosses sqrt's domain at t = 1; it raises what a scalar
+    # call at its first failing time (1.25) raises
+    F = parse_matrix([["sqrt(1-t)", "0"], ["t", "1"]], ("t",))
+    fast = F.compiled()
+    with pytest.raises(EvalError) as scalar:
+        fast(1.25)
+    with pytest.raises(EvalError) as batch:
+        fast(np.linspace(0.0, 2.0, 9))
+    assert str(batch.value) == str(scalar.value)
+    assert "entry (1,1)" in str(batch.value)
+    assert np.array_equal(fast(np.linspace(0.0, 1.0, 5))[:, 0, 0],
+                          [math.sqrt(1.0 - t) for t in np.linspace(0, 1, 5)])
 
 
 def test_matrix_function_equality_and_formatting():

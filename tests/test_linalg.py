@@ -198,6 +198,42 @@ def test_lognorm_matches_reference(rng):
                 oracles.lognorm_ref(M, k), rel=1e-10, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", range(2, 17))
+def test_lognorm_stack_matches_per_matrix_bitwise(n, rng):
+    G = oracles.random_matrix(rng, n)
+    kinds = KINDS + (Weighted(G @ G.T + n * np.eye(n)),)
+    # spread magnitudes, and a non-contiguous stack
+    Ms = (oracles.random_matrix(rng, 7 * n).reshape(7, n, 7 * n)[:, :, ::7]
+          * 10.0 ** rng.uniform(-3.0, 3.0, size=(7, 1, 1)))
+    for k in kinds:
+        got = lognorm(Ms, k)
+        assert got.shape == (7,)
+        assert np.array_equal(got, [lognorm(M, k) for M in Ms])
+        assert isinstance(lognorm(Ms[0], k), float)
+
+
+def test_lognorm_stack_validation():
+    assert lognorm(np.zeros((0, 3, 3)), TWO).shape == (0,)
+    with pytest.raises(LinalgError, match="square"):
+        lognorm(np.zeros((4, 2, 3)), TWO)
+    with pytest.raises(LinalgError, match="range"):
+        lognorm(np.zeros((4, 1, 1)), TWO)
+    bad = np.zeros((4, 2, 2))
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(LinalgError, match="non-finite"):
+        lognorm(bad, ONE)
+    with pytest.raises(LinalgError, match="weight matrix is 3x3"):
+        lognorm(np.zeros((4, 2, 2)), Weighted(np.eye(3)))
+
+
+def test_eigensolver_failure_is_convergence_error(monkeypatch):
+    def fail(S):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        symmetric_eigenvalues(np.eye(2))
+
+
 def test_lognorm_limit_zero_matrix():
     assert lognorm_limit(np.zeros((2, 2)), TWO, 1e-6) == pytest.approx(
         0.0, abs=1e-9)

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -237,6 +238,23 @@ def test_sandwich_random_ltv(rng):
             rep = verify_sandwich(tt, F, kind, phi_tol=1e-8)
             assert rep.passed, (kind, rep.worst_upper_margin,
                                 rep.worst_lower_margin)
+
+
+@pytest.mark.parametrize("n_out, pairs", [(2, 1), (3, 3), (5, 10)])
+def test_sandwich_short_trace_returns(n_out, pairs):
+    # fewer grid points than the 20 requested pairs allow: every pair is
+    # checked once and the call returns
+    F = parse_matrix(WOBBLE, ("t",)).compiled()
+    tt = fundamental_matrix(F, 0.0, 1.0, n_out=n_out)
+    done = []
+    worker = threading.Thread(
+        target=lambda: done.append(verify_sandwich(tt, F)), daemon=True)
+    worker.start()
+    worker.join(timeout=20.0)
+    assert not worker.is_alive(), "verify_sandwich did not return"
+    assert done[0].passed
+    assert done[0].n_pairs == pairs
+    assert len({(p["tau"], p["t"]) for p in done[0].pairs}) == pairs
 
 
 def test_sandwich_pair_records(rng):

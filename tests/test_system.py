@@ -115,6 +115,27 @@ def test_closed_loop_function_negate_and_delta(example):
     assert np.allclose(fd(t) - f(t), spec.Delta(t), atol=1e-14)
 
 
+@pytest.mark.parametrize("system", ["example", "oscillator"])
+@pytest.mark.parametrize("include_delta, negate",
+                         [(False, False), (True, False), (True, True),
+                          (False, True)])
+def test_closed_loop_function_batch_bitwise(system, include_delta, negate,
+                                            request):
+    spec, ctrl = request.getfixturevalue(system)
+    ts = np.linspace(spec.t0, spec.t0 + 10.0, 101)
+    for c in (ctrl, None):
+        f = closed_loop_function(spec, c, include_delta=include_delta,
+                                 negate=negate)
+        assert np.array_equal(f(ts), np.array([f(t) for t in ts]))
+
+
+def test_gamma_max_accepts_time_arrays(example):
+    _, ctrl = example
+    g = ctrl.gamma_max()
+    ts = np.linspace(0.0, 10.0, 33)
+    assert np.array_equal(g(ts), [g(t) for t in ts])
+
+
 def test_closed_loop_mu_identity_on_samples(example):
     spec, ctrl = example
     gmax = ctrl.gamma_max()
