@@ -69,6 +69,10 @@ CONFIG_SCHEMA = {
     },
 }
 
+# checked against its metaschema once, at import, rather than on every load
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
 _NORMS = {"one": ONE, "two": TWO, "inf": INF}
 
 
@@ -131,11 +135,11 @@ def load_config(source) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    try:
-        jsonschema.validate(instance=doc, schema=CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    # the error jsonschema.validate would raise
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if exc is not None:
         where = exc.json_path if hasattr(exc, "json_path") else "$"
-        raise ConfigError(f"config invalid at {where}: {exc.message}") from None
+        raise ConfigError(f"config invalid at {where}: {exc.message}")
 
     n = doc["n"]
     t0 = float(doc["t0"])

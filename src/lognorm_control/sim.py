@@ -7,6 +7,19 @@ loudly rather than silently on stiff problems: when the step size stays
 pinned at ``h_min`` for 50 consecutive attempts the run aborts with a
 :class:`StiffnessError` carrying the local logarithmic norm, which is the
 quantity that makes the problem stiff in the first place.
+
+Both right-hand sides, ``x' = M(t) x + omega(t, x)`` and ``Phi' = F(t)
+Phi``, are linear in a matrix that does not depend on the state, and a
+step's stage times are known before its first stage.  So each step
+evaluates the matrix once, as a batch over its five distinct stage
+times, and runs the six stages on that stack.  A matrix function ``F``
+passed in must accept a single time and return the (n, n) matrix; it is
+used as a batch only when, given a 1-d array of times, it returns the
+(m, n, n) stack equal bit for bit to its scalar calls (checked once on
+two probe times), and its scalar calls are stacked otherwise.  Results
+are the same bits either way.  If a batch raises, the step is redone
+stage by stage, so a domain failure is reported at the stage and time
+where it first occurs.
 """
 
 from __future__ import annotations
@@ -90,16 +103,24 @@ class StiffnessError(RuntimeError):
         super().__init__(msg)
 
 
-def _initial_step(f, t0, y0, h_min, h_max):
-    # deterministic heuristic: aim for a step that moves the state ~1%
-    k = f(t0, y0)
+def _initial_step(k, y0, h_min, h_max):
+    # deterministic heuristic: aim for a step that moves the state ~1%,
+    # given the slope k = f(t0, y0)
     scale = (1.0 + float(np.linalg.norm(y0))) / (1.0 + float(np.linalg.norm(k)))
     return float(min(max(0.01 * scale, h_min), h_max))
 
 
-def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, diag_mu=None):
+def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M=None, diag_mu=None):
     """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
-    by dense output and returns (outputs, accepted_h, n_rejected)."""
+    by dense output and returns (outputs, accepted_h, n_rejected).
+
+    ``f(t, y)`` is the right-hand side.  With a batched matrix evaluator
+    ``M`` (times -> stack), each attempt evaluates ``M`` once on its five
+    distinct stage times and calls ``f(t_i, y_i, M_i)``; the two c = 1
+    stages share the last matrix.  If that batch raises, the attempt is
+    redone stage by stage with ``f(t_i, y_i)``, so any error is the one
+    the first failing stage raises.  ``M=None`` always steps that way.
+    """
     if not (T > t0):
         raise ValueError(f"horizon T={T} must exceed t0={t0}")
     if not (tol > 0.0) or not np.isfinite(tol):
@@ -123,7 +144,7 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, diag_mu=None):
     t = t0
     k = np.empty((7, ndim))
     k[0] = f(t, y)
-    h = _initial_step(f, t0, y, h_min, h_max)
+    h = _initial_step(k[0], y, h_min, h_max)
     facold = 1e-4
     accepted = []
     n_rejected = 0
@@ -138,8 +159,20 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, diag_mu=None):
             end_clamped = True
         h_attempt = h
 
-        for i in range(1, 7):
-            k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+        Ms = None
+        if M is not None:
+            ts = t + _C[1:6] * h
+            try:
+                Ms = M(ts)
+            except Exception:
+                pass  # redone stage by stage below: the first failure raises
+        if Ms is None:
+            for i in range(1, 7):
+                k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+        else:
+            for i in range(1, 7):
+                j = min(i, 5) - 1  # stages 5 and 6 both sit at t + h
+                k[i] = f(ts[j], y + h * (_A[i] @ k[:i]), Ms[j])
         y_new = y + h * (_B5 @ k)
         err_vec = h * (_E @ k)
         finite = np.isfinite(y_new).all() and np.isfinite(err_vec).all()
@@ -242,9 +275,9 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     Acl = closed_loop_function(spec, ctrl, include_delta=True)
     omega = spec.omega.compiled() if spec.omega is not None else None
 
-    def f(t, y):
+    def f(t, y, M=None):
         try:
-            dy = Acl(t) @ y
+            dy = (Acl(t) if M is None else M) @ y
             if omega is not None:
                 dy = dy + omega(t, y)
         except EvalError as exc:
@@ -258,7 +291,7 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         grid = np.linspace(spec.t0, T, n_out)
     diag = lambda t: lognorm(Acl(t), k)
     states, steps, nrej = _integrate(f, spec.t0, spec.x0, T, tol, h_min,
-                                     h_max, grid, diag_mu=diag)
+                                     h_max, grid, M=Acl, diag_mu=diag)
     grid = np.asarray(grid, dtype=float)
     mu_vals = lognorm(Acl(grid), k)
     norms = np.array([vector_norm(x, k) for x in states])
@@ -288,22 +321,51 @@ class TransitionTrace:
     n_rejected: int
 
 
+def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
+    """``F`` itself if it batches, else a loop stacking its scalar calls.
+
+    ``F`` batches when, given the two ``probe`` times as a 1-d array, it
+    returns the (2, n, n) stack equal bit for bit to its two scalar
+    calls.  Anything else, an exception included, selects the loop.
+    """
+    def stacked(ts):
+        return np.array([F(t) for t in ts])
+
+    probe = np.asarray(probe, dtype=float)
+    try:
+        got = np.asarray(F(probe), dtype=float)
+        want = np.asarray(stacked(probe), dtype=float)
+        if got.shape == (len(probe), n, n) and got.tobytes() == want.tobytes():
+            return F
+    except Exception:
+        pass
+    return stacked
+
+
 def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
                        tol: float = 1e-8, h_min: float = 1e-9,
                        h_max: float = 0.1, n_out: int = 201) -> TransitionTrace:
-    """Integrate ``Phi' = F(t) Phi`` columnwise from the identity."""
+    """Integrate ``Phi' = F(t) Phi`` columnwise from the identity.
+
+    ``F`` must accept one time and return the (n, n) matrix.  If it also
+    takes a 1-d array of times and returns the stack, equal bit for bit
+    to the scalar calls on a probe of ``t0`` and ``t0 + min(h_max, T -
+    t0)``, each step evaluates it once on its stage times; otherwise the
+    scalar calls are stacked.  Either way Phi is the same bit for bit.
+    """
     n = np.asarray(F(t0)).shape[0]
 
-    def f(t, y):
+    def f(t, y, M=None):
         try:
-            return (F(t) @ y.reshape(n, n)).ravel()
+            return ((F(t) if M is None else M) @ y.reshape(n, n)).ravel()
         except EvalError as exc:
             raise NumericalError(
                 f"expression evaluation failed at t={t:.6g}: {exc}") from exc
 
     grid = np.linspace(t0, T, n_out)
+    M = _batched(F, n, (t0, t0 + min(h_max, T - t0)))
     flat, steps, nrej = _integrate(f, t0, np.eye(n).ravel(), T, tol, h_min,
-                                   h_max, grid)
+                                   h_max, grid, M=M)
     return TransitionTrace(times=grid, phis=flat.reshape(len(grid), n, n),
                            step_sizes=steps, n_rejected=nrej)
 
@@ -363,18 +425,21 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     seeded generator, so the report is reproducible.  A trace of m points
     has only m (m - 1) / 2 pairs; with fewer than ``n_pairs`` every pair
     is checked once.
+
+    ``F`` follows the contract of :func:`fundamental_matrix`: scalar
+    calls are required; the quadrature evaluates ``F`` as a batch per
+    refinement level when it batches bit for bit on the trace's first
+    and last times, and stacks scalar calls otherwise.
     """
     times = tt.times
     m = len(times)
-
-    def stacked(ts):
-        # F takes one time; the quadrature asks for a level of nodes
-        return np.array([F(t) for t in ts])
-
+    n = tt.phis.shape[1]
+    # the quadrature asks for a level of nodes at a time
+    Fb = _batched(F, n, times[[0, -1]])
     J_up, e_up, _, _ = cumulative_integral(
-        lambda ts: lognorm(stacked(ts), kind), times, quad_tol)
+        lambda ts: lognorm(Fb(ts), kind), times, quad_tol)
     J_low, e_low, _, _ = cumulative_integral(
-        lambda ts: lognorm(-stacked(ts), kind), times, quad_tol)
+        lambda ts: lognorm(-Fb(ts), kind), times, quad_tol)
     base_slack = math.log1p(tol_slack) + 4.0 * (e_up + e_low)
 
     def pair_slack(i: int, j: int) -> float:
@@ -430,7 +495,6 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
 
     # state bounds for trajectories x(t) = Phi(t) v, ||v|| = 1
     p4_worst = math.inf
-    n = tt.phis.shape[1]
     for j in {m // 4, m // 2, (3 * m) // 4, m - 1}:
         slack = pair_slack(0, j)
         for _ in range(3):

@@ -46,3 +46,33 @@ def oscillator():
     from lognorm_control.config import load_config
     cfg = load_config(OSCILLATOR_CONFIG)
     return cfg.spec, cfg.controller.build(cfg.spec)
+
+
+def plant8_config(seed: int = 8, T: float = 2.0) -> dict:
+    """A seeded n = 8 plant: sinusoidal entries, a decaying uncertainty,
+    a near-identity B and a state-dependent disturbance."""
+    n = 8
+    rng = np.random.default_rng(seed)
+    a, c = rng.uniform(-1.0, 1.0, (2, n, n)).round(4)
+    w = rng.uniform(0.5, 2.0, (n, n)).round(4)
+    d = rng.uniform(-0.5, 0.5, (n, n)).round(4)
+    B = (np.eye(n) + 0.1 * rng.standard_normal((n, n))).round(4)
+    return {
+        "n": n, "t0": 0.0, "x0": rng.uniform(-1.0, 1.0, n).round(4).tolist(),
+        "norm": "two",
+        "A": [[f"{a[i, j]}*sin({w[i, j]}*t)+{c[i, j]}" for j in range(n)]
+              for i in range(n)],
+        "Delta": [[f"{d[i, j]}/(1+t^2)" for j in range(n)] for i in range(n)],
+        "B": B.tolist(),
+        "omega": [f"0.1*sin(x{(i + 1) % n + 1})" for i in range(n)],
+        "controller": {"lambda": [-1.0] * n, "gamma": "auto"},
+        "horizon": T, "tol": 1e-8,
+    }
+
+
+@pytest.fixture(scope="session")
+def plant8():
+    """plant8_config() with its synthesized controller."""
+    from lognorm_control.config import load_config
+    cfg = load_config(plant8_config())
+    return cfg.spec, cfg.controller.build(cfg.spec)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -116,6 +117,39 @@ def test_margin_requires_auto_gamma(cfg):
     cfg["controller"]["margin"] = 2.0
     with pytest.raises(ConfigError, match="margin only applies"):
         load_config(cfg)
+
+
+def test_load_skips_the_metaschema_check(cfg, monkeypatch):
+    # the schema is checked once at import; a load only validates the doc
+    checks = []
+    validator_class = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+    monkeypatch.setattr(validator_class, "check_schema",
+                        lambda *a, **k: checks.append(a))
+    load_config(cfg)
+    bad = copy.deepcopy(cfg)
+    bad["n"] = "2"
+    with pytest.raises(ConfigError):
+        load_config(bad)
+    assert checks == []
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n", "2"), ("n", 17), ("x0", ["a"]), ("norm", "three"),
+    ("A", [[1, 2], [3, 4]]), ("tol", 0), ("mystery", 1),
+    ("controller", {"gamma": "x"}),
+    ("controller", {"lambda": "x", "bogus": 1}), ("A", None)])
+def test_schema_errors_match_jsonschema_validate(cfg, key, value):
+    # the reported error is the one jsonschema.validate picks
+    if value is None:
+        del cfg[key]
+    else:
+        cfg[key] = value
+    with pytest.raises(jsonschema.ValidationError) as want:
+        jsonschema.validate(instance=cfg, schema=CONFIG_SCHEMA)
+    with pytest.raises(ConfigError) as got:
+        load_config(cfg)
+    assert str(got.value) == (f"config invalid at {want.value.json_path}: "
+                              f"{want.value.message}")
 
 
 def test_published_schema_matches_embedded():

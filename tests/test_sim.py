@@ -1,5 +1,6 @@
 """Integrator accuracy, transition matrices and the two-sided norm bounds."""
 
+import contextlib
 import csv
 import math
 import threading
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 
 import oracles
+from lognorm_control import sim
 from lognorm_control.analysis import integrate
-from lognorm_control.expr import parse_matrix
+from lognorm_control.expr import parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
 from lognorm_control.sim import (
+    NumericalError,
     StiffnessError,
     convergence_report,
     fundamental_matrix,
@@ -300,3 +303,138 @@ def test_trace_csv_round_trip(tmp_path):
     for i, row in enumerate(rows[1:]):
         for j, cell in enumerate(row):
             assert float(cell) == cols[j][i]  # 17 digits round trip
+
+
+# ---------------------------------------------------------------------------
+# the stage-batched stepper against the stage-by-stage path
+
+@contextlib.contextmanager
+def stage_by_stage():
+    """The stepper gets no batched evaluator, so every stage evaluates its
+    matrix through the right-hand side, one at a time."""
+    integrate_ = sim._integrate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_integrate",
+                   lambda f, *a, M=None, **kw: integrate_(f, *a, **kw))
+        yield
+
+
+def scalar_only(F):
+    def G(t):
+        if np.ndim(t):
+            raise TypeError("scalar times only")
+        return F(t)
+    return G
+
+
+@pytest.mark.parametrize("name, T, T_phi", [("example", 10.0, 2.0),
+                                            ("oscillator", 20.0, 5.0),
+                                            ("plant8", 2.0, 2.0)])
+def test_stage_batched_stepper_is_bitwise(request, name, T, T_phi):
+    spec, ctrl = request.getfixturevalue(name)
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    tr = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
+    with stage_by_stage():
+        ref = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+        ref_tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
+    assert tr.states.tobytes() == ref.states.tobytes()
+    assert tr.step_sizes.tobytes() == ref.step_sizes.tobytes()
+    assert tr.n_rejected == ref.n_rejected
+    assert tt.phis.tobytes() == ref_tt.phis.tobytes()
+    assert tt.step_sizes.tobytes() == ref_tt.step_sizes.tobytes()
+    assert tt.n_rejected == ref_tt.n_rejected
+
+
+@pytest.mark.parametrize("name", ["example", "oscillator", "plant8"])
+def test_batching_F_matches_scalar_only_F(request, name):
+    spec, ctrl = request.getfixturevalue(name)
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    G = scalar_only(cl)
+    probe = np.array([spec.t0, spec.t0 + 0.1])
+    assert sim._batched(cl, spec.n, probe) is cl
+    assert sim._batched(G, spec.n, probe) is not G
+    tt = fundamental_matrix(cl, spec.t0, 2.0, tol=1e-9)
+    ref = fundamental_matrix(G, spec.t0, 2.0, tol=1e-9)
+    assert tt.phis.tobytes() == ref.phis.tobytes()
+    assert tt.step_sizes.tobytes() == ref.step_sizes.tobytes()
+    # the sandwich integrates mu over batches of F or of stacked calls
+    assert verify_sandwich(tt, cl, spec.norm, phi_tol=1e-9).to_json() == \
+        verify_sandwich(tt, G, spec.norm, phi_tol=1e-9).to_json()
+
+
+def test_probe_rejects_lookalike_batches():
+    # right shape, wrong values; and a constant that ignores the times
+    n = 2
+    probe = np.array([0.0, 0.1])
+    bad = lambda t: (np.zeros((len(t), n, n)) if np.ndim(t)
+                     else np.eye(n))
+    const = lambda t: np.diag([-1.0, -2.0])
+    assert sim._batched(bad, n, probe) is not bad
+    assert sim._batched(const, n, probe) is not const
+    assert sim._batched(const, n, probe)(probe).shape == (2, n, n)
+
+
+def test_one_batched_evaluation_per_attempt():
+    F = parse_matrix(WOBBLE, ("t",)).compiled()
+    calls = {"scalar": 0, "batch": 0}
+
+    def counted(t):
+        calls["batch" if np.ndim(t) else "scalar"] += 1
+        return F(t)
+
+    rhs = []
+    integrate_ = sim._integrate
+
+    def counting(f, *a, **kw):
+        def g(*args):
+            rhs.append(args[0])
+            return f(*args)
+        return integrate_(g, *a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_integrate", counting)
+        tt = fundamental_matrix(counted, 0.0, 5.0, tol=1e-10)
+    attempts = len(tt.step_sizes) + tt.n_rejected
+    # F(t0) for n, two probe times and the first slope at t0
+    assert calls == {"scalar": 4, "batch": attempts + 1}
+    assert len(rhs) == 1 + 6 * attempts
+
+
+SQRT_A = [["sqrt(1-t)", "0"], ["0", "0-1"]]
+
+
+def _failure(fn):
+    with pytest.raises(NumericalError) as exc:
+        fn()
+    return str(exc.value), type(exc.value.__cause__)
+
+
+def test_domain_error_matches_stage_by_stage():
+    s = make_spec(SQRT_A)
+    F = s.A.compiled()
+    calls = (lambda: simulate(s, None, T=2.0),
+             lambda: fundamental_matrix(F, 0.0, 2.0))
+    got = [_failure(c) for c in calls]
+    with stage_by_stage():
+        want = [_failure(c) for c in calls]
+    assert got == want
+    for msg, _ in got:
+        t = float(msg.split("failed at t=")[1].split(":")[0])
+        assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
+
+
+def test_disturbance_failing_first_in_the_step_is_reported():
+    # the first step spans [0, 0.02]; M fails from its third stage
+    # (t = 0.016), omega already at its second (t = 0.006)
+    A = [["0*sqrt(0.01-t)", "0"], ["0", "0"]]
+    omega = parse_vector(["0*sqrt(0.005-t)", "0"], ("t", "x1", "x2"))
+    only_M = make_spec(A)
+    both = make_spec(A, omega=omega)
+    m_msg, _ = _failure(lambda: simulate(only_M, None, T=1.0))
+    msg, cause = _failure(lambda: simulate(both, None, T=1.0))
+    assert m_msg.startswith("expression evaluation failed at t=0.016: "
+                            "entry (1,1)")
+    assert msg.startswith("expression evaluation failed at t=0.006: entry 1:")
+    with stage_by_stage():
+        assert _failure(lambda: simulate(both, None, T=1.0)) == (msg, cause)
