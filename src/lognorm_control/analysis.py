@@ -14,15 +14,15 @@ their thresholds live in :class:`Heuristics`.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .expr import EvalError
+from .expr import EvalError, compile_expr
 from .linalg import Weighted, lognorm
+from .report import Report
 from .system import ControllerSpec, SystemSpec, closed_loop_function
 
 __all__ = [
@@ -49,19 +49,6 @@ A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
 
 def norm_name(kind) -> str:
     return "weighted" if isinstance(kind, Weighted) else str(kind)
-
-
-def json_default(obj):
-    """Make numpy scalars and arrays serializable in reports."""
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 @dataclass(frozen=True)
@@ -270,7 +257,7 @@ class Heuristics:
 
 
 @dataclass(frozen=True)
-class Evidence:
+class Evidence(Report):
     """One checked condition: what was measured and what it suggests.
 
     ``verdict`` is 'supported', 'refuted' or 'inconclusive'.  A supported
@@ -281,10 +268,6 @@ class Evidence:
     verdict: str
     measured: dict = field(default_factory=dict)
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {"id": self.id, "verdict": self.verdict,
-                "measured": dict(self.measured), "note": self.note}
 
 
 def _downgrade(ev: Evidence, reason: str) -> Evidence:
@@ -332,6 +315,25 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
                     f"tail {tail:.3g} has not settled by T={T:g}")
 
 
+def doubling_test(id_: str, measured: dict, J_half: float, J: float,
+                  slack: float, converged: bool, notes: dict) -> Evidence:
+    """The doubling test for ``J(t) -> -inf`` from ``J`` at the horizon
+    and ``J_half`` at its midpoint: supported when ``J_half < 0`` and
+    ``J <= 2 J_half + slack``, refuted when ``J_half >= 0`` and ``J >=
+    J_half - slack``, else (and when the quadrature did not converge)
+    inconclusive.  ``notes`` maps each verdict to the caller's note."""
+    if not converged:
+        return Evidence(id_, "inconclusive", measured,
+                        "quadrature did not converge")
+    if J_half < 0.0 and J <= 2.0 * J_half + slack:
+        verdict = "supported"
+    elif J_half >= 0.0 and J >= J_half - slack:
+        verdict = "refuted"
+    else:
+        verdict = "inconclusive"
+    return Evidence(id_, verdict, measured, notes[verdict])
+
+
 def _doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
                        t0: float, T: float, quad_tol: float,
                        description: str) -> Evidence:
@@ -343,22 +345,15 @@ def _doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
     except EvalError as exc:
         return Evidence(id_, "inconclusive", {}, f"could not evaluate: {exc}")
     J_half, J = float(J_vals[64]), float(J_vals[-1])
-    tm = float(grid[64])
-    slack = 4.0 * err + 1e-12 * (1.0 + abs(J))
-    measured = {"J_half": J_half, "J": J, "t_mid": tm, "quad_error": err}
-    if not ok:
-        return Evidence(id_, "inconclusive", measured,
-                        "quadrature did not converge")
-    if J_half < 0.0 and J <= 2.0 * J_half + slack:
-        return Evidence(id_, "supported", measured,
-                        f"{description}: doubling the horizon at least "
-                        f"doubles the decay ({J:.6g} <= 2 x {J_half:.6g})")
-    if J_half >= 0.0 and J >= J_half - slack:
-        return Evidence(id_, "refuted", measured,
-                        f"{description}: the integral is not decreasing")
-    return Evidence(id_, "inconclusive", measured,
-                    f"{description}: decreasing, but too slowly for the "
-                    "doubling test")
+    measured = {"J_half": J_half, "J": J, "t_mid": float(grid[64]),
+                "quad_error": err}
+    return doubling_test(
+        id_, measured, J_half, J, 4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
+        {"supported": f"{description}: doubling the horizon at least "
+                      f"doubles the decay ({J:.6g} <= 2 x {J_half:.6g})",
+         "refuted": f"{description}: the integral is not decreasing",
+         "inconclusive": f"{description}: decreasing, but too slowly for "
+                         "the doubling test"})
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
@@ -397,6 +392,26 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     return a2, a4
 
 
+def ratio_tail(w: np.ndarray, m: np.ndarray, h: Heuristics):
+    """The sampled test for ``w(t) / m(t) -> 0`` on a tail grid, the
+    ratio being 0 where both vanish and inf where only ``m`` does.
+    Supported when it never rises by more than 5 % from one sample to the
+    next and ends below ``h.ratio_limit``; refuted when it is finite,
+    never falls by more than 5 % and ends above 1; else inconclusive.
+    Returns ``(ratio, decreasing, verdict)``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r = np.where(m == 0.0, np.where(w == 0.0, 0.0, np.inf), w / m)
+    decreasing = bool((r[1:] <= r[:-1] * 1.05 + 1e-12).all())
+    if decreasing and r[-1] < h.ratio_limit:
+        verdict = "supported"
+    elif (np.isfinite(r).all() and r[-1] > 1.0
+          and bool((r[1:] >= r[:-1] * 0.95).all())):
+        verdict = "refuted"
+    else:
+        verdict = "inconclusive"
+    return r, decreasing, verdict
+
+
 def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
              heuristics: Heuristics | None = None, norm=None) -> Evidence:
     """The disturbance envelope is dominated by the closed-loop decay:
@@ -411,7 +426,6 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     if spec.omega_bound is None:
         return Evidence("A3", "supported", {"ratio_end": 0.0},
                         "no disturbance envelope declared; ratio is zero")
-    from .expr import compile_expr
     wb = compile_expr(spec.omega_bound, ("t",))
     cl = closed_loop_function(spec, ctrl)
     try:
@@ -420,27 +434,21 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
         m = np.abs(lognorm(cl(grid), k))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.where(m == 0.0, np.where(w == 0.0, 0.0, np.inf), w / m)
+    r, _, verdict = ratio_tail(w, m, h)
     measured = {"ratio_start": float(r[0]), "ratio_end": float(r[-1]), "T": T}
     if not np.isfinite(r).all():
         t_bad = float(grid[int(np.nonzero(~np.isfinite(r))[0][0])])
         return Evidence("A3", "inconclusive", measured,
                         f"mu vanishes at sample t={t_bad:g}")
-    decreasing = bool((r[1:] <= r[:-1] * 1.05 + 1e-12).all())
-    if decreasing and r[-1] < h.ratio_limit:
-        return Evidence("A3", "supported", measured,
-                        f"ratio decreases to {r[-1]:.3g} at T={T:g}")
-    if r[-1] > 1.0 and bool((r[1:] >= r[:-1] * 0.95).all()):
-        return Evidence("A3", "refuted", measured,
-                        "ratio is large and not decreasing")
-    return Evidence("A3", "inconclusive", measured,
-                    "ratio neither settles below the threshold nor "
-                    "clearly grows")
+    return Evidence("A3", verdict, measured, {
+        "supported": f"ratio decreases to {r[-1]:.3g} at T={T:g}",
+        "refuted": "ratio is large and not decreasing",
+        "inconclusive": "ratio neither settles below the threshold nor "
+                        "clearly grows"}[verdict])
 
 
 @dataclass(frozen=True)
-class EvidenceReport:
+class EvidenceReport(Report):
     """Classification of a closed loop with the evidence that produced it.
 
     ``entries`` maps each taxonomy member (S, US, AS, UAS, UNSTABLE) to
@@ -459,18 +467,9 @@ class EvidenceReport:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "norm": self.norm,
-            "T": self.T,
-            "A1": self.a1.to_dict(),
-            "entries": {k: v.to_dict() for k, v in self.entries.items()},
-            "strongest": self.strongest,
-            "note": self.note,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          default=json_default)
+        d = super().to_dict()
+        d["A1"] = d.pop("a1")
+        return d
 
 
 def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
@@ -551,19 +550,12 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     midx = int(np.searchsorted(grid, spec.t0 + 0.5 * span))
     J_half, J_end = float(J[midx]), float(J[-1])
     m = {"J_half": J_half, "J": J_end, "t_mid": float(grid[midx])}
-    if not J_ok:
-        entries["AS"] = Evidence("AS", "inconclusive", m,
-                                 "quadrature did not converge")
-    elif J_half < 0.0 and J_end <= 2.0 * J_half + slack:
-        entries["AS"] = Evidence("AS", "supported", m,
-                                 "int mu diverges to -inf (doubling test)")
-    elif J_half >= 0.0 and J_end >= J_half - slack:
-        entries["AS"] = Evidence("AS", "refuted", m,
-                                 "int mu is not decreasing")
-    else:
-        entries["AS"] = Evidence("AS", "inconclusive", m,
-                                 "int mu decreasing, but too slowly for "
-                                 "the doubling test")
+    entries["AS"] = doubling_test(
+        "AS", m, J_half, J_end, slack, J_ok,
+        {"supported": "int mu diverges to -inf (doubling test)",
+         "refuted": "int mu is not decreasing",
+         "inconclusive": "int mu decreasing, but too slowly for the "
+                         "doubling test"})
 
     # UAS: mu <= -alpha at every sampled time for the best alpha > 0;
     # that pins a uniform exponential rate, so report alpha = -sup mu

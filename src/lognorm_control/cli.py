@@ -31,7 +31,7 @@ from .analysis import (
     cumulative_integral,
 )
 from .config import ConfigError, load_config
-from .expr import EvalError, SourceError, parse
+from .expr import EvalError, SourceError, format_expr, parse
 from .linalg import (
     INF,
     ONE,
@@ -43,6 +43,7 @@ from .linalg import (
     lognorm,
 )
 from .presets import example_loaded
+from .report import dumps
 from .sim import (
     NumericalError,
     StiffnessError,
@@ -52,19 +53,16 @@ from .sim import (
     verify_sandwich,
     write_trace_csv,
 )
-from .synthesis import AutoGamma, ExplicitGamma, verify_c2, verify_c3
+from .synthesis import AutoGamma, ExplicitGamma, synthesize, verify_c2, verify_c3
 from .system import closed_loop_function
 
 RATIO_MIN_HORIZON = 1e3  # ratio-limit checks need a long tail
 PHI_LOG_CAP = 12.0       # keep transition-norm noise below the slack
 PHI_TOL = 1e-10          # local tolerance for the Phi integration
 
-_NORMS = {"one": ONE, "two": TWO, "inf": INF}
-
 
 def _print_json(doc) -> None:
-    from .analysis import json_default
-    print(json.dumps(doc, indent=2, sort_keys=True, default=json_default))
+    print(dumps(doc))
 
 
 def _load(args):
@@ -101,7 +99,6 @@ def _controller(cfg, args):
         if cfg.controller is None:
             return None
         return cfg.controller.build(cfg.spec)
-    from .synthesis import synthesize
     if rule is None and cfg.controller is not None:
         rule = cfg.controller.rule
     if lam is None and cfg.controller is not None:
@@ -125,9 +122,8 @@ def cmd_lognorm(args) -> int:
                 f"file: {text!r}") from None
     M = as_matrix(data, "matrix")
     if args.norm:
-        k = _NORMS[args.norm]
-        print(f"mu_{args.norm}={lognorm(M, k):.12g} "
-              f"norm_{args.norm}={induced_norm(M, k):.12g}")
+        print(f"mu_{args.norm}={lognorm(M, args.norm):.12g} "
+              f"norm_{args.norm}={induced_norm(M, args.norm):.12g}")
     else:
         print(f"mu_1={lognorm(M, ONE):.12g} mu_2={lognorm(M, TWO):.12g} "
               f"mu_inf={lognorm(M, INF):.12g}")
@@ -140,7 +136,7 @@ def cmd_lognorm(args) -> int:
 def cmd_classify(args) -> int:
     cfg = _load(args)
     ctrl = _controller(cfg, args)
-    k = _NORMS[args.norm] if args.norm else cfg.spec.norm
+    k = args.norm or cfg.spec.norm
     report = classify_stability(cfg.spec, ctrl, T=cfg.horizon,
                                 quad_tol=args.quad_tol, norm=k)
     _print_json(report.to_dict())
@@ -160,7 +156,7 @@ def cmd_synthesize(args) -> int:
     c3 = verify_c3(ctrl, cfg.horizon)
     doc = {
         "lambda": [float(v) for v in ctrl.lam],
-        "gamma": [_fmt_expr(g) for g in ctrl.gamma],
+        "gamma": [format_expr(g) for g in ctrl.gamma],
         "K": ctrl.K.formatted(),
         "adaptive_part": ctrl.adaptive_part.formatted(),
         "B_inv": [[float(v) for v in row] for row in ctrl.B_inv],
@@ -174,24 +170,21 @@ def cmd_synthesize(args) -> int:
     return 1 if (c2["verdict"] == "refuted" or c3.verdict == "refuted") else 0
 
 
-def _fmt_expr(e):
-    from .expr import format_expr
-    return format_expr(e)
-
-
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     ctrl = _controller(cfg, args)
     trace = simulate(cfg.spec, ctrl, T=cfg.horizon, tol=cfg.tol,
                      h_min=args.h_min, h_max=args.h_max, n_out=args.points)
+    return _print_trace(trace, cfg, args, steps=int(len(trace.step_sizes)),
+                        rejected=int(trace.n_rejected))
+
+
+def _print_trace(trace, cfg, args, **extra) -> int:
+    """Write the trace to ``--out`` if given and print its report."""
     if args.out:
         write_trace_csv(trace, args.out)
-    rep = convergence_report(trace)
-    doc = rep.to_dict()
-    doc.update({"T": cfg.horizon, "norm": trace.norm_kind,
-                "steps": int(len(trace.step_sizes)),
-                "rejected": int(trace.n_rejected),
-                "csv": args.out})
+    doc = convergence_report(trace).to_dict()
+    doc.update(T=cfg.horizon, norm=trace.norm_kind, csv=args.out, **extra)
     _print_json(doc)
     return 0
 
@@ -260,15 +253,8 @@ def cmd_repro(args) -> int:
     spec = cfg.spec
     ctrl = cfg.controller.build(spec)
     trace = simulate(spec, ctrl, T=cfg.horizon, tol=cfg.tol)
-    if args.out:
-        write_trace_csv(trace, args.out)
-    rep = convergence_report(trace)
-    doc = rep.to_dict()
-    doc.update({"T": cfg.horizon, "norm": trace.norm_kind,
-                "final_state": [float(v) for v in trace.states[-1]],
-                "csv": args.out})
-    _print_json(doc)
-    return 0
+    return _print_trace(trace, cfg, args,
+                        final_state=[float(v) for v in trace.states[-1]])
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ from .expr import (
     MatrixFunction,
     SourceError,
     VectorFunction,
-    collect_vars,
     format_expr,
     parse,
     state_vars,
 )
-from .linalg import INF, ONE, TWO, LinalgError, Weighted
-from .synthesis import AutoGamma, ExplicitGamma
+from .linalg import TWO, LinalgError, Weighted
+from .synthesis import AutoGamma, ExplicitGamma, synthesize
 from .system import ControllerSpec, SystemSpec
 
 __all__ = ["ConfigError", "ControllerConfig", "LoadedConfig", "CONFIG_SCHEMA",
@@ -73,8 +72,6 @@ CONFIG_SCHEMA = {
 _VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 _VALIDATOR.check_schema(CONFIG_SCHEMA)
 
-_NORMS = {"one": ONE, "two": TWO, "inf": INF}
-
 
 class ConfigError(ValueError):
     """A config document that does not describe a valid problem."""
@@ -87,7 +84,6 @@ class ControllerConfig:
     rule: object  # AutoGamma or ExplicitGamma
 
     def build(self, spec: SystemSpec) -> ControllerSpec:
-        from .synthesis import synthesize
         return synthesize(spec, self.lam, self.rule)
 
 
@@ -172,7 +168,7 @@ def load_config(source) -> LoadedConfig:
     try:
         spec = SystemSpec(n=n, A=A, B=B, t0=t0, x0=np.asarray(x0, dtype=float),
                           Delta=Delta, omega=omega, omega_bound=omega_bound,
-                          norm=_NORMS[doc.get("norm", "two")])
+                          norm=doc.get("norm", TWO))
     except LinalgError as exc:
         raise ConfigError(str(exc)) from None
 

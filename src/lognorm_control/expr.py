@@ -406,13 +406,15 @@ def eval_expr(e: Expr, t: float | None = None, x: Sequence[float] | None = None)
     State components bind to ``x1 .. xn``.  Unbound variables and numeric
     domain failures raise EvalError with the source offset.
     """
-    env = {}
-    if t is not None:
-        env["t"] = float(t)
+    return _eval(e, _env(t, x))
+
+
+def _env(t, x) -> dict:
+    """Variable bindings for time ``t`` and state ``x`` (either may be None)."""
+    env = {} if t is None else {"t": float(t)}
     if x is not None:
-        for i, xi in enumerate(x):
-            env[f"x{i + 1}"] = float(xi)
-    return _eval(e, env)
+        env.update((f"x{i + 1}", float(xi)) for i, xi in enumerate(x))
+    return env
 
 
 def collect_vars(e: Expr) -> set:
@@ -493,23 +495,31 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _gen(e: Expr) -> str:
+def _gen(e: Expr, subs: dict) -> str:
     # fully parenthesized source; semantics match _eval except that the
-    # domain checks are left to the caller's fallback path
+    # domain checks are left to the caller's fallback path.  ``subs``
+    # maps a variable to the source standing for it, if not its name.
     if isinstance(e, Lit):
         return f"({e.value!r})"
     if isinstance(e, Var):
-        return e.name
+        return subs.get(e.name, e.name)
     if isinstance(e, Neg):
-        return f"(-{_gen(e.operand)})"
+        return f"(-{_gen(e.operand, subs)})"
     if isinstance(e, Bin):
         if e.op == "^":
-            return f"pow({_gen(e.left)}, {_gen(e.right)})"
-        return f"({_gen(e.left)}{e.op}{_gen(e.right)})"
+            return f"pow({_gen(e.left, subs)}, {_gen(e.right, subs)})"
+        return f"({_gen(e.left, subs)}{e.op}{_gen(e.right, subs)})"
     if isinstance(e, Call):
-        args = ", ".join(_gen(a) for a in e.args)
+        args = ", ".join(_gen(a, subs) for a in e.args)
         return f"{e.fn}({args})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _nest(entries, subs: dict) -> str:
+    """Source of the (nested) list of the entries' values."""
+    if isinstance(entries, Expr):
+        return _gen(entries, subs)
+    return "[" + ", ".join(_nest(e, subs) for e in entries) + "]"
 
 
 _GEN_GLOBALS = {
@@ -518,7 +528,39 @@ _GEN_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "abs": abs, "min": min, "max": max,
+    "_array": np.array, "_contiguous": np.ascontiguousarray,
 }
+
+
+def _lambda(params: str, body: str) -> Callable:
+    """The generated function ``lambda params: body``."""
+    return eval(f"lambda {params}: {body}", dict(_GEN_GLOBALS))
+
+
+def _all_finite(v: np.ndarray) -> bool:
+    return np.isfinite(v).all()
+
+
+def _guarded(raw, finite, checked, batch=None):
+    """The compiled evaluator: ``raw(*args)`` where that gives a value
+    passing ``finite``, else ``checked(*args)``, the checked evaluator,
+    which raises the located EvalError of a domain failure.  With
+    ``batch``, a first argument that is a non-scalar array goes there.
+    """
+    ndarray = np.ndarray  # closure-bound: the scalar path is the hot one
+
+    def fn(*args):
+        if batch is not None and type(args[0]) is ndarray and args[0].ndim:
+            return batch(*args)
+        try:
+            v = raw(*args)
+        except Exception:
+            v = None
+        if v is None or not finite(v):
+            return checked(*args)
+        return v
+
+    return fn
 
 
 def compile_expr(e: Expr, names: tuple = ("t",)) -> Callable[..., float]:
@@ -528,27 +570,17 @@ def compile_expr(e: Expr, names: tuple = ("t",)) -> Callable[..., float]:
     On a domain failure or a non-finite result it re-runs the checked
     evaluator so the caller still gets a located EvalError.
     """
-    src = f"lambda {', '.join(names)}: {_gen(e)}"
-    raw = eval(src, dict(_GEN_GLOBALS))
-
-    def fn(*args):
-        try:
-            v = raw(*args)
-        except Exception:
-            v = None
-        if v is None or not math.isfinite(v):
-            env = dict(zip(names, args))
-            return _eval(e, env)
-        return v
-
-    return fn
+    return _guarded(_lambda(", ".join(names), _gen(e, {})), math.isfinite,
+                    lambda *args: _eval(e, dict(zip(names, args))))
 
 
 class _Grid:
-    """Shared machinery for expression-valued matrices and vectors."""
+    """Shared machinery for expression-valued matrices and vectors:
+    ``entries`` is a nested tuple of expressions of the given ``shape``."""
 
-    def __init__(self, entries, allowed_vars):
+    def __init__(self, entries, allowed_vars, shape):
         self.entries = entries
+        self.shape = shape
         self.allowed = frozenset(allowed_vars)
         for v in self.allowed:
             if v != "t" and not re.fullmatch(r"x\d+", v):
@@ -567,12 +599,66 @@ class _Grid:
     def _flat(self):
         raise NotImplementedError
 
-    def _names(self):
-        if not self.state_dependent:
-            return ("t",)
-        ns = sorted((v for v in self.allowed if v != "t"),
-                    key=lambda s: int(s[1:]))
-        return ("t",) + tuple(ns)
+    def __call__(self, t: float, x=None) -> np.ndarray:
+        """Evaluate every entry with the checked evaluator.  An EvalError
+        names the failing entry, 1-based: ``entry (i,j)`` of a matrix,
+        ``entry i`` of a vector."""
+        env = _env(t, x)
+        out = np.empty(self.shape)
+        for idx, e in zip(np.ndindex(self.shape), self._flat()):
+            try:
+                out[idx] = _eval(e, env)
+            except EvalError as exc:
+                where = ",".join(str(i + 1) for i in idx)
+                if len(idx) > 1:
+                    where = f"({where})"
+                raise EvalError(f"entry {where}: {exc.message}",
+                                exc.offset) from None
+        return out
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.entries == other.entries
+
+    __hash__ = None
+
+    def compiled(self) -> Callable[..., np.ndarray]:
+        """A fast evaluator ``f(t[, x]) -> ndarray``, bit-identical to
+        :meth:`__call__` and falling back to it on domain failures.
+
+        ``t`` may also be a 1-d array of m times (with one state ``x`` for
+        all of them); the result is then the (m, *shape) stack of the
+        values at those times, equal bit for bit to stacking the scalar
+        calls.  The batch runs the same generated code per entry and
+        checks finiteness once; on any failure it redoes the batch
+        through the scalar path, so a domain error raises the same
+        located EvalError as a scalar call at the first failing time.
+        """
+        if self._compiled is not None:
+            return self._compiled
+        # state component x<k> is x[k - 1], as in the checked evaluator
+        xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
+        raw = _lambda("t, _x=None", f"_array({_nest(self.entries, xs)})")
+        shape = (-1,) + self.shape
+        run_batch = None  # compiled on first use: scalar-only callers skip it
+
+        def batch(ts, x=None):
+            nonlocal run_batch
+            if ts.ndim != 1:
+                raise ValueError(f"times must be a scalar or a 1-d array, "
+                                 f"got shape {ts.shape}")
+            if run_batch is None:
+                # one list comprehension over the times per entry
+                columns = ", ".join(f"[{_gen(e, xs)} for t in _ts]"
+                                    for e in self._flat())
+                run_batch = _guarded(
+                    _lambda("_ts, _x=None", f"_contiguous(_array([{columns}])"
+                                            f".T).reshape({shape})"),
+                    _all_finite,
+                    lambda ts, x=None: np.array([fn(t, x) for t in ts]))
+            return run_batch(ts.tolist(), x)
+
+        fn = self._compiled = _guarded(raw, _all_finite, self, batch)
+        return fn
 
 
 class MatrixFunction(_Grid):
@@ -593,84 +679,14 @@ class MatrixFunction(_Grid):
                 if not isinstance(e, Expr):
                     raise SourceError(f"matrix entry {e!r} is not an expression")
         self.n = n
-        super().__init__(entries, allowed_vars)
+        super().__init__(entries, allowed_vars, (n, n))
 
     def _flat(self):
         return [e for row in self.entries for e in row]
 
-    def __call__(self, t: float, x=None) -> np.ndarray:
-        return eval_matrix(self, t, x)
-
-    def __eq__(self, other):
-        return isinstance(other, MatrixFunction) and self.entries == other.entries
-
-    __hash__ = None
-
     def formatted(self):
         """Entries rendered back to source strings (row major)."""
         return [[format_expr(e) for e in row] for row in self.entries]
-
-    def compiled(self) -> Callable[..., np.ndarray]:
-        """A fast evaluator ``f(t[, x]) -> ndarray``, bit-identical to
-        :meth:`__call__` and falling back to it on domain failures.
-
-        ``t`` may also be a 1-d array of m times (with one state ``x`` for
-        all of them); the result is then the (m, n, n) stack of the
-        matrices at those times, equal bit for bit to stacking the scalar
-        calls.  The batch runs the same generated code per entry and
-        checks finiteness once; on any failure it redoes the batch
-        through the scalar path, so a domain error raises the same
-        located EvalError as a scalar call at the first failing time.
-        """
-        if self._compiled is not None:
-            return self._compiled
-        names = self._names()
-        args = ", ".join(names)
-        rows = ", ".join(
-            "[" + ", ".join(_gen(e) for e in row) + "]" for row in self.entries)
-        g = dict(_GEN_GLOBALS)
-        g["_array"] = np.array
-        raw = eval(f"lambda {args}: _array([{rows}])", g)
-        raw_batch = None  # compiled on first use: scalar-only callers skip it
-        state = self.state_dependent
-        n = self.n
-        # closure-bound: the scalar path runs ~70k times per simulation
-        ndarray, isfinite = np.ndarray, np.isfinite
-
-        def batch(ts, x):
-            nonlocal raw_batch
-            if ts.ndim != 1:
-                raise ValueError(f"times must be a scalar or a 1-d array, "
-                                 f"got shape {ts.shape}")
-            if raw_batch is None:
-                # one list comprehension over the times per entry
-                columns = ", ".join(f"[{_gen(e)} for t in _ts]"
-                                    for e in self._flat())
-                params = ", ".join(("_ts",) + names[1:])
-                raw_batch = eval(f"lambda {params}: [{columns}]", g)
-            try:
-                cols = raw_batch(ts.tolist(), *x) if state \
-                    else raw_batch(ts.tolist())
-                out = np.ascontiguousarray(np.array(cols).T).reshape(-1, n, n)
-            except Exception:
-                out = None
-            if out is None or not isfinite(out).all():
-                return np.array([fn(t, x) for t in ts.tolist()])
-            return out
-
-        def fn(t, x=None):
-            if type(t) is ndarray and t.ndim:
-                return batch(t, x)
-            try:
-                out = raw(t, *x) if state else raw(t)
-            except Exception:
-                out = None
-            if out is None or not isfinite(out).all():
-                return eval_matrix(self, t, x)
-            return out
-
-        self._compiled = fn
-        return fn
 
 
 class VectorFunction(_Grid):
@@ -684,72 +700,19 @@ class VectorFunction(_Grid):
             if not isinstance(e, Expr):
                 raise SourceError(f"vector entry {e!r} is not an expression")
         self.n = len(entries)
-        super().__init__(entries, allowed_vars)
+        super().__init__(entries, allowed_vars, (self.n,))
 
     def _flat(self):
         return list(self.entries)
 
-    def __call__(self, t: float, x=None) -> np.ndarray:
-        env = {"t": float(t)}
-        if x is not None:
-            for i, xi in enumerate(x):
-                env[f"x{i + 1}"] = float(xi)
-        out = np.empty(self.n)
-        for i, e in enumerate(self.entries):
-            try:
-                out[i] = _eval(e, env)
-            except EvalError as exc:
-                raise EvalError(f"entry {i + 1}: {exc.message}", exc.offset) from None
-        return out
-
-    def __eq__(self, other):
-        return isinstance(other, VectorFunction) and self.entries == other.entries
-
-    __hash__ = None
-
     def formatted(self):
         return [format_expr(e) for e in self.entries]
-
-    def compiled(self) -> Callable[..., np.ndarray]:
-        if self._compiled is not None:
-            return self._compiled
-        names = self._names()
-        body = ", ".join(_gen(e) for e in self.entries)
-        g = dict(_GEN_GLOBALS)
-        g["_array"] = np.array
-        raw = eval(f"lambda {', '.join(names)}: _array([{body}])", g)
-        state = self.state_dependent
-
-        def fn(t, x=None):
-            try:
-                out = raw(t, *x) if state else raw(t)
-            except Exception:
-                out = None
-            if out is None or not np.isfinite(out).all():
-                return self(t, x)
-            return out
-
-        self._compiled = fn
-        return fn
 
 
 def eval_matrix(F: MatrixFunction, t: float, x=None) -> np.ndarray:
     """Evaluate a MatrixFunction entrywise; EvalErrors are annotated with
     the (row, column) of the failing entry, 1-based."""
-    env = {"t": float(t)}
-    if x is not None:
-        for i, xi in enumerate(x):
-            env[f"x{i + 1}"] = float(xi)
-    n = F.n
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            try:
-                out[i, j] = _eval(F.entries[i][j], env)
-            except EvalError as exc:
-                raise EvalError(
-                    f"entry ({i + 1},{j + 1}): {exc.message}", exc.offset) from None
-    return out
+    return F(t, x)
 
 
 def parse_matrix(rows, allowed_vars=("t",)) -> MatrixFunction:

@@ -155,7 +155,7 @@ class Weighted:
             raise NotDefiniteError("weight matrix H is not positive definite") from None
         self.H = H
         self.L = C.T                       # upper triangular, H = L^T L
-        self.L_inv = _triangular_inverse_upper(self.L)
+        self.L_inv = np.linalg.inv(self.L)
 
     @property
     def n(self) -> int:
@@ -163,19 +163,6 @@ class Weighted:
 
     def __repr__(self) -> str:
         return f"Weighted(H={self.H.tolist()!r})"
-
-
-def _triangular_inverse_upper(L: np.ndarray) -> np.ndarray:
-    # back substitution against each unit vector; L is upper triangular with
-    # positive diagonal (it comes from a Cholesky factor), so no pivot check
-    n = L.shape[0]
-    X = np.zeros((n, n))
-    for j in range(n):
-        b = np.zeros(n)
-        b[j] = 1.0
-        for i in range(n - 1, -1, -1):
-            X[i, j] = (b[i] - L[i, i + 1:] @ X[i + 1:, j]) / L[i, i]
-    return X
 
 
 def _check_kind(kind, n: int):

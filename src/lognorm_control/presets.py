@@ -10,7 +10,7 @@ plant, uncertainty and disturbance are all unbounded in time.
 
 from __future__ import annotations
 
-from .config import ControllerConfig, LoadedConfig, load_config
+from .config import LoadedConfig, load_config
 from .system import ControllerSpec, SystemSpec
 
 __all__ = ["example_config", "example_system"]

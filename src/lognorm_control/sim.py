@@ -25,7 +25,6 @@ where it first occurs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -34,7 +33,8 @@ import numpy as np
 
 from .expr import EvalError
 from .linalg import induced_norm, lognorm, vector_norm
-from .analysis import cumulative_integral, json_default, norm_name
+from .analysis import cumulative_integral, norm_name
+from .report import Report
 from .system import ControllerSpec, SystemSpec, closed_loop_function
 
 __all__ = [
@@ -371,7 +371,7 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
 
 
 @dataclass
-class SandwichReport:
+class SandwichReport(Report):
     """Checks of the transition-matrix sandwich
 
         exp(-int_tau^t mu[-F]) <= ||Phi(t) Phi(tau)^{-1}|| <= exp(+int_tau^t mu[F])
@@ -392,18 +392,6 @@ class SandwichReport:
     slack: float
     pairs: list = field(default_factory=list)
     notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "n_pairs": self.n_pairs,
-                "worst_upper_margin": self.worst_upper_margin,
-                "worst_lower_margin": self.worst_lower_margin,
-                "p4_worst_margin": self.p4_worst_margin,
-                "slack": self.slack, "pairs": list(self.pairs),
-                "notes": list(self.notes)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          default=json_default)
 
 
 _NOISE_GAIN = 16.0  # a few steps' worth of local error, absorbed into slack
@@ -514,7 +502,7 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
 
 
 @dataclass
-class ConvergenceReport:
+class ConvergenceReport(Report):
     """Tail behaviour of a trace: the final norm, a fitted exponential
     rate over the second half, and whether the final quarter of the norm
     curve is non-increasing (up to 1e-9 of its scale)."""
@@ -523,15 +511,6 @@ class ConvergenceReport:
     tail_nonincreasing: bool
     fit_start: float
     max_norm: float
-
-    def to_dict(self) -> dict:
-        return {"final_norm": self.final_norm, "fitted_rate": self.fitted_rate,
-                "tail_nonincreasing": self.tail_nonincreasing,
-                "fit_start": self.fit_start, "max_norm": self.max_norm}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          default=json_default)
 
 
 def convergence_report(trace: Trace) -> ConvergenceReport:

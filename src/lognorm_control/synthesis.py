@@ -25,7 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import Evidence, Heuristics, cumulative_integral
+from .analysis import (
+    Evidence,
+    Heuristics,
+    cumulative_integral,
+    doubling_test,
+    ratio_tail,
+)
 from .expr import (
     Bin,
     EvalError,
@@ -37,8 +43,8 @@ from .expr import (
     collect_vars,
     compile_expr,
 )
-from .linalg import SingularMatrixError, invert
-from .system import ControllerSpec, SystemSpec
+from .linalg import SingularMatrixError, invert, lognorm
+from .system import ControllerSpec, SystemSpec, closed_loop_function
 from .tolerances import GAIN_IDENTITY_TOL
 
 __all__ = [
@@ -262,33 +268,31 @@ def verify_c2(ctrl: ControllerSpec, T: float,
                 "measured": {"ratio_end": 0.0},
                 "note": "no disturbance envelope declared; r = 0"}
     wb = compile_expr(spec.omega_bound, ("t",))
-    grid = h.tail_grid(spec.t0, T)
+    ts = h.tail_grid(spec.t0, T).tolist()
+    w = []
+    w_exc = None
+    try:
+        for t in ts:
+            w.append(wb(t))
+    except EvalError as exc:
+        w_exc = exc  # met by each component after its own earlier samples
+    w = np.array(w)
     per = []
     verdicts = []
     for i, g in enumerate(ctrl.gamma):
         gf = compile_expr(g, ("t",))
         try:
-            r = []
-            for t in grid:
-                w = wb(t)
-                gv = abs(gf(t))
-                if gv == 0.0:
-                    r.append(0.0 if w == 0.0 else float("inf"))
-                else:
-                    r.append(w / gv)
+            m = np.abs([gf(t) for t in ts[:len(w)]])
+            if w_exc is not None:
+                raise w_exc
         except EvalError as exc:
             per.append({"component": i + 1, "error": str(exc)})
             verdicts.append("inconclusive")
             continue
-        r = np.asarray(r)
-        decreasing = bool((r[1:] <= r[:-1] * 1.05 + 1e-12).all())
-        small = bool(np.isfinite(r[-1]) and r[-1] < h.ratio_limit)
+        r, decreasing, verdict = ratio_tail(w, m, h)
         per.append({"component": i + 1, "ratio_end": float(r[-1]),
                     "decreasing": decreasing})
-        verdicts.append("supported" if (decreasing and small) else
-                        ("refuted" if (np.isfinite(r).all() and r[-1] > 1.0
-                                       and (r[1:] >= r[:-1] * 0.95).all())
-                         else "inconclusive"))
+        verdicts.append(verdict)
     worst = max(verdicts, key=["supported", "inconclusive", "refuted"].index)
     ratio_end = max((p.get("ratio_end", float("inf")) for p in per),
                     default=float("inf"))
@@ -310,8 +314,6 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8,
     spec = ctrl.system
     gamma_fn = ctrl.gamma_max()
 
-    from .linalg import lognorm  # local import to keep module deps one-way
-    from .system import closed_loop_function
     cl = closed_loop_function(spec, ctrl)
     id_err = 0.0
     rng = np.random.default_rng(32)  # fixed seed: reports stay reproducible
@@ -331,20 +333,14 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8,
     grid = np.linspace(spec.t0, T, 129)
     J_vals, err, _, ok = cumulative_integral(gamma_fn, grid, quad_tol / 128.0)
     J_half, J = float(J_vals[64]), float(J_vals[-1])
-    tm = float(grid[64])
-    measured = {"J_half": J_half, "J": J, "t_mid": tm,
+    measured = {"J_half": J_half, "J": J, "t_mid": float(grid[64]),
                 "identity_max_rel_err": id_err,
                 "quad_error": err}
-    slack = 4.0 * err + 1e-12 * (1.0 + abs(J))
-    if not ok:
-        verdict, note = "inconclusive", "quadrature did not converge"
-    elif J_half < 0.0 and J <= 2.0 * J_half + slack:
-        verdict = "supported"
-        note = f"doubling test passed: J({T:g}) = {J:.6g} <= 2 J(mid) = {2 * J_half:.6g}"
-    elif J_half >= 0.0 and J >= J_half - slack:
-        verdict = "refuted"
-        note = f"integral is not decreasing: J(mid) = {J_half:.6g}, J({T:g}) = {J:.6g}"
-    else:
-        verdict = "inconclusive"
-        note = "integral decreasing but too slowly for the doubling test"
-    return Evidence(id="C3", verdict=verdict, measured=measured, note=note)
+    return doubling_test(
+        "C3", measured, J_half, J, 4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
+        {"supported": f"doubling test passed: J({T:g}) = {J:.6g} <= "
+                      f"2 J(mid) = {2 * J_half:.6g}",
+         "refuted": f"integral is not decreasing: J(mid) = {J_half:.6g}, "
+                    f"J({T:g}) = {J:.6g}",
+         "inconclusive": "integral decreasing but too slowly for the "
+                         "doubling test"})

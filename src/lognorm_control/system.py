@@ -15,7 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import Expr, MatrixFunction, VectorFunction, collect_vars, state_vars
+from .expr import (
+    Expr,
+    MatrixFunction,
+    VectorFunction,
+    collect_vars,
+    compile_expr,
+    state_vars,
+)
 from .linalg import LinalgError, as_matrix, as_vector
 from .tolerances import MAX_DIM, MIN_DIM
 
@@ -118,7 +125,6 @@ class ControllerSpec:
         contracting at that time.  A 1-d array of times gives the array
         of rates, one scalar evaluation per time.
         """
-        from .expr import compile_expr
         gs = [compile_expr(g, ("t",)) for g in self.gamma]
         lam = self.lam
 

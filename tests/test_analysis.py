@@ -270,6 +270,20 @@ def test_a3_inconclusive_where_mu_vanishes():
     assert "mu vanishes at sample t=" in e.note
 
 
+@pytest.mark.parametrize("which", ["A4", "AS", "UNSTABLE"])
+def test_doubling_test_inconclusive_when_decreasing_too_slowly(which):
+    # the tested rate is -1/(1+t)^2 (UNSTABLE tests the negated loop), so
+    # J(10) = -10/11 against 2 J(5) = -5/3: decreasing, but not doubling
+    rate = "1/(1+t)^2" if which == "UNSTABLE" else "-1/(1+t)^2"
+    s = make_spec(A=parse_matrix([[rate, "0"], ["0", rate]], ("t",)))
+    ev = (check_A2_A4(s, None, 10.0)[1] if which == "A4"
+          else classify_stability(s, None, T=10.0).entries[which])
+    assert ev.verdict == "inconclusive"
+    assert "too slowly for the doubling test" in ev.note
+    assert ev.measured["J"] == pytest.approx(-10.0 / 11.0, rel=1e-6)
+    assert ev.measured["J_half"] == pytest.approx(-5.0 / 6.0, rel=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # the classifier
 

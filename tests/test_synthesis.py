@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import oracles
+from lognorm_control.analysis import Heuristics
 from lognorm_control.expr import (
+    EvalError,
     compile_expr,
     eval_expr,
     format_expr,
@@ -251,6 +253,36 @@ def test_c2_refuted_for_growing_ratio():
     assert verify_c2(ctrl, 100.0)["verdict"] == "refuted"
 
 
+def test_c2_inconclusive_when_ratio_does_not_settle():
+    # r = 1/2 at every sample: not below the limit, not growing past 1
+    s = make_spec(omega=parse_vector(["1", "0"], ("t",)),
+                  omega_bound=parse("1"))
+    ctrl = synthesize(s, rule=ExplicitGamma((parse("-2"), parse("-2"))))
+    rep = verify_c2(ctrl, 100.0)
+    assert rep["verdict"] == "inconclusive"
+    assert rep["measured"]["ratio_end"] == 0.5
+    assert all(p["decreasing"] for p in rep["measured"]["per_component"])
+
+
+def test_c2_reports_each_components_first_failure():
+    # the envelope fails beyond t = 50 and gamma 2 already at the first
+    # tail sample t = 25: each component reports what fails first for it
+    s = make_spec(omega=parse_vector(["0", "0"], ("t",)),
+                  omega_bound=parse("sqrt(50-t)"))
+    g2 = parse("-sqrt(20-t)")
+    ctrl = synthesize(s, rule=ExplicitGamma((parse("-1"), g2)))
+    grid = Heuristics().tail_grid(0.0, 100.0)
+    with pytest.raises(EvalError) as w_err:
+        eval_expr(s.omega_bound, t=float(grid[grid > 50.0][0]))
+    with pytest.raises(EvalError) as g_err:
+        eval_expr(g2, t=float(grid[0]))
+    rep = verify_c2(ctrl, 100.0)
+    assert rep["verdict"] == "inconclusive"
+    assert rep["measured"]["per_component"] == [
+        {"component": 1, "error": str(w_err.value)},
+        {"component": 2, "error": str(g_err.value)}]
+
+
 def test_c3_supported_on_example(example):
     _, ctrl = example
     ev = verify_c3(ctrl, 10.0)
@@ -277,6 +309,19 @@ def test_c3_refuted_for_positive_gamma():
                       lam=np.array([-1.0, -1.0]),
                       rule=ExplicitGamma((parse("2"), parse("2"))))
     assert verify_c3(ctrl, 10.0).verdict == "refuted"
+
+
+def test_c3_inconclusive_when_decreasing_too_slowly():
+    # Gamma = -1/(1+t)^2: J(10) = -10/11 against 2 J(5) = -5/3
+    ctrl = synthesize(make_spec(A=parse_matrix([["0", "0"], ["0", "0"]],
+                                               ("t",))),
+                      lam=np.array([-1.0, -1.0]),
+                      rule=ExplicitGamma((parse("1-1/(1+t)^2"),) * 2))
+    ev = verify_c3(ctrl, 10.0)
+    assert ev.verdict == "inconclusive"
+    assert "too slowly for the doubling test" in ev.note
+    assert ev.measured["J"] == pytest.approx(-10.0 / 11.0, rel=1e-6)
+    assert ev.measured["J_half"] == pytest.approx(-5.0 / 6.0, rel=1e-6)
 
 
 def test_closed_loop_identity_random_controllers(rng):

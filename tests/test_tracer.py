@@ -1,0 +1,58 @@
+"""The benchmark's layer tracer still finds every binding it patches.
+
+``bench/tracer.py`` wraps package functions from outside and refuses to
+run (``RuntimeError``) when a binding it needs is gone, so a refactor
+that renames or drops one breaks ``bench/run.py --trace 1``.  This test
+installs the tracer on the loaded package and restores it.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import lognorm_control.cli  # noqa: F401  (loads every package module)
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings():
+    """Every callable reachable as a package module attribute, plus the
+    two ``compiled`` methods the tracer patches on classes."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if name == "lognorm_control" or name.startswith("lognorm_control."):
+            for attr, value in vars(mod).items():
+                if callable(value):
+                    out[(name, attr)] = value
+    expr = sys.modules["lognorm_control.expr"]
+    out[("MatrixFunction", "compiled")] = expr.MatrixFunction.compiled
+    out[("VectorFunction", "compiled")] = expr.VectorFunction.compiled
+    return out
+
+
+def test_tracer_installs_and_restores():
+    tracer = _load_tracer()
+    before = _bindings()
+    restore = tracer.Tracer().install()  # raises RuntimeError on a miss
+    try:
+        during = _bindings()
+        # every module the tracer requires holds a wrapper while installed
+        for attr, modules in tracer.REQUIRED.items():
+            for m in modules:
+                key = (f"lognorm_control.{m}", attr)
+                assert during[key] is not before[key], key
+        assert during[("MatrixFunction", "compiled")] is not \
+            before[("MatrixFunction", "compiled")]
+    finally:
+        restore()
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [k for k in before if after[k] is not before[k]]
+    assert changed == []
