@@ -495,9 +495,9 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol, h, norm=k)
 
     cl_up = closed_loop_function(spec, ctrl)
-    cl_dn = closed_loop_function(spec, ctrl, include_delta=True, negate=True)
+    cl_dn = closed_loop_function(spec, ctrl, include_delta=True)
     mu_up = lambda t: lognorm(cl_up(t), k)
-    mu_dn = lambda t: lognorm(cl_dn(t), k)
+    mu_dn = lambda t: lognorm(-cl_dn(t), k)
 
     grid = np.linspace(spec.t0, T, 257)
     entries = {}

@@ -161,7 +161,7 @@ def cmd_synthesize(args) -> int:
         "adaptive_part": ctrl.adaptive_part.formatted(),
         "B_inv": [[float(v) for v in row] for row in ctrl.B_inv],
         "c1": {"verdict": "supported", "residual": resid,
-               "note": "B inverted by elimination; residual is "
+               "note": "B inverted by LU factorization; residual is "
                        "max|B B^-1 - I|"},
         "c2": c2,
         "c3": c3.to_dict(),

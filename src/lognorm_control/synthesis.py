@@ -10,8 +10,10 @@ norm exactly
 
     mu_2[A(t) + B K(t)] = max_i ( lam_i + gamma_i(t) )  =: Gamma(t),
 
-because the skew part left over contributes nothing to ``mu_2``.  With
-``lam_i < 0`` and ``gamma_i <= 0`` the loop contracts at a prescribed,
+because ``A + B K = A_skew(t) + diag(lam + gamma(t))`` and the skew part
+contributes nothing to ``mu_2``.  The analyses evaluate the loop in that
+form; the expanded ``K`` is the printed gain.  With ``lam_i < 0`` and
+``gamma_i <= 0`` the loop contracts at a prescribed,
 uncertainty-independent rate.  The conditions checked here:
 
 * c1: B is invertible (otherwise the gain does not exist);
@@ -40,6 +42,7 @@ from .expr import (
     MatrixFunction,
     Neg,
     Var,
+    VectorFunction,
     collect_vars,
     compile_expr,
 )
@@ -189,28 +192,32 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
             "control matrix B is not invertible; the gain does not exist"
         ) from None
 
-    sym, _ = decompose_sym_skew(spec.A)
+    sym, skew = decompose_sym_skew(spec.A)
 
     # inner(t) = -A_sym(t) + diag(lam) + diag(gamma(t)), then K = B^{-1} inner
     inner = [[None] * n for _ in range(n)]
     adaptive = [[None] * n for _ in range(n)]
+    closed = [list(row) for row in skew.entries]
     for i in range(n):
         for j in range(n):
             neg = Neg(sym.entries[i][j])
             if i == j:
                 adaptive[i][j] = Bin("+", neg, Lit(float(lam[i])))
                 inner[i][j] = Bin("+", adaptive[i][j], gamma[i])
+                closed[i][j] = Bin("+", Lit(float(lam[i])), gamma[i])
             else:
                 adaptive[i][j] = neg
                 inner[i][j] = neg
 
     K_entries = [[_dot_row(B_inv[i], [inner[k][j] for k in range(n)])
                   for j in range(n)] for i in range(n)]
-    K = MatrixFunction(K_entries, ("t",))
-    ctrl = ControllerSpec(lam=lam, gamma=gamma, K=K,
+    ctrl = ControllerSpec(lam=lam, gamma=gamma,
+                          K=MatrixFunction(K_entries, ("t",)),
                           adaptive_part=MatrixFunction(adaptive, ("t",)),
-                          B_inv=B_inv, system=spec)
-    _spot_check_gain(spec, ctrl)
+                          B_inv=B_inv, system=spec,
+                          closed_loop=MatrixFunction(closed, ("t",)),
+                          rates=VectorFunction([closed[i][i] for i in range(n)]))
+    _spot_check_gain(spec, ctrl, sym)
     return ctrl
 
 
@@ -230,16 +237,17 @@ def _dot_row(coeffs, exprs) -> Expr:
     return acc if acc is not None else Lit(0.0)
 
 
-def _spot_check_gain(spec: SystemSpec, ctrl: ControllerSpec):
-    sym, _ = decompose_sym_skew(spec.A)
+def _spot_check_gain(spec: SystemSpec, ctrl: ControllerSpec,
+                     sym: MatrixFunction):
+    # the printed gain against the form the closed loop is evaluated in
     sym_c = sym.compiled()
     K_c = ctrl.K.compiled()
-    gammas = [compile_expr(g, ("t",)) for g in ctrl.gamma]
+    rates = ctrl.rates.compiled()
     checked = 0
     for dt in (0.1, 0.37, 0.9, 1.7, 3.1, 6.4, 9.9):
         t = spec.t0 + dt
         try:
-            target = -sym_c(t) + np.diag(ctrl.lam) + np.diag([g(t) for g in gammas])
+            target = np.diag(rates(t)) - sym_c(t)
             got = spec.B @ K_c(t)
         except EvalError:
             continue

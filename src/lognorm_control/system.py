@@ -20,7 +20,6 @@ from .expr import (
     MatrixFunction,
     VectorFunction,
     collect_vars,
-    compile_expr,
     state_vars,
 )
 from .linalg import LinalgError, as_matrix, as_vector
@@ -105,6 +104,10 @@ class ControllerSpec:
     the adaptive part cancels the symmetric part of the plant and places
     constant rates ``lam``, the robust part adds the time-varying margins
     ``gamma``.  ``system`` is the plant the gain was synthesized for.
+
+    ``closed_loop`` is ``A + B K`` in that form, ``A_skew(t) + diag(rates)``
+    with ``rates = lam + gamma(t)``; it matches :func:`closed_loop_matrix`
+    within ``1e-14 * (1 + max|A + B K|)``, not bit for bit.
     """
 
     lam: np.ndarray
@@ -113,6 +116,8 @@ class ControllerSpec:
     adaptive_part: MatrixFunction  # -A_sym(t) + diag(lam)
     B_inv: np.ndarray
     system: SystemSpec
+    closed_loop: MatrixFunction  # A_skew(t) + diag(lam + gamma(t))
+    rates: VectorFunction  # lam + gamma(t), the closed loop's diagonal
 
     @property
     def n(self) -> int:
@@ -123,17 +128,10 @@ class ControllerSpec:
 
         Positive entries of ``lam + gamma`` mean the controller is not
         contracting at that time.  A 1-d array of times gives the array
-        of rates, one scalar evaluation per time.
+        of rates; the n rates are evaluated as one batch either way.
         """
-        gs = [compile_expr(g, ("t",)) for g in self.gamma]
-        lam = self.lam
-
-        def fn(t):
-            if isinstance(t, np.ndarray):
-                return np.array([fn(s) for s in t.tolist()])
-            return max(lam[i] + gs[i](t) for i in range(len(lam)))
-
-        return fn
+        rates = self.rates.compiled()
+        return lambda t: rates(t).max(axis=-1)
 
 
 def closed_loop_matrix(spec: SystemSpec, ctrl: ControllerSpec | None, t: float,
@@ -141,7 +139,8 @@ def closed_loop_matrix(spec: SystemSpec, ctrl: ControllerSpec | None, t: float,
     """The closed-loop matrix ``A(t) + B K(t)`` (plus ``Delta(t)`` when
     requested) at a single time ``t >= t0``.
 
-    ``ctrl=None`` means open loop (``K = 0``).
+    ``ctrl=None`` means open loop (``K = 0``).  This is the checked
+    reference that :func:`closed_loop_function` is tested against.
     """
     if t < spec.t0:
         raise ValueError(f"t={t} is before the initial time t0={spec.t0}")
@@ -154,29 +153,25 @@ def closed_loop_matrix(spec: SystemSpec, ctrl: ControllerSpec | None, t: float,
 
 
 def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
-                         include_delta: bool = False,
-                         negate: bool = False) -> Callable:
+                         include_delta: bool = False) -> Callable:
     """A compiled evaluator ``t -> A(t) + B K(t) [+ Delta(t)]``.
 
-    Used on hot paths (quadrature, simulation); results match
-    :func:`closed_loop_matrix` bit for bit.  ``negate=True`` returns the
-    negated matrix, which the instability test integrates.  Given a 1-d
-    array of m times the evaluator returns the (m, n, n) stack, equal bit
-    for bit to stacking the scalar results: each part is evaluated as a
-    batch (see :meth:`MatrixFunction.compiled`) and ``B K`` is one
-    stacked matmul.
+    Used on hot paths (quadrature, simulation).  With a controller it
+    evaluates ``ctrl.closed_loop``, the synthesis form
+    ``A_skew(t) + diag(lam + gamma(t))``, and neither ``K`` nor ``B``;
+    results match :func:`closed_loop_matrix` within
+    ``1e-14 * (1 + max|A + B K|)``.  Given a 1-d array of m times the
+    evaluator returns the (m, n, n) stack, equal bit for bit to stacking
+    the scalar results (see :meth:`MatrixFunction.compiled`).
     """
-    A = spec.A.compiled()
-    K = ctrl.K.compiled() if ctrl is not None else None
-    B = spec.B
-    D = spec.Delta.compiled() if (include_delta and spec.Delta is not None) else None
-
-    def fn(t):
-        M = A(t)
-        if K is not None:
-            M = M + B @ K(t)
-        if D is not None:
-            M = M + D(t)
-        return -M if negate else M
-
-    return fn
+    if ctrl is None:
+        M = spec.A.compiled()
+    elif ctrl.system.A != spec.A or not np.array_equal(ctrl.system.B, spec.B):
+        raise ValueError("the controller was synthesized for a different "
+                         "plant (A or B differ)")
+    else:
+        M = ctrl.closed_loop.compiled()
+    if not (include_delta and spec.Delta is not None):
+        return M
+    D = spec.Delta.compiled()
+    return lambda t: M(t) + D(t)

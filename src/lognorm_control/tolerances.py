@@ -8,7 +8,7 @@ test-suite and the implementation cannot silently drift apart.
 SYMMETRY_TOL = 1e-12        # relative asymmetry max|S - S^T| / max(1, ||S||_F) accepted
 
 # dense solves
-SINGULAR_PIVOT_TOL = 1e-13   # pivot <= tol * ||M||_F flags the matrix as singular
+SINGULAR_PIVOT_TOL = 1e-13   # min singular value <= tol * ||M||_F flags M as singular
 LYAPUNOV_RESIDUAL_TOL = 1e-9  # Frobenius residual of A^T H + H A + 2 I
 
 # synthesis

@@ -5,12 +5,17 @@ come from LAPACK or from inertia bisection, induced two-norms from power
 iteration, quadrature from a dense composite trapezoid or a recursive
 adaptive Simpson, and reference trajectories from a fixed-step classical
 RK4.  Agreement between these and the package is what the tests check.
+The one exception is the closed-loop rate reference, which evaluates the
+synthesized gamma expressions one component at a time with the package's
+checked tree-walking evaluator ``eval_expr``.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import ldl
+
+from lognorm_control.expr import eval_expr
 
 NORM_ORDER = {"one": 1, "two": 2, "inf": np.inf}
 
@@ -214,6 +219,12 @@ def repro_slow_manifold(t, tol=1e-15, max_iter=100):
             return x_new
         x = x_new
     raise RuntimeError(f"slow-manifold iteration did not settle at t={t}")
+
+
+def gamma_max_ref(ctrl, t):
+    """Gamma(t) = max_i(lam_i + gamma_i(t)), one component and one time
+    at a time, in component order."""
+    return max(ctrl.lam[i] + eval_expr(g, t) for i, g in enumerate(ctrl.gamma))
 
 
 def random_matrix(rng, n, scale=1.0):

@@ -109,8 +109,9 @@ def test_cumulative_integral_rejects_bad_grids(grid):
 
 def _closed_loop_mu(system, negate=False):
     spec, ctrl = system
-    cl = closed_loop_function(spec, ctrl, include_delta=True, negate=negate)
-    return lambda ts: lognorm(cl(ts), "two")
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    sign = -1.0 if negate else 1.0
+    return lambda ts: lognorm(sign * cl(ts), "two")
 
 
 @pytest.mark.parametrize("case", ["smooth", "sqrt", "bundled", "bundled-neg",

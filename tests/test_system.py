@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from lognorm_control.expr import parse, parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
 from lognorm_control.system import (
@@ -106,16 +107,19 @@ def test_closed_loop_cancellation():
 
 
 def test_closed_loop_function_negate_and_delta(example):
+    # the instability test negates at the call site
     spec, ctrl = example
     f = closed_loop_function(spec, ctrl)
     fd = closed_loop_function(spec, ctrl, include_delta=True)
-    fn = closed_loop_function(spec, ctrl, negate=True)
     t = 2.0
-    assert np.allclose(fn(t), -f(t), atol=0.0)
+    assert np.array_equal(-fd(t), -(f(t) + spec.Delta(t)))
     assert np.allclose(fd(t) - f(t), spec.Delta(t), atol=1e-14)
 
 
-@pytest.mark.parametrize("system", ["example", "oscillator"])
+SYSTEMS = ["example", "oscillator", "plant8"]
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
 @pytest.mark.parametrize("include_delta, negate",
                          [(False, False), (True, False), (True, True),
                           (False, True)])
@@ -123,17 +127,59 @@ def test_closed_loop_function_batch_bitwise(system, include_delta, negate,
                                             request):
     spec, ctrl = request.getfixturevalue(system)
     ts = np.linspace(spec.t0, spec.t0 + 10.0, 101)
+    sign = -1.0 if negate else 1.0
     for c in (ctrl, None):
-        f = closed_loop_function(spec, c, include_delta=include_delta,
-                                 negate=negate)
-        assert np.array_equal(f(ts), np.array([f(t) for t in ts]))
+        f = closed_loop_function(spec, c, include_delta=include_delta)
+        assert np.array_equal(sign * f(ts), np.array([sign * f(t) for t in ts]))
 
 
-def test_gamma_max_accepts_time_arrays(example):
-    _, ctrl = example
+@pytest.mark.parametrize("system", SYSTEMS)
+@pytest.mark.parametrize("include_delta", [False, True])
+def test_closed_loop_function_matches_reference(system, include_delta,
+                                                request):
+    # the structured loop A_skew + diag(lam + gamma) [+ Delta] against the
+    # checked A + B K [+ Delta]; they round the skew entries differently
+    spec, ctrl = request.getfixturevalue(system)
+    ts = spec.t0 + np.array([0.0, 0.3, 1.1, 2.9, 7.6])
+    for c in (ctrl, None):
+        f = closed_loop_function(spec, c, include_delta=include_delta)
+        ref = np.array([closed_loop_matrix(spec, c, float(t), include_delta)
+                        for t in ts])
+        tol = 1e-14 * (1.0 + np.abs(ref).max(axis=(1, 2)))
+        batch = f(ts)
+        for k, t in enumerate(ts):
+            assert np.abs(f(float(t)) - ref[k]).max() <= tol[k]
+            assert np.abs(batch[k] - ref[k]).max() <= tol[k]
+
+
+def test_closed_loop_function_rejects_foreign_controller(example):
+    # the structured loop holds only for the plant the gain was built for
+    spec, ctrl = example
+    assert make_spec().A == spec.A  # the same plant, parsed again
+    for other in (make_spec(B=2.0 * np.eye(2)),
+                  make_spec(A=parse_matrix([["t", "0"], ["0", "1"]], ("t",)))):
+        with pytest.raises(ValueError, match="different plant"):
+            closed_loop_function(other, ctrl)
+
+
+@pytest.mark.parametrize("system", ["example", "plant8"])
+def test_gamma_max_accepts_time_arrays(system, request):
+    _, ctrl = request.getfixturevalue(system)
     g = ctrl.gamma_max()
     ts = np.linspace(0.0, 10.0, 33)
     assert np.array_equal(g(ts), [g(t) for t in ts])
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_gamma_max_matches_componentwise_reference(system, request):
+    # the batched rates against a per-component, per-time loop on the
+    # checked evaluator: same additions, same max order, same bits
+    spec, ctrl = request.getfixturevalue(system)
+    g = ctrl.gamma_max()
+    ts = np.linspace(spec.t0, spec.t0 + 10.0, 65)
+    want = [oracles.gamma_max_ref(ctrl, float(t)) for t in ts]
+    assert np.array_equal(g(ts), want)
+    assert all(g(float(t)) == w for t, w in zip(ts, want))
 
 
 def test_closed_loop_mu_identity_on_samples(example):
