@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import (
+    EvalError,
     Expr,
     MatrixFunction,
     VectorFunction,
@@ -107,7 +108,8 @@ class ControllerSpec:
 
     ``closed_loop`` is ``A + B K`` in that form, ``A_skew(t) + diag(rates)``
     with ``rates = lam + gamma(t)``; it matches :func:`closed_loop_matrix`
-    within ``1e-14 * (1 + max|A + B K|)``, not bit for bit.
+    within ``1e-14 * (1 + max|A + B K|)``, not bit for bit, and fails
+    where an entry of ``A`` does (its diagonal is ``rate_i + 0 * A_ii``).
     """
 
     lam: np.ndarray
@@ -116,7 +118,7 @@ class ControllerSpec:
     adaptive_part: MatrixFunction  # -A_sym(t) + diag(lam)
     B_inv: np.ndarray
     system: SystemSpec
-    closed_loop: MatrixFunction  # A_skew(t) + diag(lam + gamma(t))
+    closed_loop: MatrixFunction  # A_skew(t) + diag(lam + gamma(t) + 0 A_ii)
     rates: VectorFunction  # lam + gamma(t), the closed loop's diagonal
 
     @property
@@ -160,9 +162,10 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     evaluates ``ctrl.closed_loop``, the synthesis form
     ``A_skew(t) + diag(lam + gamma(t))``, and neither ``K`` nor ``B``;
     results match :func:`closed_loop_matrix` within
-    ``1e-14 * (1 + max|A + B K|)``.  Given a 1-d array of m times the
-    evaluator returns the (m, n, n) stack, equal bit for bit to stacking
-    the scalar results (see :meth:`MatrixFunction.compiled`).
+    ``1e-14 * (1 + max|A + B K|)``, and where an entry of ``A`` fails it
+    raises ``A(t)``'s EvalError, as that does.  Given a 1-d array of m times
+    the evaluator returns the (m, n, n) stack, equal bit for bit to
+    stacking the scalar results (see :meth:`MatrixFunction.compiled`).
     """
     if ctrl is None:
         M = spec.A.compiled()
@@ -170,7 +173,14 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         raise ValueError("the controller was synthesized for a different "
                          "plant (A or B differ)")
     else:
-        M = ctrl.closed_loop.compiled()
+        A, S = spec.A.compiled(), ctrl.closed_loop.compiled()
+
+        def M(t):
+            try:
+                return S(t)
+            except EvalError:
+                A(t)  # where A fails, name its entry, as A + B K does
+                raise
     if not (include_delta and spec.Delta is not None):
         return M
     D = spec.Delta.compiled()

@@ -219,6 +219,20 @@ def test_a2_a4_supported_on_example(example):
     assert a4.measured["J_half"] < 0.0
 
 
+def test_closed_loop_checks_inconclusive_where_the_plant_is_undefined():
+    # A(1,1) = sqrt(1-t) has no value on the trailing windows past t = 1,
+    # so neither has A + B K: no closed-loop evidence can be supported
+    s = make_spec(A=parse_matrix([["sqrt(1-t)", "0"], ["0", "0-1"]], ("t",)),
+                  omega_bound=parse("exp(0-t)"))
+    c = synthesize(s)
+    for T in (2.0, 10.0):
+        for ev in (*check_A2_A4(s, c, T), check_A3(s, c, T)):
+            assert ev.verdict == "inconclusive"
+            assert ev.note.startswith("could not evaluate: entry (1,1)")
+    rep = classify_stability(s, c, T=10.0)
+    assert {e.verdict for e in rep.entries.values()} == {"inconclusive"}
+
+
 def test_a2_a4_refuted_for_positive_rate():
     z = make_spec(A=parse_matrix(ZERO_A, ("t",)))
     c = synthesize(z, lam=np.array([-0.5, -0.5]),

@@ -22,6 +22,7 @@ from lognorm_control.sim import (
     verify_sandwich,
     write_trace_csv,
 )
+from lognorm_control.synthesis import synthesize
 from lognorm_control.system import SystemSpec, closed_loop_function
 
 
@@ -422,6 +423,17 @@ def test_domain_error_matches_stage_by_stage():
     for msg, _ in got:
         t = float(msg.split("failed at t=")[1].split(":")[0])
         assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
+
+
+def test_controlled_simulation_stops_where_the_plant_is_undefined():
+    # A + B K does not exist past t = 1, with the gain as without it
+    s = make_spec(SQRT_A)
+    run = lambda: simulate(s, synthesize(s), T=2.0)
+    msg, cause = _failure(run)
+    with stage_by_stage():
+        assert _failure(run) == (msg, cause)
+    t = float(msg.split("failed at t=")[1].split(":")[0])
+    assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
 
 
 def test_disturbance_failing_first_in_the_step_is_reported():

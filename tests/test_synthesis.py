@@ -1,5 +1,6 @@
 """Gain construction, sym/skew splitting and the c1-c3 evidence checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,10 @@ import pytest
 import oracles
 from lognorm_control.analysis import Heuristics
 from lognorm_control.expr import (
+    Bin,
     EvalError,
+    Lit,
+    MatrixFunction,
     compile_expr,
     eval_expr,
     format_expr,
@@ -293,6 +297,18 @@ def test_c3_supported_on_example(example):
     for t in (0.1, 0.5, 0.9):
         assert gmax(t) == pytest.approx(-1.0 - t * math.sqrt(t ** 6 + 1.0),
                                         rel=1e-12)
+
+
+def test_c3_identity_checks_the_printed_gain(example):
+    # the sampled identity runs on A + B K through K: a gain that is off
+    # by 1e-3 in one entry no longer has mu_2 = Gamma
+    _, ctrl = example
+    K = [list(row) for row in ctrl.K.entries]
+    K[0][0] = Bin("+", K[0][0], Lit(1e-3))
+    bad = dataclasses.replace(ctrl, K=MatrixFunction(K, ("t",)))
+    ev = verify_c3(bad, 10.0)
+    assert ev.verdict == "inconclusive" and "check the gain" in ev.note
+    assert ev.measured["identity_max_rel_err"] > 1e-5
 
 
 def test_c3_constant_gamma_supported():

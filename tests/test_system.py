@@ -1,11 +1,14 @@
 """Problem-definition data model and closed-loop assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
 import oracles
-from lognorm_control.expr import parse, parse_matrix, parse_vector
+from lognorm_control.expr import EvalError, parse, parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
+from lognorm_control.synthesis import synthesize
 from lognorm_control.system import (
     SystemSpec,
     closed_loop_function,
@@ -160,6 +163,27 @@ def test_closed_loop_function_rejects_foreign_controller(example):
                   make_spec(A=parse_matrix([["t", "0"], ["0", "1"]], ("t",)))):
         with pytest.raises(ValueError, match="different plant"):
             closed_loop_function(other, ctrl)
+
+
+@pytest.mark.parametrize("A, t_bad, entry", [
+    ([["sqrt(1-t)", "0"], ["0", "0-1"]], 1.5, "entry (1,1): sqrt of negative"),
+    ([["1/(t-5)", "0"], ["0", "0-1"]], 5.0, "entry (1,1): division by zero"),
+    ([["0-1", "0"], ["0", "exp(800*t)"]], 1.0, "entry (2,2): overflow in exp"),
+    ([["0-1", "0"], ["sqrt(1-t)", "0-1"]], 1.5, "entry (2,1): sqrt of negative"),
+])
+def test_closed_loop_function_keeps_the_plant_domain(A, t_bad, entry):
+    # no entry of A + B K exists where an entry of A does not, diagonal
+    # ones included: the structured loop raises A + B K's error there
+    spec = make_spec(A=parse_matrix(A, ("t",)))
+    ctrl = synthesize(spec)
+    f = closed_loop_function(spec, ctrl)
+    with pytest.raises(EvalError, match=re.escape(entry)) as want:
+        closed_loop_matrix(spec, ctrl, t_bad)
+    for t in (t_bad, np.array([0.5, t_bad, t_bad + 1.0])):
+        with pytest.raises(EvalError) as got:
+            f(t)
+        assert str(got.value) == str(want.value)
+    assert f(0.5).shape == (2, 2)
 
 
 @pytest.mark.parametrize("system", ["example", "plant8"])
