@@ -1,31 +1,40 @@
 """Closed-loop simulation and transition-matrix bound checks.
 
-The integrator is an explicit Dormand-Prince 5(4) pair with PI step-size
-control and a quartic dense-output interpolant, accurate enough that the
-logarithmic-norm envelopes can be checked tightly.  Explicit methods fail
-loudly rather than silently on stiff problems: when the step size stays
-pinned at ``h_min`` for 50 consecutive attempts the run aborts with a
-:class:`StiffnessError` carrying the local logarithmic norm, which is the
-quantity that makes the problem stiff in the first place.
+Each integration starts with an explicit Dormand-Prince 5(4) pair (PI
+step-size control, quartic dense output), accurate enough that the
+logarithmic-norm envelopes can be checked tightly.  When the loop turns
+stiff, DP5 is held to its stability limit instead of its accuracy: the
+stepper watches Hairer's stiffness indicator ``h * rho``, estimated from
+two stages it already has, and once that exceeds ``STIFF_H_RHO`` on
+``STIFF_STEPS`` accepted steps in a row it finishes the run with RODAS4,
+a stiffly accurate linearly implicit Rosenbrock method of order 4(3)
+(Hairer & Wanner, *Solving ODEs II*, IV.7; Petzold's automatic method
+selection, 1983).  RODAS4 uses the exact Jacobian ``M(t)``, plus a
+differenced one for a state-dependent disturbance, and a cubic Hermite
+dense output.  Should the step size stay pinned at ``h_min`` for 50
+consecutive attempts in either stepper, the run aborts with a
+:class:`StiffnessError` carrying the local logarithmic norm.
 
 Both right-hand sides, ``x' = M(t) x + omega(t, x)`` and ``Phi' = F(t)
 Phi``, are linear in a matrix that does not depend on the state, and a
-step's stage times are known before its first stage.  So each step
-evaluates the matrix once, as a batch over its five distinct stage
-times, and runs the six stages on that stack.  A matrix function ``F``
-passed in must accept a single time and return the (n, n) matrix; it is
-used as a batch only when, given a 1-d array of times, it returns the
-(m, n, n) stack equal bit for bit to its scalar calls (checked once on
-two probe times), and its scalar calls are stacked otherwise.  Results
-are the same bits either way.  If a batch raises, the step is redone
-stage by stage, so a domain failure is reported at the stage and time
-where it first occurs.
+step's stage times are known before its first stage.  So each attempt
+evaluates the matrix once, as a batch over its distinct stage times (five
+for DP5; for RODAS4 the four stage times, ``t`` for the Jacobian and
+``t + dt`` for the time derivative), and runs the stages on that stack.
+A matrix function ``F`` passed in must accept a single time and return
+the (n, n) matrix; it is used as a batch only when, given a 1-d array of
+times, it returns the (m, n, n) stack equal bit for bit to its scalar
+calls (checked once on two probe times), and its scalar calls are
+stacked otherwise.  Results are the same bits either way.  If a batch
+raises, the attempt is redone stage by stage, so a domain failure is
+reported at the stage and time where it first occurs.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -51,7 +60,19 @@ __all__ = [
     "write_trace_csv",
 ]
 
-STIFF_LIMIT = 50
+PIN_LIMIT = 50  # consecutive attempts at h_min before StiffnessError
+
+# DP5 hands the run to RODAS4 once Hairer's stiffness indicator h * rho
+# exceeds STIFF_H_RHO on STIFF_STEPS consecutive accepted steps.  rho =
+# ||k7 - k6|| / ||y_new - y6|| estimates the dominant eigenvalue from the
+# two stages at t + h (y6 the argument of k6), so the test costs no
+# evaluation.  Sweep of the threshold on the bundled scenario (T = 10;
+# accepted steps, switch time): 0.5: 521, t = 2.58; 1.0: 544, t = 3.53;
+# 1.5: 614, t = 4.32; 2.0: 739, t = 5.03; DOPRI5's own 3.25: 2,552,
+# t = 7.94.  On the accuracy-bound oscillator plants (bench seeds 1-2)
+# no single step exceeds h * rho = 0.52, in simulate or in Phi.
+STIFF_H_RHO = 1.5
+STIFF_STEPS = 15
 
 # Dormand-Prince 5(4) tableau
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -68,6 +89,9 @@ _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0
 # b5 - b4: weights of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
+# rows: k7 - k6 and (y_new - y6) / h, so h * rho = ||row 0|| / ||row 1||
+_RHO = np.array([[0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 1.0],
+                 _B5 - np.append(_A[5], (0.0, 0.0))])
 # dense-output weights for the quartic interpolant
 _D = np.array([-12715105075 / 11282082432, 0.0, 87487479700 / 32700410799,
                -10690763975 / 1880347072, 701980252875 / 199316789632,
@@ -79,6 +103,37 @@ _BETA = 0.4 / 5.0
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 
+# RODAS4 (Hairer & Wanner, rodas.f, METH = 1) in transformed form: stage
+# i solves (I / (h gamma) - J) U_i = f(t + c_i h, y + sum_j a_ij U_j)
+# + sum_j c_ij U_j / h + h d_i f_t.  Stiffly accurate: the last two stage
+# arguments are the embedded and the final solution, so U_6 is the error.
+_GAMMA = 0.25
+_RT = np.array([0.0, 0.0, 0.386, 0.21, 0.63, 1.0])  # batch; [1] is t + dt
+_RJ = (None, 2, 3, 4, 5, 5)  # stage i -> its time in the batch
+_RD = np.array([0.25, -0.1043, 0.1035, -0.0362000000000023, 0.0, 0.0])
+_RA = [
+    None,
+    np.array([1.544]),
+    np.array([0.9466785280815826, 0.2557011698983284]),
+    np.array([3.314825187068521, 2.896124015972201, 0.9986419139977817]),
+    np.array([1.221224509226641, 6.019134481288629, 12.53708332932087,
+              -0.6878860361058950]),
+    np.array([1.221224509226641, 6.019134481288629, 12.53708332932087,
+              -0.6878860361058950, 1.0]),
+]
+_RG = [
+    None,
+    np.array([-5.6688]),
+    np.array([-2.430093356833875, -0.2063599157091915]),
+    np.array([-0.1073529058151375, -9.594562251023355, -20.47028614809616]),
+    np.array([7.496443313967647, -10.24680431464352, -33.99990352819905,
+              11.70890893206160]),
+    np.array([8.083246795921522, -7.981132988064893, -31.52159432874371,
+              16.31930543123136, -6.058818238834054]),
+]
+_R_FAC_MIN = 1 / 6  # h / h_new: the step changes by 1/5 to 6x, as rodas.f
+_R_FAC_MAX = 5.0
+
 
 class NumericalError(RuntimeError):
     """The integration could not continue (non-finite state or an
@@ -86,20 +141,21 @@ class NumericalError(RuntimeError):
 
 
 class StiffnessError(RuntimeError):
-    """The step size stayed pinned at h_min; the problem is stiff for
-    this explicit method at the reported time."""
+    """The step size stayed pinned at h_min for PIN_LIMIT consecutive
+    attempts: near the reported time no step as long as h_min passes the
+    error test, in either stepper."""
 
     def __init__(self, t: float, h: float, mu: float | None = None):
         self.t = t
         self.h = h
         self.mu = mu
-        msg = (f"step size pinned at h={h:g} for {STIFF_LIMIT} consecutive "
+        msg = (f"step size pinned at h={h:g} for {PIN_LIMIT} consecutive "
                f"attempts near t={t:.6g}")
         if mu is not None:
             msg += (f"; local closed-loop logarithmic norm mu={mu:.6g} "
                     f"(|mu| * h ~ {abs(mu) * h:.3g})")
-        msg += ("; the problem is stiff here - shorten the horizon, "
-                "relax tol, or lower h_min")
+        msg += ("; no step of h_min meets tol here - lower h_min, relax "
+                "tol, or shorten the horizon")
         super().__init__(msg)
 
 
@@ -110,16 +166,99 @@ def _initial_step(k, y0, h_min, h_max):
     return float(min(max(0.01 * scale, h_min), h_max))
 
 
-def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M=None, diag_mu=None):
-    """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
-    by dense output and returns (outputs, accepted_h, n_rejected).
+def _batch(M, ts):
+    """``M`` on all of ``ts`` at once, or None if that raises: the attempt
+    is then redone stage by stage, so the first failing stage raises."""
+    try:
+        return M(ts)
+    except Exception:
+        return None
 
-    ``f(t, y)`` is the right-hand side.  With a batched matrix evaluator
-    ``M`` (times -> stack), each attempt evaluates ``M`` once on its five
-    distinct stage times and calls ``f(t_i, y_i, M_i)``; the two c = 1
-    stages share the last matrix.  If that batch raises, the attempt is
+
+class _Run:
+    """What both steppers of one integration share: the output grid and
+    its dense-output cursor (``next_out`` is the next point's time), the
+    accepted step sizes, the rejections and the run of consecutive
+    attempts at h_min."""
+
+    def __init__(self, grid, ndim, T, tol, h_min, h_max, diag_mu):
+        self.grid = grid
+        self.out = np.empty((len(grid), ndim))
+        self.gi = 0
+        self.next_out = grid[0]
+        self.T, self.tol, self.h_min, self.h_max = T, tol, h_min, h_max
+        self.floor = h_min * (1.0 + 1e-9)
+        self.diag_mu = diag_mu
+        self.accepted = []
+        self.n_rejected = 0
+        self.pinned = 0
+
+    def _advance(self):
+        self.gi += 1
+        self.next_out = self.grid[self.gi] if self.gi < len(self.grid) \
+            else math.inf
+
+    def hold(self, y, upto):
+        """Output points up to ``upto`` get the state ``y``."""
+        while self.next_out <= upto:
+            self.out[self.gi] = y
+            self._advance()
+
+    def fill(self, t, h, interp):
+        """Output points in (t, t + h] from ``interp(theta)``."""
+        while self.next_out <= t + h:
+            self.out[self.gi] = interp((self.next_out - t) / h)
+            self._advance()
+
+    def reject(self, t, finite, at_floor):
+        self.n_rejected += 1
+        if not finite and at_floor:
+            raise NumericalError(
+                f"state became non-finite at t={t:.6g} with the step "
+                "already at h_min")
+
+    def pin(self, t, at_floor):
+        """Count an attempt at h_min (a step above it resets the count);
+        raise StiffnessError at PIN_LIMIT in a row."""
+        self.pinned = self.pinned + 1 if at_floor else 0
+        if self.pinned >= PIN_LIMIT:
+            mu = None
+            if self.diag_mu is not None:
+                try:
+                    mu = self.diag_mu(t)
+                except Exception:
+                    mu = None
+            raise StiffnessError(t, self.h_min, mu)
+
+
+def _error(tol, y, y_new, err_vec):
+    """(finite, err): the local error in units of tol * (1 + ||y||).
+
+    ``sqrt(v.dot(v))`` is how ``np.linalg.norm`` computes a vector's
+    2-norm, so the bits are its own, at a third of the call's cost.
+    """
+    if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
+        sc = tol * (1.0 + math.sqrt(y.dot(y)))
+        return True, math.sqrt(err_vec.dot(err_vec)) / sc
+    return False, math.inf
+
+
+def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
+               nonlinear=False):
+    """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
+    by dense output and returns (outputs, accepted_h, n_rejected,
+    n_explicit): the first n_explicit accepted steps are DP5's, the rest
+    RODAS4's (see :func:`_dp5` for the switch).
+
+    ``f(t, y, Mt)`` is the right-hand side ``Mt @ y + g(t, y)`` with
+    ``Mt = M(t)``; ``f(t, y)`` evaluates the matrix itself.  ``M`` takes
+    one time, or a 1-d array of times and returns the stack, equal bit
+    for bit to the scalar calls.  Each attempt evaluates ``M`` once, as a
+    batch on its distinct stage times; if that raises, the attempt is
     redone stage by stage with ``f(t_i, y_i)``, so any error is the one
-    the first failing stage raises.  ``M=None`` always steps that way.
+    the first failing stage raises.  ``nonlinear`` says ``g`` depends on
+    ``y``; RODAS4 then adds its Jacobian, by forward differences of
+    ``f(t, ., 0)``, to ``M(t)``.
     """
     if not (T > t0):
         raise ValueError(f"horizon T={T} must exceed t0={t0}")
@@ -134,38 +273,39 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M=None, diag_mu=None):
         raise ValueError("output grid must lie within [t0, T]")
 
     y = np.asarray(y0, dtype=float).copy()
-    ndim = len(y)
-    out = np.empty((len(grid), ndim))
-    gi = 0
-    while gi < len(grid) and grid[gi] <= t0:
-        out[gi] = y
-        gi += 1
+    run = _Run(grid, len(y), T, tol, h_min, h_max, diag_mu)
+    run.hold(y, t0)
+    fy = f(t0, y)
+    h = _initial_step(fy, y, h_min, h_max)
+    t, y, fy, h, stiff = _dp5(f, M, run, t0, y, fy, h)
+    n_explicit = len(run.accepted)
+    if stiff:
+        y = _rodas(f, M, run, t, y, fy, h, nonlinear)
+    run.hold(y, T)  # grid points at exactly T
+    return run.out, np.array(run.accepted), run.n_rejected, n_explicit
 
-    t = t0
-    k = np.empty((7, ndim))
-    k[0] = f(t, y)
-    h = _initial_step(k[0], y, h_min, h_max)
+
+def _dp5(f, M, run, t, y, fy, h):
+    """Dormand-Prince 5(4) steps with PI control from ``(t, y)``, ``fy =
+    f(t, y)``, until T or until the stiffness indicator has exceeded
+    STIFF_H_RHO on STIFF_STEPS accepted steps in a row.  Returns ``(t, y,
+    f(t, y), h, stiff)``."""
+    T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
+    accepted = run.accepted
+    k = np.empty((7, len(y)))
+    k[0] = fy
     facold = 1e-4
-    accepted = []
-    n_rejected = 0
-    pinned = 0
-
+    stiff = 0
     while t < T:
         if T - t <= 4e-16 * max(1.0, abs(T)):
             break  # within rounding of the endpoint
-        end_clamped = False
-        if t + h >= T:
+        end_clamped = t + h >= T
+        if end_clamped:
             h = T - t
-            end_clamped = True
         h_attempt = h
 
-        Ms = None
-        if M is not None:
-            ts = t + _C[1:6] * h
-            try:
-                Ms = M(ts)
-            except Exception:
-                pass  # redone stage by stage below: the first failure raises
+        ts = t + _C[1:6] * h
+        Ms = _batch(M, ts)
         if Ms is None:
             for i in range(1, 7):
                 k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
@@ -174,28 +314,20 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M=None, diag_mu=None):
                 j = min(i, 5) - 1  # stages 5 and 6 both sit at t + h
                 k[i] = f(ts[j], y + h * (_A[i] @ k[:i]), Ms[j])
         y_new = y + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        finite = np.isfinite(y_new).all() and np.isfinite(err_vec).all()
-        if finite:
-            sc = tol * (1.0 + float(np.linalg.norm(y)))
-            err = float(np.linalg.norm(err_vec)) / sc
-        else:
-            err = math.inf
-
-        at_floor = (not end_clamped) and h_attempt <= h_min * (1.0 + 1e-9)
+        finite, err = _error(tol, y, y_new, h * (_E @ k))
+        at_floor = not end_clamped and h_attempt <= run.floor
         if err <= 1.0:
-            # dense output over (t, t + h]
-            if gi < len(grid) and grid[gi] <= t + h:
+            if run.next_out <= t + h:  # dense output over (t, t + h]
                 ydiff = y_new - y
                 bspl = h * k[0] - ydiff
                 r4 = ydiff - h * k[6] - bspl
                 r5 = h * (_D @ k)
-                while gi < len(grid) and grid[gi] <= t + h:
-                    th = (grid[gi] - t) / h
-                    out[gi] = y + th * (ydiff + (1.0 - th)
-                                        * (bspl + th * (r4 + (1.0 - th) * r5)))
-                    gi += 1
+                run.fill(t, h, lambda th: y + th * (
+                    ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5))))
             accepted.append(h)
+            dk, dy = (_RHO @ k).tolist()
+            stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
+                else 0
             t = t + h
             y = y_new
             k[0] = k[6]  # first-same-as-last
@@ -204,30 +336,110 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M=None, diag_mu=None):
             h = h_attempt * min(_FAC_MAX, max(_FAC_MIN, fac))
             facold = max(err, 1e-4)
         else:
-            n_rejected += 1
-            if not finite and at_floor:
-                raise NumericalError(
-                    f"state became non-finite at t={t:.6g} with the step "
-                    "already at h_min")
+            run.reject(t, finite, at_floor)
             fac = _FAC_MIN if not finite else \
                 min(1.0, max(_FAC_MIN, _SAFETY * err ** (-0.2)))
             h = h_attempt * fac
         h = min(max(h, h_min), h_max)
+        if at_floor or run.pinned:
+            run.pin(t, at_floor)
+        if stiff >= STIFF_STEPS:
+            return t, y, k[0], h, True
+    return t, y, k[0], h, False
 
-        pinned = pinned + 1 if at_floor else 0
-        if pinned >= STIFF_LIMIT:
-            mu = None
-            if diag_mu is not None:
-                try:
-                    mu = diag_mu(t)
-                except Exception:
-                    mu = None
-            raise StiffnessError(t, h_min, mu)
 
-    while gi < len(grid):  # grid points at exactly T
-        out[gi] = y
-        gi += 1
-    return out, np.array(accepted), n_rejected
+def _jacobian_g(f, t, y):
+    """Forward differences of ``g = f(t, ., 0)``, the state-dependent part
+    of the right-hand side, with rodas.f's increments."""
+    Z = np.zeros((len(y), len(y)))
+    g0 = f(t, y, Z)
+    cols = []
+    for j in range(len(y)):
+        yj = y.copy()
+        yj[j] += math.sqrt(1e-16 * max(1e-5, abs(y[j])))
+        cols.append((f(t, yj, Z) - g0) / (yj[j] - y[j]))
+    return np.column_stack(cols)
+
+
+def _rodas(f, M, run, t, y, fy, h, nonlinear):
+    """RODAS4 steps from ``(t, y)``, ``fy = f(t, y)``, to T; returns the
+    final state.
+
+    ``J = M(t)`` (plus the differenced Jacobian of ``g`` if ``nonlinear``)
+    and ``f_t`` by one forward difference in t, both per attempt; one
+    inverse of ``I / (h gamma) - J`` per attempt serves all six stages.
+    ``J`` acts on ``y`` as a stack of columns, so for ``Phi' = F Phi``
+    (``y`` the raveled Phi) it is the n x n ``F(t)``.  The step size
+    follows rodas.f: ``h err^(-1/4)`` with Gustafsson's predictive
+    controller.  Dense output is the cubic Hermite interpolant on ``(y,
+    f(t, y), y_new, f(t + h, y_new))``; its last slope is the next step's
+    first stage.
+    """
+    T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
+    U = np.empty((6, len(y)))
+    h_acc = err_acc = None
+    rejected = False
+    while t < T:
+        if T - t <= 4e-16 * max(1.0, abs(T)):
+            break
+        end_clamped = t + h >= T
+        if end_clamped:
+            h = T - t
+
+        tb = t + _RT * h
+        tb[1] = t + math.sqrt(1e-16 * max(1e-5, abs(t)))  # rodas.f's dt
+        dt = tb[1] - t
+        Ms = _batch(M, tb)
+        if Ms is None:
+            J = M(t)  # evaluated before, as the previous step's end
+            ft = (f(tb[1], y) - fy) / dt
+        else:
+            J = Ms[0]
+            ft = (f(tb[1], y, Ms[1]) - fy) / dt
+        if nonlinear:
+            J = J + _jacobian_g(f, t, y)
+        n = len(J)
+        E_inv = np.linalg.inv(np.eye(n) / (h * _GAMMA) - J)
+
+        def solve(r):
+            return (E_inv @ r.reshape(n, -1)).reshape(-1)
+
+        U[0] = solve(fy + (h * _RD[0]) * ft)
+        for i in range(1, 6):
+            yi = y + _RA[i] @ U[:i]
+            j = _RJ[i]
+            fi = f(tb[j], yi) if Ms is None else f(tb[j], yi, Ms[j])
+            U[i] = solve(fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft)
+        y_new = yi + U[5]
+        finite, err = _error(tol, y, y_new, U[5])
+        at_floor = not end_clamped and h <= run.floor
+        fac = min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
+        if err <= 1.0:
+            f_new = f(tb[5], y_new) if Ms is None else \
+                f(tb[5], y_new, Ms[5])
+            if run.next_out <= t + h:
+                dy = y_new - y
+                run.fill(t, h, lambda th: y + th * dy + th * (th - 1.0) * (
+                    (1.0 - 2.0 * th) * dy + (th - 1.0) * h * fy
+                    + th * h * f_new))
+            run.accepted.append(h)
+            if h_acc is not None:  # Gustafsson
+                gus = (h_acc / h) * (err * err / err_acc) ** 0.25 / _SAFETY
+                fac = max(fac, min(_R_FAC_MAX, max(_R_FAC_MIN, gus)))
+            h_acc, err_acc = h, max(1e-2, err)
+            h_new = h / fac
+            if rejected:
+                h_new = min(h_new, h)
+            rejected = False
+            t, y, fy = t + h, y_new, f_new
+        else:
+            run.reject(t, finite, at_floor)
+            h_new = h / fac
+            rejected = True
+        h = min(max(h_new, h_min), h_max)
+        if at_floor or run.pinned:
+            run.pin(t, at_floor)
+    return y
 
 
 @dataclass
@@ -249,6 +461,7 @@ class Trace:
     step_sizes: np.ndarray
     n_rejected: int
     norm_kind: str
+    n_explicit: int  # the first n_explicit steps are DP5's, then RODAS4's
 
     @property
     def n(self) -> int:
@@ -290,8 +503,9 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
             raise ValueError("n_out must be at least 2")
         grid = np.linspace(spec.t0, T, n_out)
     diag = lambda t: lognorm(Acl(t), k)
-    states, steps, nrej = _integrate(f, spec.t0, spec.x0, T, tol, h_min,
-                                     h_max, grid, M=Acl, diag_mu=diag)
+    states, steps, nrej, n_explicit = _integrate(
+        f, spec.t0, spec.x0, T, tol, h_min, h_max, grid, M=Acl,
+        diag_mu=diag, nonlinear=omega is not None and spec.omega.state_dependent)
     grid = np.asarray(grid, dtype=float)
     mu_vals = lognorm(Acl(grid), k)
     norms = np.array([vector_norm(x, k) for x in states])
@@ -308,7 +522,8 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         lower = x0n * np.exp(-J_low)
     return Trace(times=grid, states=states, norms=norms, mu_cl=mu_vals,
                  bound_upper=upper, bound_lower=lower, step_sizes=steps,
-                 n_rejected=nrej, norm_kind=norm_name(k))
+                 n_rejected=nrej, norm_kind=norm_name(k),
+                 n_explicit=n_explicit)
 
 
 @dataclass
@@ -319,6 +534,7 @@ class TransitionTrace:
     phis: np.ndarray  # shape (m, n, n)
     step_sizes: np.ndarray
     n_rejected: int
+    n_explicit: int  # the first n_explicit steps are DP5's, then RODAS4's
 
 
 def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
@@ -326,10 +542,11 @@ def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
 
     ``F`` batches when, given the two ``probe`` times as a 1-d array, it
     returns the (2, n, n) stack equal bit for bit to its two scalar
-    calls.  Anything else, an exception included, selects the loop.
+    calls.  Anything else, an exception included, selects the loop,
+    which passes a single time straight to ``F``.
     """
     def stacked(ts):
-        return np.array([F(t) for t in ts])
+        return F(ts) if np.ndim(ts) == 0 else np.array([F(t) for t in ts])
 
     probe = np.asarray(probe, dtype=float)
     try:
@@ -364,10 +581,11 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
 
     grid = np.linspace(t0, T, n_out)
     M = _batched(F, n, (t0, t0 + min(h_max, T - t0)))
-    flat, steps, nrej = _integrate(f, t0, np.eye(n).ravel(), T, tol, h_min,
-                                   h_max, grid, M=M)
+    flat, steps, nrej, n_explicit = _integrate(
+        f, t0, np.eye(n).ravel(), T, tol, h_min, h_max, grid, M=M)
     return TransitionTrace(times=grid, phis=flat.reshape(len(grid), n, n),
-                           step_sizes=steps, n_rejected=nrej)
+                           step_sizes=steps, n_rejected=nrej,
+                           n_explicit=n_explicit)
 
 
 @dataclass
@@ -441,14 +659,14 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
         # log1p(e^x), overflow-safe
         return base_slack + float(np.logaddexp(0.0, noise_log))
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     pairs = {p for p in ((0, m - 1), (0, m // 2), (m // 2, m - 1))
              if p[0] < p[1]}
     # a short trace has fewer than n_pairs distinct pairs; stop at all
     while len(pairs) < min(n_pairs, m * (m - 1) // 2):
-        i, j = sorted(rng.integers(0, m, size=2))
+        i, j = sorted((rng.randrange(m), rng.randrange(m)))
         if i < j:
-            pairs.add((int(i), int(j)))
+            pairs.add((i, j))
     pairs = sorted(pairs)
 
     results = []
@@ -486,7 +704,7 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     for j in {m // 4, m // 2, (3 * m) // 4, m - 1}:
         slack = pair_slack(0, j)
         for _ in range(3):
-            v = rng.standard_normal(n)
+            v = np.array([rng.gauss(0.0, 1.0) for _ in range(n)])
             v = v / vector_norm(v, kind)
             xn = vector_norm(tt.phis[j] @ v, kind)
             logx = math.log(xn) if xn > 0.0 else -math.inf

@@ -197,21 +197,27 @@ def rk4_solve(f, t0, x0, T, n_steps):
     return np.array(times), np.array(states)
 
 
-def repro_slow_manifold(t, tol=1e-15, max_iter=100):
-    """Quasi-steady state of the bundled closed loop at time t.
-
-    Fixed-point iteration of x = -M(t)^{-1} omega(t, x), with the entries
-    of M(t) = A_skew + diag(lambda) + diag(gamma) + Delta and
-    omega = (t^(11/4) cos x1, 1) written out by hand as in
-    tests/gen_repro_golden.py.  Once |mu_cl| ~ t^3.5 dwarfs the rate at
-    which omega changes, the trajectory rides this point up to a relative
-    O(1/(t |m11|)) lag from the neglected x'; no time integration is used.
-    """
+def repro_closed_loop(t):
+    """M(t) = A_skew + diag(lambda) + diag(gamma) + Delta of the bundled
+    scenario, its entries written out by hand as in
+    tests/gen_repro_golden.py."""
     st = np.sqrt(t)
     env = np.sqrt(t ** 6 + 1.0)
     skew = 0.5 * (np.sin(t) - st)
-    M = np.array([[-1.0 - t * env + 1.0 / (1.0 + t * t), skew + t],
-                  [-skew - t, -1.0 - st * env]])
+    return np.array([[-1.0 - t * env + 1.0 / (1.0 + t * t), skew + t],
+                     [-skew - t, -1.0 - st * env]])
+
+
+def repro_slow_manifold(t, tol=1e-15, max_iter=100):
+    """Quasi-steady state of the bundled closed loop at time t.
+
+    Fixed-point iteration of x = -M(t)^{-1} omega(t, x), with M(t) from
+    :func:`repro_closed_loop` and omega = (t^(11/4) cos x1, 1).  Once
+    |mu_cl| ~ t^3.5 dwarfs the rate at which omega changes, the
+    trajectory rides this point up to a relative O(1/(t |m11|)) lag from
+    the neglected x'; no time integration is used.
+    """
+    M = repro_closed_loop(t)
     x = np.zeros(2)
     for _ in range(max_iter):
         x_new = -np.linalg.solve(M, [t ** 2.75 * np.cos(x[0]), 1.0])

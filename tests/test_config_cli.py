@@ -3,6 +3,7 @@
 import copy
 import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 import lognorm_control
+from conftest import OSCILLATOR_CONFIG
 from lognorm_control.cli import main
 from lognorm_control.config import (
     CONFIG_SCHEMA,
@@ -294,11 +296,22 @@ def test_cli_simulate_writes_csv(capsys, cfg_file, tmp_path):
     assert len(lines) == 12
 
 
-def test_cli_simulate_stiffness_exits_three(capsys, cfg_file):
-    rc, _, err = run_cli(capsys, "simulate", "--config", str(cfg_file),
-                         "--horizon", "50", "--h-min", "1e-3")
+def test_cli_simulate_stiffness_exits_three(capsys, tmp_path):
+    # the oscillator's steps fail the error test at h_min = 0.02
+    p = tmp_path / "oscillator.json"
+    p.write_text(json.dumps(OSCILLATOR_CONFIG))
+    rc, _, err = run_cli(capsys, "simulate", "--config", str(p),
+                         "--h-min", "0.02")
     assert rc == 3
-    assert "stiff" in err
+    assert "step size pinned at h=0.02" in err and "near t=" in err
+
+
+def test_cli_simulate_stiff_long_horizon(capsys, cfg_file):
+    # the input that used to exit 3: RODAS4 takes the stiff tail
+    rc, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_file),
+                         "--horizon", "50", "--h-min", "1e-3")
+    assert rc == 0
+    assert json.loads(out)["steps"] < 2000
 
 
 def test_cli_verify_example(capsys, cfg_file):
@@ -323,9 +336,45 @@ def test_cli_repro_example(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "repro-example", "--out", str(out_csv))
     d = json.loads(out)
     assert rc == 0
-    assert d["final_norm"] == pytest.approx(0.056141052940351474, rel=1e-10)
+    assert d["final_norm"] == pytest.approx(0.05614105125885324, rel=1e-10)
+    # scipy Radau on the same loop, rtol 1e-13, atol 1e-15, exact Jacobian
+    assert d["final_norm"] == pytest.approx(0.0561410514482648, rel=1e-7)
     assert len(d["final_state"]) == 2
     assert out_csv.exists()
+
+
+def test_cli_synthesize_reports_c3_where_gamma_is_undefined(capsys, cfg,
+                                                          tmp_path):
+    # gamma_1 = -sqrt(3-t) does not exist past t = 3: C3 says so, and c1
+    # and c2 are still reported
+    cfg["controller"]["gamma"] = ["-sqrt(3-t)", "-1-t"]
+    p = tmp_path / "g.json"
+    p.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, "synthesize", "--config", str(p))
+    d = json.loads(out)
+    assert d["c1"]["verdict"] == "supported"
+    assert "c2" in d and rc == (1 if d["c2"]["verdict"] == "refuted" else 0)
+    assert d["c3"]["verdict"] == "inconclusive"
+    assert "entry 1: sqrt of negative" in d["c3"]["note"]
+
+
+def test_commands_leave_numpy_random_unloaded(cfg_file):
+    # numpy.random is imported lazily; the commands sample with the
+    # stdlib generator, so they never pay for loading it
+    code = (
+        "import contextlib, io, sys\n"
+        "from lognorm_control.cli import main\n"
+        "for cmd in ('synthesize', 'classify', 'simulate', 'verify'):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([cmd, '--config', sys.argv[1]]) == 0, cmd\n"
+        "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_file)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_cli_seed_env_is_inert(capsys, cfg_file, monkeypatch):

@@ -146,14 +146,79 @@ def test_example_final_norm(example):
                                                           abs=1e-6)
 
 
-def test_stiffness_abort_reports_location(example):
-    spec, ctrl = example
+def test_stiffness_abort_reports_location(oscillator):
+    # a pin by accuracy, not stability: the oscillator's DP5 steps fail
+    # the error test at h_min = 0.02 with |mu| h ~ 0.002
+    spec, ctrl = oscillator
     with pytest.raises(StiffnessError, match="consecutive attempts near t=") \
             as exc:
-        simulate(spec, ctrl, T=50.0, tol=1e-8, h_min=1e-3)
-    assert "mu" in str(exc.value)
-    assert exc.value.h == 1e-3
-    assert exc.value.mu is not None and exc.value.mu < -100.0
+        simulate(spec, ctrl, T=20.0, tol=1e-8, h_min=0.02)
+    assert "mu" in str(exc.value) and "stiff" not in str(exc.value)
+    assert exc.value.h == 0.02
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    assert exc.value.mu == lognorm(cl(exc.value.t), spec.norm)
+    assert abs(exc.value.mu) * exc.value.h < 0.01
+
+
+STIFF = [["0-1000", "0"], ["0", "0-1"]]
+
+
+def test_pinned_step_after_the_switch():
+    # stiff from the start, so DP5 hands over to RODAS4 early; from t = 1
+    # a fast forcing needs steps below h_min
+    omega = parse_vector(["cos(t)", "max(t-1,0)*sin(400*t)"],
+                         ("t", "x1", "x2"))
+    s = make_spec(STIFF, x0=(1e-3, 1.0), omega=omega)
+    tr = simulate(s, None, T=0.9, h_min=1e-3)
+    assert tr.n_explicit < len(tr.step_sizes)
+    with pytest.raises(StiffnessError) as exc:
+        simulate(s, None, T=2.0, h_min=1e-3)
+    assert 0.9 < exc.value.t < 1.1
+    assert exc.value.h == 1e-3 and exc.value.mu == -1.0
+
+
+def test_stiff_long_horizon_completes(example):
+    # the input that used to pin DP5 at h_min: RODAS4 takes the stiff
+    # tail, and the run ends on the slow manifold
+    spec, ctrl = example
+    tr = simulate(spec, ctrl, T=50.0, tol=1e-8, h_min=1e-3)
+    ref = oracles.repro_slow_manifold(50.0)
+    assert np.linalg.norm(tr.states[-1] - ref) <= 1e-8 * np.linalg.norm(ref)
+    assert tr.n_explicit < len(tr.step_sizes) < 2000
+
+
+@pytest.mark.parametrize("T", [10.0, 15.0])
+def test_example_steps_after_the_switch(example, T):
+    # DP5 alone needs 6,696 steps to T = 10 and ~46k to T = 15
+    spec, ctrl = example
+    tr = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+    assert len(tr.step_sizes) <= 1000
+    switch = spec.t0 + tr.step_sizes[:tr.n_explicit].sum()
+    assert 3.0 < switch < 5.0
+
+
+def test_rodas4_order_conditions():
+    # the transformed coefficients, mapped back to the classical
+    # Rosenbrock form, meet the eight order-4 conditions (Hairer & Wanner
+    # IV.7, Table 7.1); the embedded solution meets the first four
+    g = sim._GAMMA
+    A, C = np.zeros((6, 6)), np.zeros((6, 6))
+    for i in range(1, 6):
+        A[i, :i], C[i, :i] = sim._RA[i], sim._RG[i]
+    G = np.linalg.inv(np.eye(6) / g - C)
+    alpha = A @ G
+    beta = alpha + G - np.diag(np.diag(G))
+    a, b_ = alpha.sum(1), beta.sum(1)
+    assert np.allclose(a, [0.0, *sim._RT[2:], 1.0], atol=1e-14)
+    assert np.allclose(G.sum(1), sim._RD, atol=1e-14)
+    m = np.append(sim._RA[5], 1.0)  # y1 = y + sum_j m_j U_j
+    for w, n_conds in ((m @ G, 8), ((m - np.eye(6)[5]) @ G, 4)):
+        conds = [w.sum() - 1, w @ b_ - (0.5 - g), w @ a ** 2 - 1 / 3,
+                 w @ beta @ b_ - (1 / 6 - g + g * g),
+                 w @ a ** 3 - 1 / 4, w @ (a * (alpha @ b_)) - (1 / 8 - g / 3),
+                 w @ beta @ a ** 2 - (1 / 12 - g / 3),
+                 w @ beta @ beta @ b_ - (1 / 24 - g / 2 + 1.5 * g * g - g ** 3)]
+        assert np.allclose(conds[:n_conds], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -311,12 +376,14 @@ def test_trace_csv_round_trip(tmp_path):
 
 @contextlib.contextmanager
 def stage_by_stage():
-    """The stepper gets no batched evaluator, so every stage evaluates its
-    matrix through the right-hand side, one at a time."""
+    """The stepper's matrix evaluator refuses arrays of times, so every
+    attempt is redone stage by stage: each stage evaluates its matrix
+    through the right-hand side, one at a time, and RODAS4 takes its
+    Jacobian's M(t) from one scalar call."""
     integrate_ = sim._integrate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_integrate",
-                   lambda f, *a, M=None, **kw: integrate_(f, *a, **kw))
+        mp.setattr(sim, "_integrate", lambda f, *a, M, **kw:
+                   integrate_(f, *a, M=scalar_only(M), **kw))
         yield
 
 
@@ -339,9 +406,12 @@ def test_stage_batched_stepper_is_bitwise(request, name, T, T_phi):
     with stage_by_stage():
         ref = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
         ref_tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
+    # only the stiff example hands over from DP5 to RODAS4
+    assert (tr.n_explicit < len(tr.step_sizes)) == (name == "example")
     assert tr.states.tobytes() == ref.states.tobytes()
     assert tr.step_sizes.tobytes() == ref.step_sizes.tobytes()
     assert tr.n_rejected == ref.n_rejected
+    assert tr.n_explicit == ref.n_explicit
     assert tt.phis.tobytes() == ref_tt.phis.tobytes()
     assert tt.step_sizes.tobytes() == ref_tt.step_sizes.tobytes()
     assert tt.n_rejected == ref_tt.n_rejected
@@ -402,6 +472,74 @@ def test_one_batched_evaluation_per_attempt():
     assert len(rhs) == 1 + 6 * attempts
 
 
+def count_calls(fn):
+    """Run ``fn()`` with the stepper's right-hand side and matrix
+    evaluator counted; returns its result, the length of each batched
+    matrix call (0 for a scalar call) and the number of right-hand-side
+    calls after each (the first entry counts those before any)."""
+    log = [[None, 0]]
+    integrate_ = sim._integrate
+
+    def counting(f, *a, M, **kw):
+        def g(*args):
+            log[-1][1] += 1
+            return f(*args)
+
+        def N(t):
+            log.append([len(t) if np.ndim(t) else 0, 0])
+            return M(t)
+        return integrate_(g, *a, M=N, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_integrate", counting)
+        return fn(), [b for b, _ in log[1:]], [c for _, c in log]
+
+
+@pytest.mark.parametrize("which", ["simulate", "phi"])
+def test_one_batched_evaluation_per_attempt_after_the_switch(example, which):
+    # DP5 attempts batch their 5 stage times and make 6 RHS calls; RODAS4
+    # attempts batch 6 times (t, t + dt and the 4 stage times) and make
+    # 1 (f_t) + 5 (stages) RHS calls, plus n + 1 for the differenced
+    # Jacobian of the disturbance, plus 1 (f(t + h, y_new)) if accepted
+    spec, ctrl = example
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    run = (lambda: simulate(spec, ctrl, T=10.0, bounds_tol=1e-3)) \
+        if which == "simulate" else \
+        (lambda: fundamental_matrix(cl, spec.t0, 5.0))
+    tr, batches, rhs = count_calls(run)
+    n_dp5 = batches.count(5)
+    assert batches == [5] * n_dp5 + [6] * (len(batches) - n_dp5)
+    assert len(batches) == len(tr.step_sizes) + tr.n_rejected
+    assert rhs[0] == 1 and rhs[1:n_dp5 + 1] == [6] * n_dp5
+    per_attempt = 6 + (spec.n + 1 if which == "simulate" else 0)
+    after = rhs[n_dp5 + 1:]
+    assert set(after) <= {per_attempt, per_attempt + 1}
+    assert after.count(per_attempt + 1) == len(tr.step_sizes) - tr.n_explicit
+    assert after[-1] == per_attempt + 1  # the last attempt is accepted
+    assert 0 < tr.n_explicit < len(tr.step_sizes)
+
+
+def test_fundamental_matrix_after_the_switch_matches_radau(example):
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    spec, ctrl = example
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    tt = fundamental_matrix(cl, spec.t0, 5.0, tol=1e-8)
+    switch = spec.t0 + tt.step_sizes[:tt.n_explicit].sum()
+    assert switch < 4.0
+    M = oracles.repro_closed_loop
+    ref = solve_ivp(lambda t, y: (M(t) @ y.reshape(2, 2)).ravel(),
+                    (spec.t0, 5.0), np.eye(2).ravel(), method="Radau",
+                    rtol=1e-10, atol=1e-16, t_eval=tt.times,
+                    jac=lambda t, y: np.kron(M(t), np.eye(2)))
+    err = np.abs(tt.phis - ref.y.T.reshape(-1, 2, 2)).max(axis=(1, 2))
+    # DP5 carries the error of its first steps at the sqrt(t) corner of
+    # M at t = 0 (6.4e-7); RODAS4's share is 2.8e-10
+    assert err.max() < 2e-6
+    assert err[tt.times > switch].max() < 1e-8
+    rep = verify_sandwich(tt, cl, spec.norm, phi_tol=1e-8)
+    assert rep.passed and rep.notes == []
+
+
 SQRT_A = [["sqrt(1-t)", "0"], ["0", "0-1"]]
 
 
@@ -423,6 +561,31 @@ def test_domain_error_matches_stage_by_stage():
     for msg, _ in got:
         t = float(msg.split("failed at t=")[1].split(":")[0])
         assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
+
+
+@pytest.mark.parametrize("a22, omega, entry", [
+    ("sqrt(1-t)", None, "entry (2,2)"),
+    ("0-1", ["0", "0*sqrt(1-t)"], "entry 2")])
+def test_domain_error_after_the_switch_matches_stage_by_stage(a22, omega,
+                                                              entry):
+    # stiff, so RODAS4 has taken over well before the domain ends at t = 1
+    s = make_spec([["0-1000", "0"], ["0", a22]], x0=(1.0, 1.0),
+                  omega=omega and parse_vector(omega, ("t", "x1", "x2")))
+    calls = [lambda: simulate(s, None, T=2.0)]
+    if omega is None:
+        F = s.A.compiled()
+        calls.append(lambda: fundamental_matrix(F, 0.0, 2.0))
+        tt = fundamental_matrix(F, 0.0, 0.9)
+        assert tt.n_explicit < len(tt.step_sizes)
+    tr = simulate(s, None, T=0.9)
+    assert tr.n_explicit < len(tr.step_sizes)
+    got = [_failure(c) for c in calls]
+    with stage_by_stage():
+        want = [_failure(c) for c in calls]
+    assert got == want
+    for msg, _ in got:
+        t = float(msg.split("failed at t=")[1].split(":")[0])
+        assert 1.0 <= t < 1.1 and f"{entry}: sqrt of negative" in msg
 
 
 def test_controlled_simulation_stops_where_the_plant_is_undefined():

@@ -311,6 +311,19 @@ def test_c3_identity_checks_the_printed_gain(example):
     assert ev.measured["identity_max_rel_err"] > 1e-5
 
 
+def test_c3_inconclusive_where_gamma_is_undefined():
+    # gamma_1 = -sqrt(3-t) does not exist on (3, 10]: the integral of
+    # Gamma cannot be formed, and C3 says why instead of raising
+    ctrl = synthesize(make_spec(), lam=np.array([-1.0, -1.0]),
+                      rule=ExplicitGamma((parse("-sqrt(3-t)"),
+                                          parse("-1-t"))))
+    ev = verify_c3(ctrl, 10.0)
+    assert ev.verdict == "inconclusive"
+    assert ev.note.startswith("could not evaluate Gamma: entry 1: sqrt of "
+                              "negative value")
+    assert ev.measured["identity_max_rel_err"] < 1e-9
+
+
 def test_c3_constant_gamma_supported():
     ctrl = synthesize(make_spec(), lam=np.array([-1.0, -2.0]),
                       rule=ExplicitGamma((parse("0"), parse("0"))))
