@@ -496,30 +496,68 @@ def format_expr(e: Expr) -> str:
 # compilation
 
 def _gen(e: Expr, subs: dict) -> str:
-    # fully parenthesized source; semantics match _eval except that the
-    # domain checks are left to the caller's fallback path.  ``subs``
-    # maps a variable to the source standing for it, if not its name.
+    """Fully parenthesized source of ``e``; semantics match _eval except
+    that the domain checks are left to the caller's fallback path.
+    ``subs`` maps a variable to the source standing for it, if not its
+    name."""
+    return _code(e, subs)[0]
+
+
+def _code(e: Expr, subs: dict):
+    # (source, constant): ``constant`` says ``e`` uses no variable
     if isinstance(e, Lit):
-        return f"({e.value!r})"
+        return f"({e.value!r})", True
     if isinstance(e, Var):
-        return subs.get(e.name, e.name)
+        return subs.get(e.name, e.name), False
     if isinstance(e, Neg):
-        return f"(-{_gen(e.operand, subs)})"
+        src, const = _code(e.operand, subs)
+        return f"(-{src})", const
     if isinstance(e, Bin):
+        (left, lc), (right, rc) = _code(e.left, subs), _code(e.right, subs)
         if e.op == "^":
-            return f"pow({_gen(e.left, subs)}, {_gen(e.right, subs)})"
-        return f"({_gen(e.left, subs)}{e.op}{_gen(e.right, subs)})"
+            left = _finite(e.left, left, lc)
+            return f"pow({left}, {_finite(e.right, right, rc)})", lc and rc
+        if e.op == "/":
+            right = _finite(e.right, right, rc)
+        return f"({left}{e.op}{right})", lc and rc
     if isinstance(e, Call):
-        args = ", ".join(_gen(a, subs) for a in e.args)
-        return f"{e.fn}({args})"
+        args = [_code(a, subs) for a in e.args]
+        const = all(c for _, c in args)
+        if e.fn in _ABSORBING:
+            args = [(_finite(a, s, c), c) for a, (s, c) in zip(e.args, args)]
+        return f"{e.fn}({', '.join(s for s, _ in args)})", const
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _nest(entries, subs: dict) -> str:
-    """Source of the (nested) list of the entries' values."""
-    if isinstance(entries, Expr):
-        return _gen(entries, subs)
-    return "[" + ", ".join(_nest(e, subs) for e in entries) + "]"
+# Python float + - * / overflow to inf silently.  An inf or nan operand
+# keeps the result non-finite, where the caller's final check sees it,
+# except at these positions: a divisor (x/inf = 0), the arguments of min,
+# max and pow (pow(inf, 0) = 1, min(nan, 1) = nan but min(1, nan) = 1)
+# and exp's (exp(-inf) = 0).  _finite checks an operand there, as the
+# checked evaluator checks every intermediate.
+_ABSORBING = frozenset(("min", "max", "pow", "exp"))
+
+
+def _finite(e: Expr, src: str, const: bool) -> str:
+    """``src``, the source of ``e``, raising if ``e`` is non-finite.  A
+    variable or a literal, negated or not, needs no check (the checked
+    evaluator does not check them either), nor does a constant that the
+    checked evaluator evaluates, as every intermediate is finite then."""
+    while isinstance(e, Neg):
+        e = e.operand
+    if isinstance(e, (Lit, Var)):
+        return src
+    if const:
+        try:
+            _eval(e, {})
+            return src
+        except EvalError:
+            pass
+    return f"(_v if _isfinite(_v := {src}) else _nonfinite())"
+
+
+def _nonfinite():
+    raise ArithmeticError("non-finite intermediate")
 
 
 _GEN_GLOBALS = {
@@ -528,7 +566,7 @@ _GEN_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "abs": abs, "min": min, "max": max,
-    "_array": np.array, "_contiguous": np.ascontiguousarray,
+    "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
 }
 
 
@@ -537,41 +575,26 @@ def _lambda(params: str, body: str) -> Callable:
     return eval(f"lambda {params}: {body}", dict(_GEN_GLOBALS))
 
 
-def _all_finite(v: np.ndarray) -> bool:
-    return np.isfinite(v).all()
-
-
-def _guarded(raw, finite, checked, batch=None):
-    """The compiled evaluator: ``raw(*args)`` where that gives a value
-    passing ``finite``, else ``checked(*args)``, the checked evaluator,
-    which raises the located EvalError of a domain failure.  With
-    ``batch``, a first argument that is a non-scalar array goes there.
-    """
-    ndarray = np.ndarray  # closure-bound: the scalar path is the hot one
-
-    def fn(*args):
-        if batch is not None and type(args[0]) is ndarray and args[0].ndim:
-            return batch(*args)
-        try:
-            v = raw(*args)
-        except Exception:
-            v = None
-        if v is None or not finite(v):
-            return checked(*args)
-        return v
-
-    return fn
-
-
 def compile_expr(e: Expr, names: tuple = ("t",)) -> Callable[..., float]:
     """Compile an expression to a fast scalar function of ``names``.
 
     The compiled form produces bit-identical values to :func:`eval_expr`.
-    On a domain failure or a non-finite result it re-runs the checked
-    evaluator so the caller still gets a located EvalError.
+    On a domain failure or a non-finite intermediate it re-runs the
+    checked evaluator so the caller still gets a located EvalError.
     """
-    return _guarded(_lambda(", ".join(names), _gen(e, {})), math.isfinite,
-                    lambda *args: _eval(e, dict(zip(names, args))))
+    raw = _lambda(", ".join(names), _gen(e, {}))
+    isfinite = math.isfinite
+
+    def fn(*args):
+        try:
+            v = raw(*args)
+            if isfinite(v):
+                return v
+        except Exception:
+            pass
+        return _eval(e, dict(zip(names, args)))
+
+    return fn
 
 
 class _Grid:
@@ -594,10 +617,19 @@ class _Grid:
                 f"variable(s) {sorted(bad)} not allowed here; "
                 f"allowed: {sorted(self.allowed)}")
         self.state_dependent = any(v != "t" for v in used)
-        self._compiled = None
+        self._compiled = self._src = None
 
     def _flat(self):
         raise NotImplementedError
+
+    def _sources(self) -> list:
+        """The generated source of each entry, row major, made once and
+        shared by the scalar and the batch code."""
+        if self._src is None:
+            # state component x<k> is x[k - 1], as in the checked evaluator
+            xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
+            self._src = [_gen(e, xs) for e in self._flat()]
+        return self._src
 
     def __call__(self, t: float, x=None) -> np.ndarray:
         """Evaluate every entry with the checked evaluator.  An EvalError
@@ -621,43 +653,70 @@ class _Grid:
 
     __hash__ = None
 
+    def _redo_batch(self, fn, ts, x):
+        """What a failed batch falls back to: the scalar evaluator ``fn``
+        time by time, so the first failing time raises."""
+        return np.array([fn(t, x) for t in ts.tolist()])
+
     def compiled(self) -> Callable[..., np.ndarray]:
         """A fast evaluator ``f(t[, x]) -> ndarray``, bit-identical to
         :meth:`__call__` and falling back to it on domain failures.
 
+        The generated code lists the entries' values; they are finite
+        when their Python sum is, and only then become the array.  A sum
+        can overflow with every entry finite; that case, too, goes to
+        :meth:`__call__`, which returns the same bits.
+
         ``t`` may also be a 1-d array of m times (with one state ``x`` for
         all of them); the result is then the (m, *shape) stack of the
         values at those times, equal bit for bit to stacking the scalar
-        calls.  The batch runs the same generated code per entry and
-        checks finiteness once; on any failure it redoes the batch
-        through the scalar path, so a domain error raises the same
-        located EvalError as a scalar call at the first failing time.
+        calls.  The batch runs the same generated code, one list
+        comprehension over the times per entry, and checks finiteness
+        once; on any failure it redoes the batch through the scalar
+        path, so a domain error raises the same located EvalError as a
+        scalar call at the first failing time.  Each of the two is
+        compiled on its first call.
         """
         if self._compiled is not None:
             return self._compiled
-        # state component x<k> is x[k - 1], as in the checked evaluator
-        xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
-        raw = _lambda("t, _x=None", f"_array({_nest(self.entries, xs)})")
-        shape = (-1,) + self.shape
-        run_batch = None  # compiled on first use: scalar-only callers skip it
+        shape, stack = self.shape, (-1,) + self.shape
+        ndarray, array, isfinite = np.ndarray, np.array, math.isfinite
 
-        def batch(ts, x=None):
-            nonlocal run_batch
+        def raw(t, x=None):  # replaces itself with the generated code
+            nonlocal raw
+            raw = _lambda("t, _x=None", f"[{', '.join(self._sources())}]")
+            return raw(t, x)
+
+        def run(ts, x=None):  # the same for the batch
+            nonlocal run
+            columns = ", ".join(f"[{s} for t in _ts]" for s in self._sources())
+            run = _lambda("_ts, _x=None", f"[{columns}]")
+            return run(ts, x)
+
+        def batch(ts, x):
             if ts.ndim != 1:
                 raise ValueError(f"times must be a scalar or a 1-d array, "
                                  f"got shape {ts.shape}")
-            if run_batch is None:
-                # one list comprehension over the times per entry
-                columns = ", ".join(f"[{_gen(e, xs)} for t in _ts]"
-                                    for e in self._flat())
-                run_batch = _guarded(
-                    _lambda("_ts, _x=None", f"_contiguous(_array([{columns}])"
-                                            f".T).reshape({shape})"),
-                    _all_finite,
-                    lambda ts, x=None: np.array([fn(t, x) for t in ts]))
-            return run_batch(ts.tolist(), x)
+            try:
+                v = np.ascontiguousarray(array(run(ts.tolist(), x)).T)
+                if np.isfinite(v).all():
+                    return v.reshape(stack)
+            except Exception:
+                pass
+            return self._redo_batch(fn, ts, x)
 
-        fn = self._compiled = _guarded(raw, _all_finite, self, batch)
+        def fn(t, x=None):
+            if type(t) is ndarray and t.ndim:
+                return batch(t, x)
+            try:
+                v = raw(t, x)
+                if isfinite(sum(v)):
+                    return array(v).reshape(shape)
+            except Exception:
+                pass
+            return self(t, x)
+
+        self._compiled = fn
         return fn
 
 
@@ -680,6 +739,7 @@ class MatrixFunction(_Grid):
                     raise SourceError(f"matrix entry {e!r} is not an expression")
         self.n = n
         super().__init__(entries, allowed_vars, (n, n))
+        self._sum = None
 
     def _flat(self):
         return [e for row in self.entries for e in row]
@@ -687,6 +747,56 @@ class MatrixFunction(_Grid):
     def formatted(self):
         """Entries rendered back to source strings (row major)."""
         return [[format_expr(e) for e in row] for row in self.entries]
+
+    def plus(self, other: MatrixFunction,
+             domain: MatrixFunction | None = None) -> MatrixFunction:
+        """``self + other`` as one grid, whose compiled evaluator runs
+        both in one call; made once per ``(other, domain)``.
+
+        Entry (i, j) is ``s_ij + o_ij``, and Python's float ``+`` rounds
+        as numpy's, so the values are those of ``self(t) + other(t)``
+        bit for bit.  Where that sum fails or is non-finite, the grid
+        evaluates ``self`` and then ``other`` as two compiled grids and
+        adds the arrays, as one would without it: the errors, overflow
+        included, are theirs.  ``domain`` is a grid ``self`` is defined
+        only where it is: when ``self`` fails, ``domain`` is evaluated
+        too, so that its error, if it has one, is the one raised.
+        """
+        if other.n != self.n:
+            raise SourceError("matrices of a sum must have the same size")
+        s = self._sum
+        if s is None or s.right is not other or s.domain is not domain:
+            s = self._sum = _Sum(self, other, domain)
+        return s
+
+
+class _Sum(MatrixFunction):
+    """The grid of :meth:`MatrixFunction.plus`.  Its entries are checked
+    already, and their sources are the parts'; its checked evaluator
+    runs the parts' compiled evaluators, on one time or a 1-d array."""
+
+    def __init__(self, left, right, domain):
+        self.left, self.right, self.domain = left, right, domain
+        self.entries = tuple(tuple(Bin("+", a, b) for a, b in zip(ra, rb))
+                             for ra, rb in zip(left.entries, right.entries))
+        self.n, self.shape = left.n, left.shape
+        self.allowed = left.allowed | right.allowed
+        self.state_dependent = left.state_dependent or right.state_dependent
+        self._src = [f"({a}+{b})"
+                     for a, b in zip(left._sources(), right._sources())]
+        self._compiled = self._sum = None
+
+    def __call__(self, t, x=None):
+        try:
+            v = self.left.compiled()(t, x)
+        except EvalError:
+            if self.domain is not None:
+                self.domain.compiled()(t, x)
+            raise
+        return v + self.right.compiled()(t, x)
+
+    def _redo_batch(self, fn, ts, x):
+        return self(ts, x)
 
 
 class VectorFunction(_Grid):

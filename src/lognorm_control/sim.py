@@ -85,6 +85,8 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
+# a step's distinct stage times after t (stages 5 and 6 share t + h)
+_C_BATCH = _C[1:6]
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 # b5 - b4: weights of the embedded error estimate
 _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
@@ -232,15 +234,20 @@ class _Run:
 
 
 def _error(tol, y, y_new, err_vec):
-    """(finite, err): the local error in units of tol * (1 + ||y||).
+    """(finite, err): the local error in units of tol * (1 + ||y||);
+    ``finite`` says ``y_new`` and ``err_vec`` are.
 
     ``sqrt(v.dot(v))`` is how ``np.linalg.norm`` computes a vector's
-    2-norm, so the bits are its own, at a third of the call's cost.
+    2-norm, so the bits are its own, at a third of the call's cost.  A
+    non-finite entry makes ``err_vec``'s square sum or ``y_new``'s sum
+    non-finite; these can also overflow with every entry finite (1e200
+    squared), so only then does ``np.isfinite`` decide.
     """
-    if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
-        sc = tol * (1.0 + math.sqrt(y.dot(y)))
-        return True, math.sqrt(err_vec.dot(err_vec)) / sc
-    return False, math.inf
+    ee = err_vec.dot(err_vec)
+    if not (math.isfinite(ee) and math.isfinite(sum(y_new.tolist()))):
+        if not (np.isfinite(y_new).all() and np.isfinite(err_vec).all()):
+            return False, math.inf
+    return True, math.sqrt(ee) / (tol * (1.0 + math.sqrt(y.dot(y))))
 
 
 def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
@@ -294,6 +301,9 @@ def _dp5(f, M, run, t, y, fy, h):
     accepted = run.accepted
     k = np.empty((7, len(y)))
     k[0] = fy
+    # stage i: its row of k, its weights on the rows before it and its
+    # time's index in the batch (stages 5 and 6 both sit at t + h)
+    stages = [(k[i], _A[i], k[:i], min(i, 5) - 1) for i in range(1, 7)]
     facold = 1e-4
     stiff = 0
     while t < T:
@@ -304,15 +314,14 @@ def _dp5(f, M, run, t, y, fy, h):
             h = T - t
         h_attempt = h
 
-        ts = t + _C[1:6] * h
+        ts = t + _C_BATCH * h
         Ms = _batch(M, ts)
         if Ms is None:
             for i in range(1, 7):
                 k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
         else:
-            for i in range(1, 7):
-                j = min(i, 5) - 1  # stages 5 and 6 both sit at t + h
-                k[i] = f(ts[j], y + h * (_A[i] @ k[:i]), Ms[j])
+            for ki, a, before, j in stages:
+                ki[:] = f(ts[j], y + h * (a @ before), Ms[j])
         y_new = y + h * (_B5 @ k)
         finite, err = _error(tol, y, y_new, h * (_E @ k))
         at_floor = not end_clamped and h_attempt <= run.floor

@@ -166,22 +166,31 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     raises ``A(t)``'s EvalError, as that does.  Given a 1-d array of m times
     the evaluator returns the (m, n, n) stack, equal bit for bit to
     stacking the scalar results (see :meth:`MatrixFunction.compiled`).
+
+    With ``Delta`` the loop and ``Delta`` are one grid of entrywise sums
+    (:meth:`MatrixFunction.plus`), made once per controller and plant, so
+    each call runs one generated function and one finiteness check.  Its
+    values are those of the loop plus ``Delta(t)`` bit for bit; where the
+    sum fails, the two are evaluated in turn, so the error is the one the
+    loop, ``A`` or ``Delta`` raises.
     """
     if ctrl is None:
-        M = spec.A.compiled()
+        S, A = spec.A, None
     elif ctrl.system.A != spec.A or not np.array_equal(ctrl.system.B, spec.B):
         raise ValueError("the controller was synthesized for a different "
                          "plant (A or B differ)")
     else:
-        A, S = spec.A.compiled(), ctrl.closed_loop.compiled()
+        S, A = ctrl.closed_loop, spec.A
+    if include_delta and spec.Delta is not None:
+        return S.plus(spec.Delta, domain=A).compiled()
+    if A is None:
+        return S.compiled()
+    S, A = S.compiled(), A.compiled()
 
-        def M(t):
-            try:
-                return S(t)
-            except EvalError:
-                A(t)  # where A fails, name its entry, as A + B K does
-                raise
-    if not (include_delta and spec.Delta is not None):
-        return M
-    D = spec.Delta.compiled()
-    return lambda t: M(t) + D(t)
+    def M(t):
+        try:
+            return S(t)
+        except EvalError:
+            A(t)  # where A fails, name its entry, as A + B K does
+            raise
+    return M

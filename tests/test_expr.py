@@ -145,6 +145,8 @@ _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=9.0,
               allow_nan=False).map(lambda v: Lit(round(v, 3))),
     st.sampled_from(["t", "x1", "x2"]).map(Var),
+    # large enough that a product or a sum overflows to inf
+    st.sampled_from([1e200, 1e308]).map(Lit),
 )
 
 _tree = st.recursive(
@@ -196,6 +198,78 @@ def test_compiled_matches_interpreted_bitwise(e, t, x1, x2, ts):
     assert got.shape == (len(ts), 2, 2)
     assert np.array_equal(got[:, 0, 0], want)
     assert np.array_equal(got[:, 1, 0], np.negative(want))
+
+
+# a subtree that overflows to inf (for a non-zero tree), at a position
+# where /, min, max, pow or exp would turn it back into a finite value
+_overflow = st.tuples(_tree, st.sampled_from([1e200, 1e308])).map(
+    lambda o: Bin("*", Bin("*", o[0], Lit(o[1])), Lit(o[1])))
+_absorbing = st.one_of(
+    st.tuples(_tree, _overflow).map(lambda o: Bin("/", o[0], o[1])),
+    st.tuples(st.sampled_from(["min", "max", "pow"]), _tree, _overflow,
+              st.booleans()).map(
+        lambda o: Call(o[0], (o[1], o[2]) if o[3] else (o[2], o[1]))),
+    _overflow.map(lambda o: Call("exp", (Neg(o),))),
+)
+
+
+@settings(max_examples=100)
+@given(e=_absorbing, t=st.floats(0.1, 5.0), x1=st.floats(-3.0, 3.0),
+       x2=st.floats(-3.0, 3.0))
+def test_compiled_matches_interpreted_where_an_overflow_is_absorbed(e, t, x1,
+                                                                   x2):
+    fn = compile_expr(e, ("t", "x1", "x2"))
+    batch = MatrixFunction([[e, Lit(1.0)], [Lit(0.0), e]],
+                           ("t", "x1", "x2")).compiled()
+    try:
+        want = eval_expr(e, t=t, x=[x1, x2])
+    except EvalError as exc:
+        for run in (lambda: fn(t, x1, x2),
+                    lambda: batch(np.array([t, t]), [x1, x2])):
+            with pytest.raises(EvalError) as got:
+                run()
+            assert got.value.offset == exc.offset
+    else:
+        assert fn(t, x1, x2) == want
+        assert np.array_equal(batch(np.array([t]), [x1, x2])[:, 0, 0], [want])
+
+
+@pytest.mark.parametrize("text, at", [
+    ("1/(t*1e200*1e200)", "multiplication at offset 3"),
+    ("min(t*1e308*10, 1)", "multiplication at offset 4"),
+    ("exp(-(t*1e308*10))", "multiplication at offset 6"),
+])
+def test_compiled_does_not_absorb_an_overflow(text, at):
+    # the intermediate overflows to inf, and /, min and exp would turn it
+    # back into a finite value; the checked evaluator raises, so must the
+    # compiled one, scalar and batch
+    e = parse(text)
+    with pytest.raises(EvalError, match=at):
+        eval_expr(e, t=1.0)
+    with pytest.raises(EvalError, match=at):
+        compile_expr(e)(1.0)
+    F = MatrixFunction([[Lit(0.0), e], [Lit(1.0), Lit(2.0)]]).compiled()
+    for t in (1.0, np.array([0.5, 1.0])):
+        with pytest.raises(EvalError, match=r"entry \(1,2\): .*" + at):
+            F(t)
+
+
+def test_constant_operands_are_not_checked():
+    # a constant operand the checked evaluator evaluates is finite; one it
+    # cannot is checked, and fails as the checked evaluator does
+    assert compile_expr(parse("pow(t, 1/2)"))(4.0) == 2.0
+    with pytest.raises(EvalError, match="multiplication"):
+        compile_expr(parse("exp(-(1e200*1e200))"))(1.0)
+
+
+def test_entries_whose_sum_overflows_are_not_an_error():
+    # every entry is finite, their sum is not: the guard's one false
+    # alarm, answered by the checked evaluator with the same bits
+    F = MatrixFunction([[Lit(1e308), Lit(1e308)], [Lit(0.0), Var("t")]])
+    want = np.array([[1e308, 1e308], [0.0, 3.0]])
+    assert F.compiled()(3.0).tobytes() == want.tobytes()
+    assert F.compiled()(np.array([3.0, 3.0])).tobytes() == \
+        np.array([want, want]).tobytes()
 
 
 def test_thousand_random_trees_eval_round_trip():

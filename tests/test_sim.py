@@ -613,3 +613,32 @@ def test_disturbance_failing_first_in_the_step_is_reported():
     assert msg.startswith("expression evaluation failed at t=0.006: entry 1:")
     with stage_by_stage():
         assert _failure(lambda: simulate(both, None, T=1.0)) == (msg, cause)
+
+
+def error_ref(tol, y, y_new, err_vec):
+    """The step's (finite, err) decided entry by entry."""
+    if np.isfinite(y_new).all() and np.isfinite(err_vec).all():
+        return True, float(np.linalg.norm(err_vec)) / (
+            tol * (1.0 + float(np.linalg.norm(y))))
+    return False, math.inf
+
+
+@pytest.mark.parametrize("y_new, err_vec", [
+    ([1.0, 2.0], [1e-9, -2e-9]),
+    ([math.inf, 2.0], [1e-9, -2e-9]),
+    ([1.0, -math.inf], [1e-9, -2e-9]),
+    ([math.nan, 2.0], [1e-9, -2e-9]),
+    ([1.0, 2.0], [math.inf, 0.0]),
+    ([1.0, 2.0], [0.0, math.nan]),
+    ([1e308, 1e308], [1e-9, -2e-9]),  # finite, its sum overflows
+    ([1e200, 2.0], [1e200, -1e200]),  # finite, the squares overflow
+    ([1e200, math.nan], [1e200, 0.0]),
+    ([1.0, 2.0], [1e200, math.inf]),
+])
+def test_step_error_decides_finiteness_entry_by_entry(y_new, err_vec):
+    y = np.array([0.5, -1.5])
+    y_new, err_vec = np.array(y_new), np.array(err_vec)
+    got = sim._error(1e-8, y, y_new, err_vec)
+    want = error_ref(1e-8, y, y_new, err_vec)
+    assert got[0] == want[0]
+    assert got[1] == want[1]  # bit for bit, inf included

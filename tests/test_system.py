@@ -1,11 +1,13 @@
 """Problem-definition data model and closed-loop assembly."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
 import oracles
+from lognorm_control import sim
 from lognorm_control.expr import EvalError, parse, parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
 from lognorm_control.synthesis import synthesize
@@ -184,6 +186,82 @@ def test_closed_loop_function_keeps_the_plant_domain(A, t_bad, entry):
             f(t)
         assert str(got.value) == str(want.value)
     assert f(0.5).shape == (2, 2)
+
+
+def unfused(spec, ctrl):
+    """The loop and Delta as two compiled grids, added as arrays: the
+    loop first, A's error where the loop fails, then Delta."""
+    S = (spec.A if ctrl is None else ctrl.closed_loop).compiled()
+    A, D = spec.A.compiled(), spec.Delta.compiled()
+
+    def M(t):
+        try:
+            v = S(t)
+        except EvalError:
+            A(t)
+            raise
+        return v + D(t)
+    return M
+
+
+@pytest.mark.parametrize("system", SYSTEMS)
+def test_fused_delta_is_the_sum_bit_for_bit(system, request):
+    spec, ctrl = request.getfixturevalue(system)
+    ts = spec.t0 + np.array([0.0, 0.3, 1.1, 2.9, 7.6])
+    for c in (ctrl, None):
+        f = closed_loop_function(spec, c, include_delta=True)
+        ref = unfused(spec, c)
+        assert f(ts).tobytes() == ref(ts).tobytes()
+        for t in ts:
+            assert f(float(t)).tobytes() == ref(float(t)).tobytes()
+        # one fused grid per controller and plant
+        assert closed_loop_function(spec, c, include_delta=True) is f
+
+
+def _error_text(fn, t):
+    with pytest.raises(EvalError) as exc:
+        fn(t)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("A, Delta, cases", [
+    # Delta alone fails, at t = 1
+    ([["t", "0"], ["0", "0-1"]], [["0", "0"], ["1/(t-1)", "0"]],
+     [(1.0, "entry (2,1): division by zero"),
+      (np.array([0.5, 1.0, 1.5]), "entry (2,1): division by zero")]),
+    # A fails from t = 2, Delta at t = 1: a batch over both fails as the
+    # loop, which is evaluated first, at t = 3
+    ([["sqrt(2-t)", "0"], ["0", "0-1"]], [["1/(t-1)", "0"], ["0", "0"]],
+     [(1.0, "entry (1,1): division by zero"),
+      (3.0, "entry (1,1): sqrt of negative value -1"),
+      (np.array([0.5, 1.0, 3.0]), "entry (1,1): sqrt of negative value -1")]),
+])
+def test_fused_delta_raises_the_unfused_error(A, Delta, cases):
+    spec = make_spec(A=parse_matrix(A, ("t",)),
+                     Delta=parse_matrix(Delta, ("t",)))
+    for c in (synthesize(spec), None):
+        f = closed_loop_function(spec, c, include_delta=True)
+        ref = unfused(spec, c)
+        for t, text in cases:
+            assert _error_text(f, t) == _error_text(ref, t)
+            assert text in _error_text(f, t)
+
+
+def test_fused_delta_keeps_the_simulation_error(example, monkeypatch):
+    # Delta is undefined past t = 1: the simulation stops where it would
+    # with the loop and Delta evaluated separately, with the same error
+    spec, ctrl = example
+    spec = dataclasses.replace(
+        spec, Delta=parse_matrix([["0", "sqrt(1-t)"], ["0", "0"]], ("t",)))
+    runs = {}
+    for name in ("fused", "unfused"):
+        with pytest.raises(sim.NumericalError) as exc:
+            sim.simulate(spec, ctrl, T=2.0)
+        runs[name] = str(exc.value)
+        monkeypatch.setattr(sim, "closed_loop_function",
+                            lambda spec, ctrl, **_: unfused(spec, ctrl))
+    assert runs["fused"] == runs["unfused"]
+    assert "entry (1,2): sqrt of negative" in runs["fused"]
 
 
 @pytest.mark.parametrize("system", ["example", "plant8"])
