@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import EvalError, compile_expr
+from .expr import EvalError, VectorFunction
 from .linalg import Weighted, lognorm
 from .report import Report
 from .system import ControllerSpec, SystemSpec, closed_loop_function
@@ -30,6 +30,8 @@ __all__ = [
     "integrate",
     "integrate_mu",
     "cumulative_integral",
+    "doubling_test",
+    "doubling_evidence",
     "Heuristics",
     "Evidence",
     "EvidenceReport",
@@ -334,26 +336,40 @@ def doubling_test(id_: str, measured: dict, J_half: float, J: float,
     return Evidence(id_, verdict, measured, notes[verdict])
 
 
-def _doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
-                       t0: float, T: float, quad_tol: float,
-                       description: str) -> Evidence:
+def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
+                      t0: float, T: float, quad_tol: float, notes: Callable,
+                      measured: dict | None = None,
+                      failure: str = "could not evaluate") -> Evidence:
+    """:func:`doubling_test` on ``J(t) = int_{t0}^{t} f`` at ``T`` and at
+    the midpoint, from one cumulative quadrature over 128 equal cells to
+    ``quad_tol / 128`` each, with the slack ``4 err + 1e-12 (1 + |J|)``.
+    ``notes(J_half, J)`` maps each verdict to its note; ``measured``
+    holds entries reported beside the integrals; an EvalError gives an
+    inconclusive verdict whose note starts with ``failure``."""
+    extra = measured or {}
     # integrate cell by cell so endpoint singularities (sqrt-type plant
     # entries at t0) cannot exhaust the recursion depth of a single panel
     grid = np.linspace(t0, T, 129)
     try:
         J_vals, err, _, ok = cumulative_integral(f, grid, quad_tol / 128.0)
     except EvalError as exc:
-        return Evidence(id_, "inconclusive", {}, f"could not evaluate: {exc}")
+        return Evidence(id_, "inconclusive", extra, f"{failure}: {exc}")
     J_half, J = float(J_vals[64]), float(J_vals[-1])
     measured = {"J_half": J_half, "J": J, "t_mid": float(grid[64]),
-                "quad_error": err}
-    return doubling_test(
-        id_, measured, J_half, J, 4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
-        {"supported": f"{description}: doubling the horizon at least "
-                      f"doubles the decay ({J:.6g} <= 2 x {J_half:.6g})",
-         "refuted": f"{description}: the integral is not decreasing",
-         "inconclusive": f"{description}: decreasing, but too slowly for "
-                         "the doubling test"})
+                "quad_error": err, **extra}
+    return doubling_test(id_, measured, J_half, J,
+                         4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
+                         notes(J_half, J))
+
+
+def _decay_notes(description: str) -> Callable:
+    """The doubling-test notes of the closed-loop integrals."""
+    return lambda J_half, J: {
+        "supported": f"{description}: doubling the horizon at least "
+                     f"doubles the decay ({J:.6g} <= 2 x {J_half:.6g})",
+        "refuted": f"{description}: the integral is not decreasing",
+        "inconclusive": f"{description}: decreasing, but too slowly for "
+                        "the doubling test"}
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
@@ -387,8 +403,8 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
         else:
             a2 = Evidence("A2", "inconclusive", measured,
                           "mu changes sign on the trailing window")
-    a4 = _doubling_evidence("A4", mu, spec.t0, T, quad_tol,
-                            "int mu of the closed loop")
+    a4 = doubling_evidence("A4", mu, spec.t0, T, quad_tol,
+                           _decay_notes("int mu of the closed loop"))
     return a2, a4
 
 
@@ -426,11 +442,11 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     if spec.omega_bound is None:
         return Evidence("A3", "supported", {"ratio_end": 0.0},
                         "no disturbance envelope declared; ratio is zero")
-    wb = compile_expr(spec.omega_bound, ("t",))
+    wb = VectorFunction([spec.omega_bound]).compiled()
     cl = closed_loop_function(spec, ctrl)
     try:
         grid = h.tail_grid(spec.t0, T)
-        w = np.array([wb(t) for t in grid.tolist()])
+        w = wb(grid)[:, 0]
         m = np.abs(lognorm(cl(grid), k))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")
@@ -573,9 +589,9 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
                                   "the sampled grid")
 
     # UNSTABLE: int mu[-(A + Delta + B K)] -> -inf
-    entries["UNSTABLE"] = _doubling_evidence(
+    entries["UNSTABLE"] = doubling_evidence(
         "UNSTABLE", mu_dn, spec.t0, T, quad_tol,
-        "int mu of the negated perturbed loop")
+        _decay_notes("int mu of the negated perturbed loop"))
 
     note = ""
     if a1.verdict != "supported":

@@ -65,8 +65,9 @@ def _print_json(doc) -> None:
     print(dumps(doc))
 
 
-def _load(args):
-    cfg = load_config(args.config)
+def _load(args, cfg=None):
+    """``cfg`` or the ``--config`` file, with ``--horizon`` and ``--tol``."""
+    cfg = load_config(args.config) if cfg is None else cfg
     if getattr(args, "horizon", None) is not None:
         if not (args.horizon > cfg.spec.t0):
             raise ConfigError(f"--horizon must exceed t0={cfg.spec.t0}")
@@ -245,11 +246,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_repro(args) -> int:
-    cfg = example_loaded()
-    if args.horizon is not None:
-        cfg.horizon = args.horizon
-    if args.tol is not None:
-        cfg.tol = args.tol
+    cfg = _load(args, example_loaded())
     spec = cfg.spec
     ctrl = cfg.controller.build(spec)
     trace = simulate(spec, ctrl, T=cfg.horizon, tol=cfg.tol)

@@ -49,7 +49,6 @@ __all__ = [
     "eval_matrix",
     "format_expr",
     "collect_vars",
-    "compile_expr",
     "MatrixFunction",
     "VectorFunction",
     "state_vars",
@@ -575,31 +574,11 @@ def _lambda(params: str, body: str) -> Callable:
     return eval(f"lambda {params}: {body}", dict(_GEN_GLOBALS))
 
 
-def compile_expr(e: Expr, names: tuple = ("t",)) -> Callable[..., float]:
-    """Compile an expression to a fast scalar function of ``names``.
-
-    The compiled form produces bit-identical values to :func:`eval_expr`.
-    On a domain failure or a non-finite intermediate it re-runs the
-    checked evaluator so the caller still gets a located EvalError.
-    """
-    raw = _lambda(", ".join(names), _gen(e, {}))
-    isfinite = math.isfinite
-
-    def fn(*args):
-        try:
-            v = raw(*args)
-            if isfinite(v):
-                return v
-        except Exception:
-            pass
-        return _eval(e, dict(zip(names, args)))
-
-    return fn
-
-
 class _Grid:
     """Shared machinery for expression-valued matrices and vectors:
     ``entries`` is a nested tuple of expressions of the given ``shape``."""
+
+    domain = None  # see MatrixFunction
 
     def __init__(self, entries, allowed_vars, shape):
         self.entries = entries
@@ -632,15 +611,21 @@ class _Grid:
         return self._src
 
     def __call__(self, t: float, x=None) -> np.ndarray:
-        """Evaluate every entry with the checked evaluator.  An EvalError
-        names the failing entry, 1-based: ``entry (i,j)`` of a matrix,
-        ``entry i`` of a vector."""
+        """Evaluate the domain, then every entry, with the checked
+        evaluator.  An EvalError names the failing entry, 1-based:
+        ``entry (i,j)`` of a matrix, ``entry i`` of a vector; a grid of
+        one entry raises its entry's error as it is."""
+        if self.domain is not None:
+            self.domain(t, x)
         env = _env(t, x)
         out = np.empty(self.shape)
-        for idx, e in zip(np.ndindex(self.shape), self._flat()):
+        flat = self._flat()
+        for idx, e in zip(np.ndindex(self.shape), flat):
             try:
                 out[idx] = _eval(e, env)
             except EvalError as exc:
+                if len(flat) == 1:
+                    raise
                 where = ",".join(str(i + 1) for i in idx)
                 if len(idx) > 1:
                     where = f"({where})"
@@ -653,14 +638,10 @@ class _Grid:
 
     __hash__ = None
 
-    def _redo_batch(self, fn, ts, x):
-        """What a failed batch falls back to: the scalar evaluator ``fn``
-        time by time, so the first failing time raises."""
-        return np.array([fn(t, x) for t in ts.tolist()])
-
     def compiled(self) -> Callable[..., np.ndarray]:
         """A fast evaluator ``f(t[, x]) -> ndarray``, bit-identical to
-        :meth:`__call__` and falling back to it on domain failures.
+        :meth:`__call__` and falling back to it on domain failures, so
+        that they raise the same EvalError (the domain's, if it fails).
 
         The generated code lists the entries' values; they are finite
         when their Python sum is, and only then become the array.  A sum
@@ -672,10 +653,10 @@ class _Grid:
         values at those times, equal bit for bit to stacking the scalar
         calls.  The batch runs the same generated code, one list
         comprehension over the times per entry, and checks finiteness
-        once; on any failure it redoes the batch through the scalar
-        path, so a domain error raises the same located EvalError as a
-        scalar call at the first failing time.  Each of the two is
-        compiled on its first call.
+        once; on any failure it redoes the batch time by time through
+        the scalar path, so a batch fails exactly as the first failing
+        scalar call in it.  Each of the two is compiled on its first
+        call.
         """
         if self._compiled is not None:
             return self._compiled
@@ -703,7 +684,7 @@ class _Grid:
                     return v.reshape(stack)
             except Exception:
                 pass
-            return self._redo_batch(fn, ts, x)
+            return array([fn(t, x) for t in ts.tolist()])
 
         def fn(t, x=None):
             if type(t) is ndarray and t.ndim:
@@ -724,11 +705,14 @@ class MatrixFunction(_Grid):
     """A square grid of expressions, evaluated to an n x n array.
 
     Entries may use ``t`` and, when constructed with state variables in
-    ``allowed_vars``, the components ``x1 .. xn``.  Two instances compare
-    equal when their expression trees do.
+    ``allowed_vars``, the components ``x1 .. xn``.  ``domain``, if given,
+    is a grid this one is defined only where it is: wherever this grid's
+    evaluation fails, the domain's error, if it has one, is the one
+    raised, scalar and batch alike (see :meth:`compiled`).  Two instances
+    compare equal when their expression trees do.
     """
 
-    def __init__(self, entries, allowed_vars=("t",)):
+    def __init__(self, entries, allowed_vars=("t",), domain=None):
         entries = tuple(tuple(row) for row in entries)
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
@@ -739,6 +723,7 @@ class MatrixFunction(_Grid):
                     raise SourceError(f"matrix entry {e!r} is not an expression")
         self.n = n
         super().__init__(entries, allowed_vars, (n, n))
+        self.domain = domain
         self._sum = None
 
     def _flat(self):
@@ -748,35 +733,32 @@ class MatrixFunction(_Grid):
         """Entries rendered back to source strings (row major)."""
         return [[format_expr(e) for e in row] for row in self.entries]
 
-    def plus(self, other: MatrixFunction,
-             domain: MatrixFunction | None = None) -> MatrixFunction:
+    def plus(self, other: MatrixFunction) -> MatrixFunction:
         """``self + other`` as one grid, whose compiled evaluator runs
-        both in one call; made once per ``(other, domain)``.
+        both in one call; made once per ``other``.
 
         Entry (i, j) is ``s_ij + o_ij``, and Python's float ``+`` rounds
         as numpy's, so the values are those of ``self(t) + other(t)``
-        bit for bit.  Where that sum fails or is non-finite, the grid
-        evaluates ``self`` and then ``other`` as two compiled grids and
-        adds the arrays, as one would without it: the errors, overflow
-        included, are theirs.  ``domain`` is a grid ``self`` is defined
-        only where it is: when ``self`` fails, ``domain`` is evaluated
-        too, so that its error, if it has one, is the one raised.
+        bit for bit.  Where that sum fails or is non-finite at a time,
+        the grid evaluates ``self`` and then ``other`` there as two
+        compiled grids and adds the arrays, as one would without it: the
+        errors, overflow and ``self``'s domain included, are theirs.
         """
         if other.n != self.n:
             raise SourceError("matrices of a sum must have the same size")
         s = self._sum
-        if s is None or s.right is not other or s.domain is not domain:
-            s = self._sum = _Sum(self, other, domain)
+        if s is None or s.right is not other:
+            s = self._sum = _Sum(self, other)
         return s
 
 
 class _Sum(MatrixFunction):
     """The grid of :meth:`MatrixFunction.plus`.  Its entries are checked
     already, and their sources are the parts'; its checked evaluator
-    runs the parts' compiled evaluators, on one time or a 1-d array."""
+    runs the parts' compiled evaluators, ``left`` first."""
 
-    def __init__(self, left, right, domain):
-        self.left, self.right, self.domain = left, right, domain
+    def __init__(self, left, right):
+        self.left, self.right = left, right
         self.entries = tuple(tuple(Bin("+", a, b) for a, b in zip(ra, rb))
                              for ra, rb in zip(left.entries, right.entries))
         self.n, self.shape = left.n, left.shape
@@ -787,16 +769,7 @@ class _Sum(MatrixFunction):
         self._compiled = self._sum = None
 
     def __call__(self, t, x=None):
-        try:
-            v = self.left.compiled()(t, x)
-        except EvalError:
-            if self.domain is not None:
-                self.domain.compiled()(t, x)
-            raise
-        return v + self.right.compiled()(t, x)
-
-    def _redo_batch(self, fn, ts, x):
-        return self(ts, x)
+        return self.left.compiled()(t, x) + self.right.compiled()(t, x)
 
 
 class VectorFunction(_Grid):

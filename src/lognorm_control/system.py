@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from .expr import (
-    EvalError,
     Expr,
     MatrixFunction,
     VectorFunction,
@@ -108,8 +107,9 @@ class ControllerSpec:
 
     ``closed_loop`` is ``A + B K`` in that form, ``A_skew(t) + diag(rates)``
     with ``rates = lam + gamma(t)``; it matches :func:`closed_loop_matrix`
-    within ``1e-14 * (1 + max|A + B K|)``, not bit for bit, and fails
-    where an entry of ``A`` does (its diagonal is ``rate_i + 0 * A_ii``).
+    within ``1e-14 * (1 + max|A + B K|)``, not bit for bit.  It fails
+    where an entry of ``A`` does: its diagonal is ``rate_i + 0 * A_ii``,
+    and its ``domain`` is ``A``, so the error raised there is ``A``'s.
     """
 
     lam: np.ndarray
@@ -118,7 +118,7 @@ class ControllerSpec:
     adaptive_part: MatrixFunction  # -A_sym(t) + diag(lam)
     B_inv: np.ndarray
     system: SystemSpec
-    closed_loop: MatrixFunction  # A_skew(t) + diag(lam + gamma(t) + 0 A_ii)
+    closed_loop: MatrixFunction  # A_skew + diag(lam + gamma + 0 A_ii), domain A
     rates: VectorFunction  # lam + gamma(t), the closed loop's diagonal
 
     @property
@@ -162,35 +162,27 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     evaluates ``ctrl.closed_loop``, the synthesis form
     ``A_skew(t) + diag(lam + gamma(t))``, and neither ``K`` nor ``B``;
     results match :func:`closed_loop_matrix` within
-    ``1e-14 * (1 + max|A + B K|)``, and where an entry of ``A`` fails it
-    raises ``A(t)``'s EvalError, as that does.  Given a 1-d array of m times
-    the evaluator returns the (m, n, n) stack, equal bit for bit to
-    stacking the scalar results (see :meth:`MatrixFunction.compiled`).
+    ``1e-14 * (1 + max|A + B K|)``.  The loop's domain is the plant, so
+    where an entry of ``A`` fails it raises ``A(t)``'s EvalError, as that
+    does.  Given a 1-d array of m times the evaluator returns the
+    (m, n, n) stack, equal bit for bit to stacking the scalar results,
+    and fails as the first failing scalar call in it (see
+    :meth:`MatrixFunction.compiled`).
 
     With ``Delta`` the loop and ``Delta`` are one grid of entrywise sums
     (:meth:`MatrixFunction.plus`), made once per controller and plant, so
     each call runs one generated function and one finiteness check.  Its
     values are those of the loop plus ``Delta(t)`` bit for bit; where the
-    sum fails, the two are evaluated in turn, so the error is the one the
-    loop, ``A`` or ``Delta`` raises.
+    sum fails at a time, the loop and then ``Delta`` are evaluated there,
+    so the error is the one ``A``, the loop or ``Delta`` raises.
     """
     if ctrl is None:
-        S, A = spec.A, None
+        M = spec.A
     elif ctrl.system.A != spec.A or not np.array_equal(ctrl.system.B, spec.B):
         raise ValueError("the controller was synthesized for a different "
                          "plant (A or B differ)")
     else:
-        S, A = ctrl.closed_loop, spec.A
+        M = ctrl.closed_loop
     if include_delta and spec.Delta is not None:
-        return S.plus(spec.Delta, domain=A).compiled()
-    if A is None:
-        return S.compiled()
-    S, A = S.compiled(), A.compiled()
-
-    def M(t):
-        try:
-            return S(t)
-        except EvalError:
-            A(t)  # where A fails, name its entry, as A + B K does
-            raise
-    return M
+        M = M.plus(spec.Delta)
+    return M.compiled()

@@ -343,6 +343,13 @@ def test_cli_repro_example(capsys, tmp_path):
     assert out_csv.exists()
 
 
+@pytest.mark.parametrize("horizon", ["0", "-1"])
+def test_cli_repro_example_rejects_a_horizon_before_t0(capsys, horizon):
+    rc, out, err = run_cli(capsys, "repro-example", f"--horizon={horizon}")
+    assert rc == 2 and out == ""
+    assert err == "error: --horizon must exceed t0=0.0\n"
+
+
 def test_cli_synthesize_reports_c3_where_gamma_is_undefined(capsys, cfg,
                                                           tmp_path):
     # gamma_1 = -sqrt(3-t) does not exist past t = 3: C3 says so, and c1

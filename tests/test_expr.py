@@ -16,8 +16,8 @@ from lognorm_control.expr import (
     Neg,
     SourceError,
     Var,
+    VectorFunction,
     collect_vars,
-    compile_expr,
     eval_expr,
     eval_matrix,
     format_expr,
@@ -171,12 +171,18 @@ def test_format_parse_round_trip_structural(e):
     assert parse(format_expr(e), ("t", "x1", "x2")) == e
 
 
+def scalar(e):
+    """``e`` compiled as a one-entry grid: ``fn(t[, x1, x2]) -> float``."""
+    fn = VectorFunction([e], ("t", "x1", "x2")).compiled()
+    return lambda t, *x: fn(t, list(x) or None)[0]
+
+
 @settings(max_examples=150)
 @given(e=_tree, t=st.floats(0.1, 5.0), x1=st.floats(-3.0, 3.0),
        x2=st.floats(-3.0, 3.0),
        ts=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=5))
 def test_compiled_matches_interpreted_bitwise(e, t, x1, x2, ts):
-    fn = compile_expr(e, ("t", "x1", "x2"))
+    fn = scalar(e)
     try:
         want = eval_expr(e, t=t, x=[x1, x2])
     except EvalError:
@@ -218,7 +224,7 @@ _absorbing = st.one_of(
        x2=st.floats(-3.0, 3.0))
 def test_compiled_matches_interpreted_where_an_overflow_is_absorbed(e, t, x1,
                                                                    x2):
-    fn = compile_expr(e, ("t", "x1", "x2"))
+    fn = scalar(e)
     batch = MatrixFunction([[e, Lit(1.0)], [Lit(0.0), e]],
                            ("t", "x1", "x2")).compiled()
     try:
@@ -247,7 +253,7 @@ def test_compiled_does_not_absorb_an_overflow(text, at):
     with pytest.raises(EvalError, match=at):
         eval_expr(e, t=1.0)
     with pytest.raises(EvalError, match=at):
-        compile_expr(e)(1.0)
+        scalar(e)(1.0)
     F = MatrixFunction([[Lit(0.0), e], [Lit(1.0), Lit(2.0)]]).compiled()
     for t in (1.0, np.array([0.5, 1.0])):
         with pytest.raises(EvalError, match=r"entry \(1,2\): .*" + at):
@@ -257,9 +263,9 @@ def test_compiled_does_not_absorb_an_overflow(text, at):
 def test_constant_operands_are_not_checked():
     # a constant operand the checked evaluator evaluates is finite; one it
     # cannot is checked, and fails as the checked evaluator does
-    assert compile_expr(parse("pow(t, 1/2)"))(4.0) == 2.0
+    assert scalar(parse("pow(t, 1/2)"))(4.0) == 2.0
     with pytest.raises(EvalError, match="multiplication"):
-        compile_expr(parse("exp(-(1e200*1e200))"))(1.0)
+        scalar(parse("exp(-(1e200*1e200))"))(1.0)
 
 
 def test_entries_whose_sum_overflows_are_not_an_error():

@@ -13,7 +13,7 @@ from lognorm_control.expr import (
     EvalError,
     Lit,
     MatrixFunction,
-    compile_expr,
+    VectorFunction,
     eval_expr,
     format_expr,
     parse,
@@ -45,6 +45,12 @@ def make_spec(**over):
     return SystemSpec(**kw)
 
 
+def scalar(e):
+    """``e`` compiled as a one-entry grid of t: ``fn(t) -> float``."""
+    fn = VectorFunction([e]).compiled()
+    return lambda t: fn(t)[0]
+
+
 GAMMA_X = (parse("0-t*(t^6+1)^(1/2)"), parse("0-t^(1/2)*(t^6+1)^(1/2)"))
 
 
@@ -65,7 +71,7 @@ def test_decompose_reconstructs(rng):
 def test_decompose_known_entries():
     sym, skew = decompose_sym_skew(make_spec().A)
     # off-diagonal of the symmetric part is (t^(1/2) + sin t)/2
-    f = compile_expr(sym.entries[0][1], ("t",))
+    f = scalar(sym.entries[0][1])
     for t in (0.0, 0.5, 2.0):
         assert f(t) == pytest.approx(0.5 * (math.sqrt(t) + math.sin(t)),
                                      rel=1e-15, abs=1e-15)
@@ -123,7 +129,7 @@ def test_auto_gamma_ratio_bound_random_envelopes(rng):
         text = "+".join(f"{c:.6f}*t^{k}" for k, c in enumerate(coeffs))
         w = parse(text)
         g = auto_gamma(w, 1.0, 0.0)
-        wf, gf = compile_expr(w, ("t",)), compile_expr(g, ("t",))
+        wf, gf = scalar(w), scalar(g)
         for t in np.linspace(0.0, 20.0, 41):
             t = float(t)
             r = wf(t) / abs(gf(t))
@@ -132,7 +138,7 @@ def test_auto_gamma_ratio_bound_random_envelopes(rng):
 
 def test_auto_gamma_cubic_envelope_ratio_at_nine():
     g = auto_gamma(parse("t^3"), 1.0, 0.0)
-    gf = compile_expr(g, ("t",))
+    gf = scalar(g)
     r = 9.0 ** 3 / abs(gf(9.0))
     assert r <= 0.1 + 1e-12
 

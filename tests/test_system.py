@@ -8,9 +8,17 @@ import pytest
 
 import oracles
 from lognorm_control import sim
-from lognorm_control.expr import EvalError, parse, parse_matrix, parse_vector
+from lognorm_control.analysis import check_A2_A4, classify_stability
+from lognorm_control.expr import (
+    EvalError,
+    VectorFunction,
+    eval_expr,
+    parse,
+    parse_matrix,
+    parse_vector,
+)
 from lognorm_control.linalg import lognorm
-from lognorm_control.synthesis import synthesize
+from lognorm_control.synthesis import ExplicitGamma, synthesize
 from lognorm_control.system import (
     SystemSpec,
     closed_loop_function,
@@ -190,11 +198,15 @@ def test_closed_loop_function_keeps_the_plant_domain(A, t_bad, entry):
 
 def unfused(spec, ctrl):
     """The loop and Delta as two compiled grids, added as arrays: the
-    loop first, A's error where the loop fails, then Delta."""
+    loop first, A's error where the loop fails, then Delta.  An array of
+    times is the stack of the scalar calls, so it fails as the first
+    failing one does."""
     S = (spec.A if ctrl is None else ctrl.closed_loop).compiled()
     A, D = spec.A.compiled(), spec.Delta.compiled()
 
     def M(t):
+        if isinstance(t, np.ndarray):
+            return np.array([M(s) for s in t.tolist()])
         try:
             v = S(t)
         except EvalError:
@@ -229,12 +241,12 @@ def _error_text(fn, t):
     ([["t", "0"], ["0", "0-1"]], [["0", "0"], ["1/(t-1)", "0"]],
      [(1.0, "entry (2,1): division by zero"),
       (np.array([0.5, 1.0, 1.5]), "entry (2,1): division by zero")]),
-    # A fails from t = 2, Delta at t = 1: a batch over both fails as the
-    # loop, which is evaluated first, at t = 3
+    # A fails from t = 2, Delta at t = 1: a batch over both fails as its
+    # first failing time, t = 1, does
     ([["sqrt(2-t)", "0"], ["0", "0-1"]], [["1/(t-1)", "0"], ["0", "0"]],
      [(1.0, "entry (1,1): division by zero"),
       (3.0, "entry (1,1): sqrt of negative value -1"),
-      (np.array([0.5, 1.0, 3.0]), "entry (1,1): sqrt of negative value -1")]),
+      (np.array([0.5, 1.0, 3.0]), "entry (1,1): division by zero")]),
 ])
 def test_fused_delta_raises_the_unfused_error(A, Delta, cases):
     spec = make_spec(A=parse_matrix(A, ("t",)),
@@ -245,6 +257,76 @@ def test_fused_delta_raises_the_unfused_error(A, Delta, cases):
         for t, text in cases:
             assert _error_text(f, t) == _error_text(ref, t)
             assert text in _error_text(f, t)
+
+
+def _first_scalar_error(fn, ts, *x):
+    """str() of the first scalar call of ``fn`` in ``ts`` that raises."""
+    for t in ts.tolist():
+        try:
+            fn(t, *x)
+        except EvalError as exc:
+            return str(exc)
+    return None
+
+
+def staggered_plant():
+    """gamma_1 fails from t = 1, Delta from 1.5, A from 2, omega from 2.5."""
+    spec = make_spec(A=parse_matrix([["sqrt(2-t)", "0"], ["0", "0-1"]]),
+                     Delta=parse_matrix([["0", "0"], ["sqrt(1.5-t)", "0"]]),
+                     omega=parse_vector(["x1", "sqrt(2.5-t)"],
+                                        ("t", "x1", "x2")))
+    gamma = (parse("0-sqrt(1-t)"), parse("0-1"))
+    return spec, synthesize(spec, rule=ExplicitGamma(gamma)), gamma
+
+
+def test_a_batch_fails_as_its_first_failing_scalar_call():
+    spec, ctrl, gamma = staggered_plant()
+    grids = {f"loop ctrl={c is not None} delta={d}":
+             (closed_loop_function(spec, c, include_delta=d), ())
+             for c in (ctrl, None) for d in (False, True)}
+    grids["rates"] = (ctrl.rates.compiled(), ())
+    grids["omega"] = (spec.omega.compiled(), ([0.3, -0.2],))
+    grids["one entry"] = (VectorFunction([gamma[0]]).compiled(), ())
+    batches = ([0.5, 1.25, 3.0], [0.5, 1.75, 2.25], [3.0, 1.25],
+               [0.5, 2.25, 1.75, 1.25], [2.75, 0.5], [0.5, 1.75, 2.75])
+    for name, (fn, x) in grids.items():
+        for ts in map(np.array, batches):
+            want = _first_scalar_error(fn, ts, *x)
+            if want is None:
+                assert fn(ts, *x).shape[0] == len(ts), name
+                continue
+            with pytest.raises(EvalError) as got:
+                fn(ts, *x)
+            assert str(got.value) == want, (name, ts)
+    # a one-entry grid does not name its entry
+    with pytest.raises(EvalError) as want:
+        eval_expr(gamma[0], t=1.25)
+    assert _first_scalar_error(grids["one entry"][0],
+                               np.array([1.25])) == str(want.value)
+
+
+def _first_level_nodes(t0, T, cells):
+    """The nodes adaptive Simpson evaluates first: grid and midpoints."""
+    grid = np.linspace(t0, T, cells + 1)
+    x = np.empty(2 * cells + 1)
+    x[0::2] = grid
+    x[1::2] = 0.5 * (grid[:-1] + grid[1:])
+    return x
+
+
+def test_evidence_notes_name_the_first_failing_time():
+    # gamma fails from t = 1, A from t = 2: the notes name gamma's failure
+    # at the first quadrature node past 1, not A's past 2
+    spec, ctrl, _ = staggered_plant()
+    spec = dataclasses.replace(spec, Delta=None, omega=None)
+    f = closed_loop_function(spec, ctrl)
+    want = _first_scalar_error(f, _first_level_nodes(0.0, 10.0, 256))
+    assert "sqrt of negative value -0.015625" in want
+    note = classify_stability(spec, ctrl, T=10.0).entries["AS"].note
+    assert note == f"could not evaluate the closed loop: {want}"
+    want = _first_scalar_error(f, _first_level_nodes(0.0, 10.0, 128))
+    assert check_A2_A4(spec, ctrl, 10.0)[1].note == (
+        f"could not evaluate: {want}")
 
 
 def test_fused_delta_keeps_the_simulation_error(example, monkeypatch):
