@@ -59,7 +59,6 @@ from .synthesis import (
 from .analysis import (
     Evidence,
     EvidenceReport,
-    Heuristics,
     QuadResult,
     check_A1,
     check_A2_A4,

@@ -9,7 +9,7 @@ finite horizon, so every check here returns an :class:`Evidence` value
 with verdict ``supported``, ``refuted`` or ``inconclusive`` together with
 the measured quantities that led to it.  The heuristics (tail tests,
 doubling tests, ratio grids, window checks) are deliberately simple and
-their thresholds live in :class:`Heuristics`.
+their thresholds are the module constants below.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "cumulative_integral",
     "doubling_test",
     "doubling_evidence",
-    "Heuristics",
     "Evidence",
     "EvidenceReport",
     "check_A1",
@@ -47,6 +46,20 @@ __all__ = [
 VERDICT_ORDER = ("UAS", "AS", "US", "S", "UNSTABLE")
 
 A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
+
+# Thresholds of the sampled limit heuristics.  A Cauchy tail ``I(T) -
+# I(mid)`` below ``max(TAIL_ABS, TAIL_REL * I(T))`` counts as converged; a
+# ratio must fall below RATIO_LIMIT at the horizon to count as vanishing;
+# ratio tails are sampled geometrically (PER_DECADE points per decade from
+# START_FRAC of the span), the trailing window uniformly (WINDOW_POINTS
+# over its last WINDOW_FRAC).
+TAIL_ABS = 1e-6
+TAIL_REL = 0.01
+RATIO_LIMIT = 0.05
+PER_DECADE = 64
+START_FRAC = 0.25
+WINDOW_FRAC = 0.2
+WINDOW_POINTS = 129
 
 
 def norm_name(kind) -> str:
@@ -162,7 +175,7 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              tol: float = 1e-8, max_depth: int = 40) -> QuadResult:
+              tol: float = 1e-8) -> QuadResult:
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
     ``f`` takes one float and returns one float.  The absolute error
@@ -175,8 +188,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         raise ValueError("integration bounds must be finite")
     if b < a:
         raise ValueError(f"integration bounds must satisfy a <= b, got [{a}, {b}]")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be a positive finite number")
     if a == b:
         return QuadResult(0.0, 0.0, 0, True)
 
@@ -184,7 +197,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
         return np.array([float(f(s)) for s in x.tolist()])
 
     value, err, evals, ok = _simpson(pointwise, np.array([a, b], dtype=float),
-                                     tol, max_depth)
+                                     tol)
     return QuadResult(float(value[0]), err, evals, ok)
 
 
@@ -207,11 +220,16 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
     Returns ``(values, est_error, evals, converged)`` with
     ``values[k] = int_{grid[0]}^{grid[k]} f``; the total estimated error
     is roughly ``tol * (len - 1)``.  A non-finite integrand value raises
-    ValueError naming the node.
+    ValueError naming the node, as do a ``tol`` that is not positive and
+    finite and a non-finite grid.
     """
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be a positive finite number")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) < 2 or (np.diff(grid) <= 0).any():
-        raise ValueError("grid must be strictly increasing with >= 2 points")
+    if grid.ndim != 1 or len(grid) < 2 or not np.isfinite(grid).all() \
+            or (np.diff(grid) <= 0).any():
+        raise ValueError("grid must be finite and strictly increasing with "
+                         ">= 2 points")
     cells, err, evals, ok = _simpson(f, grid, tol)
     out = np.zeros(len(grid))
     np.cumsum(cells, out=out[1:])
@@ -221,41 +239,23 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
 # ---------------------------------------------------------------------------
 # evidence
 
-@dataclass(frozen=True)
-class Heuristics:
-    """Thresholds for the sampled limit heuristics.
+def tail_grid(t0: float, T: float) -> np.ndarray:
+    """Geometric grid over the trailing span ``[t0 + START_FRAC (T - t0),
+    T]``, PER_DECADE points per decade; falls back to uniform when the
+    span crosses zero."""
+    start = t0 + START_FRAC * (T - t0)
+    if not (T > start):
+        raise ValueError("horizon too short for a tail grid")
+    if start > 0.0:
+        decades = math.log10(T / start)
+        npts = max(17, int(PER_DECADE * decades) + 1)
+        return np.geomspace(start, T, npts)
+    return np.linspace(start, T, 65)
 
-    tail_abs / tail_rel : a Cauchy tail ``I(T) - I(mid)`` below
-        ``max(tail_abs, tail_rel * I(T))`` counts as converged.
-    ratio_limit : a ratio must fall below this at the horizon to count as
-        vanishing.
-    per_decade / start_frac : geometric sampling of ratio tails.
-    window_frac / window_points : uniform sampling of the trailing window.
-    """
-    tail_abs: float = 1e-6
-    tail_rel: float = 0.01
-    ratio_limit: float = 0.05
-    per_decade: int = 64
-    start_frac: float = 0.25
-    window_frac: float = 0.2
-    window_points: int = 129
 
-    def tail_grid(self, t0: float, T: float) -> np.ndarray:
-        """Geometric grid over the trailing span ``[t0 + f (T - t0), T]``,
-        per_decade points per decade; falls back to uniform when the span
-        crosses zero."""
-        start = t0 + self.start_frac * (T - t0)
-        if not (T > start):
-            raise ValueError("horizon too short for a tail grid")
-        if start > 0.0:
-            decades = math.log10(T / start)
-            npts = max(17, int(self.per_decade * decades) + 1)
-            return np.geomspace(start, T, npts)
-        return np.linspace(start, T, 65)
-
-    def window_grid(self, t0: float, T: float) -> np.ndarray:
-        start = T - self.window_frac * (T - t0)
-        return np.linspace(start, T, self.window_points)
+def window_grid(t0: float, T: float) -> np.ndarray:
+    start = T - WINDOW_FRAC * (T - t0)
+    return np.linspace(start, T, WINDOW_POINTS)
 
 
 @dataclass(frozen=True)
@@ -280,7 +280,7 @@ def _downgrade(ev: Evidence, reason: str) -> Evidence:
 
 
 def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
-             heuristics: Heuristics | None = None, norm=None) -> Evidence:
+             norm=None) -> Evidence:
     """Absolute integrability of the uncertainty's logarithmic norm:
     ``int_{t0}^{inf} |mu[Delta(s)]| ds < inf``.
 
@@ -290,7 +290,6 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
     integral zero.  Never refuted: a heavy tail on a finite horizon
     proves nothing either way.
     """
-    h = heuristics or Heuristics()
     k = norm if norm is not None else spec.norm
     if spec.Delta is None:
         return Evidence("A1", "supported", {"I": 0.0},
@@ -310,7 +309,7 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
     if not ok:
         return Evidence("A1", "inconclusive", measured,
                         "quadrature did not converge")
-    if tail <= max(h.tail_abs, h.tail_rel * abs(I)):
+    if tail <= max(TAIL_ABS, TAIL_REL * abs(I)):
         return Evidence("A1", "supported", measured,
                         f"tail beyond the midpoint is {tail:.3g}")
     return Evidence("A1", "inconclusive", measured,
@@ -373,20 +372,18 @@ def _decay_notes(description: str) -> Callable:
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-                quad_tol: float = 1e-8, heuristics: Heuristics | None = None,
-                norm=None):
+                quad_tol: float = 1e-8, norm=None):
     """The closed-loop decay assumptions.
 
     A2: ``mu[A + B K](t)`` is eventually negative; checked on a trailing
     window.  A4: ``int mu[A + B K] -> -inf``; checked by the doubling
     test.  Returns ``(a2, a4)``.
     """
-    h = heuristics or Heuristics()
     k = norm if norm is not None else spec.norm
     cl = closed_loop_function(spec, ctrl)
     mu = lambda t: lognorm(cl(t), k)
     try:
-        window = h.window_grid(spec.t0, T)
+        window = window_grid(spec.t0, T)
         vals = mu(window)
     except EvalError as exc:
         a2 = Evidence("A2", "inconclusive", {}, f"could not evaluate: {exc}")
@@ -408,17 +405,17 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     return a2, a4
 
 
-def ratio_tail(w: np.ndarray, m: np.ndarray, h: Heuristics):
+def ratio_tail(w: np.ndarray, m: np.ndarray):
     """The sampled test for ``w(t) / m(t) -> 0`` on a tail grid, the
     ratio being 0 where both vanish and inf where only ``m`` does.
     Supported when it never rises by more than 5 % from one sample to the
-    next and ends below ``h.ratio_limit``; refuted when it is finite,
+    next and ends below RATIO_LIMIT; refuted when it is finite,
     never falls by more than 5 % and ends above 1; else inconclusive.
     Returns ``(ratio, decreasing, verdict)``."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r = np.where(m == 0.0, np.where(w == 0.0, 0.0, np.inf), w / m)
     decreasing = bool((r[1:] <= r[:-1] * 1.05 + 1e-12).all())
-    if decreasing and r[-1] < h.ratio_limit:
+    if decreasing and r[-1] < RATIO_LIMIT:
         verdict = "supported"
     elif (np.isfinite(r).all() and r[-1] > 1.0
           and bool((r[1:] >= r[:-1] * 0.95).all())):
@@ -429,7 +426,7 @@ def ratio_tail(w: np.ndarray, m: np.ndarray, h: Heuristics):
 
 
 def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-             heuristics: Heuristics | None = None, norm=None) -> Evidence:
+             norm=None) -> Evidence:
     """The disturbance envelope is dominated by the closed-loop decay:
     ``omega_bound(t) / |mu[A + B K](t)| -> 0``.
 
@@ -437,7 +434,6 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     and ends below the threshold.  Trivially supported when no envelope
     is declared.
     """
-    h = heuristics or Heuristics()
     k = norm if norm is not None else spec.norm
     if spec.omega_bound is None:
         return Evidence("A3", "supported", {"ratio_end": 0.0},
@@ -445,12 +441,12 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     wb = VectorFunction([spec.omega_bound]).compiled()
     cl = closed_loop_function(spec, ctrl)
     try:
-        grid = h.tail_grid(spec.t0, T)
+        grid = tail_grid(spec.t0, T)
         w = wb(grid)[:, 0]
         m = np.abs(lognorm(cl(grid), k))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")
-    r, _, verdict = ratio_tail(w, m, h)
+    r, _, verdict = ratio_tail(w, m)
     measured = {"ratio_start": float(r[0]), "ratio_end": float(r[-1]), "T": T}
     if not np.isfinite(r).all():
         t_bad = float(grid[int(np.nonzero(~np.isfinite(r))[0][0])])
@@ -490,7 +486,6 @@ class EvidenceReport(Report):
 
 def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
                        T: float | None = None, quad_tol: float = 1e-8,
-                       heuristics: Heuristics | None = None,
                        norm=None) -> EvidenceReport:
     """Assess the taxonomy for ``x' = [A + Delta] x + B K x``.
 
@@ -501,14 +496,13 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     every solution of the perturbed system to grow.  Deterministic: no
     randomness anywhere, so two runs produce identical reports.
     """
-    h = heuristics or Heuristics()
     k = norm if norm is not None else spec.norm
     if T is None:
         T = spec.t0 + 10.0
     if not (T > spec.t0):
         raise ValueError(f"horizon T={T} must exceed t0={spec.t0}")
 
-    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol, h, norm=k)
+    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol, norm=k)
 
     cl_up = closed_loop_function(spec, ctrl)
     cl_dn = closed_loop_function(spec, ctrl, include_delta=True)
@@ -526,14 +520,14 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         return EvidenceReport(norm_name(k), T, a1, entries, None, note)
 
     span = T - spec.t0
-    widx = int(np.searchsorted(grid, T - h.window_frac * span))
-    slack = max(4.0 * J_err, h.tail_abs)
+    widx = int(np.searchsorted(grid, T - WINDOW_FRAC * span))
+    slack = max(4.0 * J_err, TAIL_ABS)
 
     # S: J bounded above.  Window growth of the running sup.
     growth = float(J[widx:].max() - J[:widx + 1].max())
     m = {"J_end": float(J[-1]), "sup_J": float(J.max()),
          "window_growth": growth}
-    if growth <= max(h.tail_abs, h.tail_rel * abs(J[-1])) + slack:
+    if growth <= max(TAIL_ABS, TAIL_REL * abs(J[-1])) + slack:
         entries["S"] = Evidence("S", "supported", m,
                                 "sup of int mu stopped growing")
     elif growth >= 1.0:

@@ -30,8 +30,8 @@ from .analysis import (
     classify_stability,
     cumulative_integral,
 )
-from .config import ConfigError, load_config
-from .expr import EvalError, SourceError, format_expr, parse
+from .config import ConfigError, gamma_rule, load_config
+from .expr import EvalError, SourceError, format_expr
 from .linalg import (
     INF,
     ONE,
@@ -53,7 +53,7 @@ from .sim import (
     verify_sandwich,
     write_trace_csv,
 )
-from .synthesis import AutoGamma, ExplicitGamma, synthesize, verify_c2, verify_c3
+from .synthesis import synthesize, verify_c2, verify_c3
 from .system import closed_loop_function
 
 RATIO_MIN_HORIZON = 1e3  # ratio-limit checks need a long tail
@@ -69,6 +69,8 @@ def _load(args, cfg=None):
     """``cfg`` or the ``--config`` file, with ``--horizon`` and ``--tol``."""
     cfg = load_config(args.config) if cfg is None else cfg
     if getattr(args, "horizon", None) is not None:
+        if not np.isfinite(args.horizon):
+            raise ConfigError("--horizon must be finite")
         if not (args.horizon > cfg.spec.t0):
             raise ConfigError(f"--horizon must exceed t0={cfg.spec.t0}")
         cfg.horizon = args.horizon
@@ -83,19 +85,18 @@ def _controller(cfg, args):
     rule = None
     if getattr(args, "lam", None) is not None:
         lam = np.array([float(v) for v in args.lam.split(",")])
-    if getattr(args, "gamma", None):
-        if args.gamma == ["auto"]:
-            rule = AutoGamma(margin=args.margin if args.margin else 1.0)
-        else:
-            rule = ExplicitGamma(tuple(parse(g, ("t",)) for g in args.gamma))
-    elif getattr(args, "margin", None):
-        rule = AutoGamma(margin=args.margin)
+    if args.gamma is not None or args.margin is not None:
+        flags = {"gamma": "auto" if args.gamma in (None, ["auto"])
+                 else args.gamma}
+        if args.margin is not None:
+            flags["margin"] = args.margin
+        rule = gamma_rule(flags, cfg.spec.n, "--")
     if getattr(args, "controller", None):
         doc = json.loads(Path(args.controller).read_text())
         if lam is None and "lambda" in doc:
             lam = np.asarray(doc["lambda"], dtype=float)
-        if rule is None and "gamma" in doc:
-            rule = ExplicitGamma(tuple(parse(g, ("t",)) for g in doc["gamma"]))
+        if rule is None and ("gamma" in doc or "margin" in doc):
+            rule = gamma_rule(doc, cfg.spec.n)
     if lam is None and rule is None:
         if cfg.controller is None:
             return None
@@ -164,11 +165,11 @@ def cmd_synthesize(args) -> int:
         "c1": {"verdict": "supported", "residual": resid,
                "note": "B inverted by LU factorization; residual is "
                        "max|B B^-1 - I|"},
-        "c2": c2,
+        "c2": c2.to_dict(),
         "c3": c3.to_dict(),
     }
     _print_json(doc)
-    return 1 if (c2["verdict"] == "refuted" or c3.verdict == "refuted") else 0
+    return 1 if "refuted" in (c2.verdict, c3.verdict) else 0
 
 
 def cmd_simulate(args) -> int:
@@ -231,7 +232,7 @@ def cmd_verify(args) -> int:
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), args.quad_tol)
     a2, a4 = check_A2_A4(spec, ctrl, T, args.quad_tol)
     a3 = check_A3(spec, ctrl, max(T, spec.t0 + RATIO_MIN_HORIZON))
-    c3 = verify_c3(ctrl, T)
+    c3 = verify_c3(ctrl, T, args.quad_tol)
 
     doc = {
         "phi_horizon": T_phi,

@@ -31,7 +31,7 @@ from .synthesis import AutoGamma, ExplicitGamma, synthesize
 from .system import ControllerSpec, SystemSpec
 
 __all__ = ["ConfigError", "ControllerConfig", "LoadedConfig", "CONFIG_SCHEMA",
-           "load_config", "serialize_config"]
+           "gamma_rule", "load_config", "serialize_config"]
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -111,6 +111,26 @@ def _parse_square(rows, n: int, allowed, name: str) -> MatrixFunction:
     return MatrixFunction(entries, allowed)
 
 
+def gamma_rule(c: dict, n: int, where: str = "controller."):
+    """The gamma rule of a controller section ``c`` (also of a
+    ``--controller`` file and of the command-line flags): ``gamma`` is
+    'auto' (the default), whose margin defaults to 1, or one expression in
+    t per component, which takes no margin.  Errors name ``where + key``."""
+    gamma = c.get("gamma", "auto")
+    if gamma == "auto":
+        return AutoGamma(margin=float(c.get("margin", 1.0)))
+    if "margin" in c:
+        raise ConfigError(f"{where}margin only applies to gamma='auto'")
+    if not isinstance(gamma, list):
+        raise ConfigError(f"{where}gamma must be 'auto' or a list")
+    if len(gamma) != n:
+        raise ConfigError(f"{where}gamma must have {n} entries, "
+                          f"got {len(gamma)}")
+    return ExplicitGamma(tuple(
+        _parse_entry(s, ("t",), f"{where}gamma[{i + 1}]")
+        for i, s in enumerate(gamma)))
+
+
 def load_config(source) -> LoadedConfig:
     """Validate and build a problem from a dict, JSON text path or Path.
 
@@ -181,24 +201,12 @@ def load_config(source) -> LoadedConfig:
                 raise ConfigError(f"controller.lambda must have {n} entries, "
                                   f"got {len(c['lambda'])}")
             lam = np.asarray(c["lambda"], dtype=float)
-        gamma = c.get("gamma", "auto")
-        if gamma == "auto":
-            rule = AutoGamma(margin=float(c.get("margin", 1.0)))
-        else:
-            if "margin" in c:
-                raise ConfigError(
-                    "controller.margin only applies to gamma='auto'")
-            if len(gamma) != n:
-                raise ConfigError(f"controller.gamma must have {n} entries, "
-                                  f"got {len(gamma)}")
-            rule = ExplicitGamma(tuple(
-                _parse_entry(s, ("t",), f"controller.gamma[{i + 1}]")
-                for i, s in enumerate(gamma)))
-        controller = ControllerConfig(lam=lam, rule=rule)
+        controller = ControllerConfig(lam=lam, rule=gamma_rule(c, n))
 
     horizon = float(doc.get("horizon", t0 + 10.0))
-    if not (horizon > t0):
-        raise ConfigError(f"horizon {horizon} must exceed t0={t0}")
+    if not (t0 < horizon < np.inf):
+        raise ConfigError(f"horizon {horizon} must exceed t0={t0} and be "
+                          "finite")
     tol = float(doc.get("tol", 1e-8))
     return LoadedConfig(spec=spec, controller=controller,
                         horizon=horizon, tol=tol)

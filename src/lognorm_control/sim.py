@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 PIN_LIMIT = 50  # consecutive attempts at h_min before StiffnessError
+_PHI_H_MIN, _PHI_H_MAX = 1e-9, 0.1  # step-size bounds of fundamental_matrix
 
 # DP5 hands the run to RODAS4 once Hairer's stiffness indicator h * rho
 # exceeds STIFF_H_RHO on STIFF_STEPS consecutive accepted steps.  rho =
@@ -169,12 +170,13 @@ def _initial_step(k, y0, h_min, h_max):
 
 
 def _batch(M, ts):
-    """``M`` on all of ``ts`` at once, or None if that raises: the attempt
-    is then redone stage by stage, so the first failing stage raises."""
+    """``M`` on all of ``ts`` at once, or ``[None] * len(ts)`` if that
+    raises: each stage then evaluates its own matrix, so the first failing
+    stage raises."""
     try:
         return M(ts)
     except Exception:
-        return None
+        return [None] * len(ts)
 
 
 class _Run:
@@ -267,8 +269,8 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
     ``y``; RODAS4 then adds its Jacobian, by forward differences of
     ``f(t, ., 0)``, to ``M(t)``.
     """
-    if not (T > t0):
-        raise ValueError(f"horizon T={T} must exceed t0={t0}")
+    if not (t0 < T < math.inf):
+        raise ValueError(f"horizon T={T} must exceed t0={t0} and be finite")
     if not (tol > 0.0) or not np.isfinite(tol):
         raise ValueError("tol must be a positive finite number")
     if not (0.0 < h_min <= h_max):
@@ -316,12 +318,8 @@ def _dp5(f, M, run, t, y, fy, h):
 
         ts = t + _C_BATCH * h
         Ms = _batch(M, ts)
-        if Ms is None:
-            for i in range(1, 7):
-                k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
-        else:
-            for ki, a, before, j in stages:
-                ki[:] = f(ts[j], y + h * (a @ before), Ms[j])
+        for ki, a, before, j in stages:
+            ki[:] = f(ts[j], y + h * (a @ before), Ms[j])
         y_new = y + h * (_B5 @ k)
         finite, err = _error(tol, y, y_new, h * (_E @ k))
         at_floor = not end_clamped and h_attempt <= run.floor
@@ -399,12 +397,9 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         tb[1] = t + math.sqrt(1e-16 * max(1e-5, abs(t)))  # rodas.f's dt
         dt = tb[1] - t
         Ms = _batch(M, tb)
-        if Ms is None:
-            J = M(t)  # evaluated before, as the previous step's end
-            ft = (f(tb[1], y) - fy) / dt
-        else:
-            J = Ms[0]
-            ft = (f(tb[1], y, Ms[1]) - fy) / dt
+        # M(t) was evaluated before, as the previous step's end
+        J = M(t) if Ms[0] is None else Ms[0]
+        ft = (f(tb[1], y, Ms[1]) - fy) / dt
         if nonlinear:
             J = J + _jacobian_g(f, t, y)
         n = len(J)
@@ -417,15 +412,14 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         for i in range(1, 6):
             yi = y + _RA[i] @ U[:i]
             j = _RJ[i]
-            fi = f(tb[j], yi) if Ms is None else f(tb[j], yi, Ms[j])
+            fi = f(tb[j], yi, Ms[j])
             U[i] = solve(fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft)
         y_new = yi + U[5]
         finite, err = _error(tol, y, y_new, U[5])
         at_floor = not end_clamped and h <= run.floor
         fac = min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
         if err <= 1.0:
-            f_new = f(tb[5], y_new) if Ms is None else \
-                f(tb[5], y_new, Ms[5])
+            f_new = f(tb[5], y_new, Ms[5])
             if run.next_out <= t + h:
                 dy = y_new - y
                 run.fill(t, h, lambda th: y + th * dy + th * (th - 1.0) * (
@@ -569,14 +563,13 @@ def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
-                       tol: float = 1e-8, h_min: float = 1e-9,
-                       h_max: float = 0.1, n_out: int = 201) -> TransitionTrace:
+                       tol: float = 1e-8, n_out: int = 201) -> TransitionTrace:
     """Integrate ``Phi' = F(t) Phi`` columnwise from the identity.
 
     ``F`` must accept one time and return the (n, n) matrix.  If it also
     takes a 1-d array of times and returns the stack, equal bit for bit
-    to the scalar calls on a probe of ``t0`` and ``t0 + min(h_max, T -
-    t0)``, each step evaluates it once on its stage times; otherwise the
+    to the scalar calls on a probe of ``t0`` and ``t0 + min(_PHI_H_MAX, T
+    - t0)``, each step evaluates it once on its stage times; otherwise the
     scalar calls are stacked.  Either way Phi is the same bit for bit.
     """
     n = np.asarray(F(t0)).shape[0]
@@ -589,9 +582,9 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
                 f"expression evaluation failed at t={t:.6g}: {exc}") from exc
 
     grid = np.linspace(t0, T, n_out)
-    M = _batched(F, n, (t0, t0 + min(h_max, T - t0)))
+    M = _batched(F, n, (t0, t0 + min(_PHI_H_MAX, T - t0)))
     flat, steps, nrej, n_explicit = _integrate(
-        f, t0, np.eye(n).ravel(), T, tol, h_min, h_max, grid, M=M)
+        f, t0, np.eye(n).ravel(), T, tol, _PHI_H_MIN, _PHI_H_MAX, grid, M=M)
     return TransitionTrace(times=grid, phis=flat.reshape(len(grid), n, n),
                            step_sizes=steps, n_rejected=nrej,
                            n_explicit=n_explicit)
@@ -622,12 +615,14 @@ class SandwichReport(Report):
 
 
 _NOISE_GAIN = 16.0  # a few steps' worth of local error, absorbed into slack
+_PAIRS = 20                       # sampled (tau, t) pairs
+_BASE_SLACK = math.log1p(1e-6)    # log-domain slack before quadrature error
+_QUAD_TOL = 1e-9                  # per-cell tolerance of the mu integrals
+_SEED = 0                         # of the pair and unit-vector sample
 
 
 def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
-                    kind="two", n_pairs: int = 20, tol_slack: float = 1e-6,
-                    quad_tol: float = 1e-9, phi_tol: float = 1e-8,
-                    seed: int = 0) -> SandwichReport:
+                    kind="two", phi_tol: float = 1e-8) -> SandwichReport:
     """Check the logarithmic-norm sandwich on a computed fundamental matrix.
 
     ``phi_tol`` is the local tolerance the Phi integration used.  The
@@ -638,7 +633,7 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     with J- the cumulative integral of mu[-F].  The pair sample always
     contains (t0, T), (t0, mid) and (mid, T); the rest is drawn from a
     seeded generator, so the report is reproducible.  A trace of m points
-    has only m (m - 1) / 2 pairs; with fewer than ``n_pairs`` every pair
+    has only m (m - 1) / 2 pairs; with fewer than ``_PAIRS`` every pair
     is checked once.
 
     ``F`` follows the contract of :func:`fundamental_matrix`: scalar
@@ -652,10 +647,10 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     # the quadrature asks for a level of nodes at a time
     Fb = _batched(F, n, times[[0, -1]])
     J_up, e_up, _, _ = cumulative_integral(
-        lambda ts: lognorm(Fb(ts), kind), times, quad_tol)
+        lambda ts: lognorm(Fb(ts), kind), times, _QUAD_TOL)
     J_low, e_low, _, _ = cumulative_integral(
-        lambda ts: lognorm(-Fb(ts), kind), times, quad_tol)
-    base_slack = math.log1p(tol_slack) + 4.0 * (e_up + e_low)
+        lambda ts: lognorm(-Fb(ts), kind), times, _QUAD_TOL)
+    base_slack = _BASE_SLACK + 4.0 * (e_up + e_low)
 
     def pair_slack(i: int, j: int) -> float:
         # first-order error in W = Phi(t)Phi(tau)^{-1}: ||dW||/||W|| <=
@@ -668,11 +663,11 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
         # log1p(e^x), overflow-safe
         return base_slack + float(np.logaddexp(0.0, noise_log))
 
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     pairs = {p for p in ((0, m - 1), (0, m // 2), (m // 2, m - 1))
              if p[0] < p[1]}
-    # a short trace has fewer than n_pairs distinct pairs; stop at all
-    while len(pairs) < min(n_pairs, m * (m - 1) // 2):
+    # a short trace has fewer than _PAIRS distinct pairs; stop at all
+    while len(pairs) < min(_PAIRS, m * (m - 1) // 2):
         i, j = sorted((rng.randrange(m), rng.randrange(m)))
         if i < j:
             pairs.add((i, j))

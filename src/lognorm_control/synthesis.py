@@ -30,10 +30,10 @@ import numpy as np
 
 from .analysis import (
     Evidence,
-    Heuristics,
     cumulative_integral,  # noqa: F401 -- bench/tracer.py patches it here
     doubling_evidence,
     ratio_tail,
+    tail_grid,
 )
 from .expr import (
     Bin,
@@ -259,22 +259,19 @@ def _spot_check_gain(spec: SystemSpec, ctrl: ControllerSpec,
         raise ValueError("could not evaluate the gain at any probe time")
 
 
-def verify_c2(ctrl: ControllerSpec, T: float,
-              heuristics: Heuristics | None = None) -> dict:
+def verify_c2(ctrl: ControllerSpec, T: float) -> Evidence:
     """Sampled check that the disturbance envelope is dominated:
     ``r_i(t) = omega_bound(t) / |gamma_i(t)|`` should decrease to zero.
 
-    Returns a plain dict with per-component end ratios.  Trivially
-    supported when no envelope is declared.
+    ``measured`` holds the worst end ratio and the per-component end
+    ratios.  Trivially supported when no envelope is declared.
     """
-    h = heuristics or Heuristics()
     spec = ctrl.system
     if spec.omega_bound is None:
-        return {"id": "C2", "verdict": "supported",
-                "measured": {"ratio_end": 0.0},
-                "note": "no disturbance envelope declared; r = 0"}
+        return Evidence("C2", "supported", {"ratio_end": 0.0},
+                        "no disturbance envelope declared; r = 0")
     wb = VectorFunction([spec.omega_bound]).compiled()
-    ts = h.tail_grid(spec.t0, T)
+    ts = tail_grid(spec.t0, T)
     w = []
     w_exc = None
     try:
@@ -295,20 +292,19 @@ def verify_c2(ctrl: ControllerSpec, T: float,
             per.append({"component": i + 1, "error": str(exc)})
             verdicts.append("inconclusive")
             continue
-        r, decreasing, verdict = ratio_tail(w, m, h)
+        r, decreasing, verdict = ratio_tail(w, m)
         per.append({"component": i + 1, "ratio_end": float(r[-1]),
                     "decreasing": decreasing})
         verdicts.append(verdict)
     worst = max(verdicts, key=["supported", "inconclusive", "refuted"].index)
     ratio_end = max((p.get("ratio_end", float("inf")) for p in per),
                     default=float("inf"))
-    return {"id": "C2", "verdict": worst,
-            "measured": {"ratio_end": ratio_end, "per_component": per},
-            "note": f"sampled on a tail grid up to T={T:g}"}
+    return Evidence("C2", worst, {"ratio_end": ratio_end, "per_component": per},
+                    f"sampled on a tail grid up to T={T:g}")
 
 
-def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8,
-              heuristics: Heuristics | None = None) -> Evidence:
+def verify_c3(ctrl: ControllerSpec, T: float,
+              quad_tol: float = 1e-8) -> Evidence:
     """Check that ``J(T) = int_{t0}^{T} Gamma`` is heading to -infinity.
 
     ``Gamma(t) = max_i(lam_i + gamma_i(t))`` equals the closed-loop

@@ -1,7 +1,6 @@
-"""Central numerical tolerances.
-
-Every hard-coded threshold used by the library lives here so that the
-test-suite and the implementation cannot silently drift apart.
+"""Tolerances of the dense linear algebra and of the gain spot check,
+and the supported problem sizes.  The thresholds of the sampled verdicts
+live beside their checks, in ``analysis`` and ``sim``.
 """
 
 # symmetry checks

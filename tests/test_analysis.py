@@ -1,6 +1,5 @@
 """Quadrature, the A1-A4 evidence checks and the stability classifier."""
 
-import dataclasses
 import json
 import math
 
@@ -8,9 +7,9 @@ import numpy as np
 import pytest
 
 import oracles
+from lognorm_control import analysis
 from lognorm_control.analysis import (
     Evidence,
-    Heuristics,
     check_A1,
     check_A2_A4,
     check_A3,
@@ -101,10 +100,21 @@ def test_cumulative_integral_decreasing_for_negative_integrand():
     assert vals[-1] == pytest.approx(-17.5, rel=1e-10)
 
 
-@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0, 1.0], [1.0, 0.0]])
+@pytest.mark.parametrize("grid", [[0.0], [0.0, 1.0, 1.0], [1.0, 0.0],
+                                  [0.0, float("inf")], [0.0, float("nan")]])
 def test_cumulative_integral_rejects_bad_grids(grid):
     with pytest.raises(ValueError, match="grid"):
         cumulative_integral(lambda t: t, grid)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_quadrature_rejects_bad_tolerances(tol):
+    # nan used to split every panel of cumulative_integral down to the
+    # depth cap; inf accepted every panel at once
+    with pytest.raises(ValueError, match="tol"):
+        cumulative_integral(lambda t: t, [0.0, 1.0], tol)
+    with pytest.raises(ValueError, match="tol"):
+        integrate(lambda t: t, 0.0, 1.0, tol)
 
 
 def _closed_loop_mu(system, negate=False):
@@ -397,19 +407,9 @@ def test_report_serialization_round_trip(example):
     assert sorted(d["A1"].keys()) == ["id", "measured", "note", "verdict"]
 
 
-def test_heuristics_defaults_and_immutability():
-    h = Heuristics()
-    assert h.tail_abs == 1e-6 and h.ratio_limit == 0.05
-    assert h.per_decade == 64 and h.window_points == 129
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        h.tail_abs = 0.5
-
-
-def test_heuristics_are_threaded_through(example):
-    spec, ctrl = example
-    rep = classify_stability(spec, ctrl, T=10.0,
-                             heuristics=Heuristics(window_frac=0.5))
-    assert rep.strongest == "UAS"
+def test_heuristic_thresholds():
+    assert analysis.TAIL_ABS == 1e-6 and analysis.RATIO_LIMIT == 0.05
+    assert analysis.PER_DECADE == 64 and analysis.WINDOW_POINTS == 129
 
 
 def test_evidence_shape():

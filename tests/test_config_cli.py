@@ -19,11 +19,17 @@ from lognorm_control.cli import main
 from lognorm_control.config import (
     CONFIG_SCHEMA,
     ConfigError,
+    gamma_rule,
     load_config,
     serialize_config,
 )
 from lognorm_control.presets import example_config
-from lognorm_control.synthesis import ExplicitGamma, synthesize
+from lognorm_control.synthesis import (
+    AutoGamma,
+    ExplicitGamma,
+    synthesize,
+    verify_c3,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 DOCS = ROOT / "docs"
@@ -118,6 +124,27 @@ def test_plant_must_not_depend_on_state(cfg):
 def test_margin_requires_auto_gamma(cfg):
     cfg["controller"]["margin"] = 2.0
     with pytest.raises(ConfigError, match="margin only applies"):
+        load_config(cfg)
+
+
+def test_gamma_rule():
+    # one rule for the config, a --controller file and the flags
+    assert gamma_rule({}, 2) == AutoGamma(1.0)
+    assert gamma_rule({"gamma": "auto", "margin": 2}, 2) == AutoGamma(2.0)
+    assert gamma_rule({"margin": 0.5}, 2) == AutoGamma(0.5)
+    assert isinstance(gamma_rule({"gamma": ["-1", "-t"]}, 2), ExplicitGamma)
+    with pytest.raises(ConfigError, match="--margin only applies"):
+        gamma_rule({"gamma": ["-1", "-t"], "margin": 2}, 2, "--")
+    with pytest.raises(ConfigError, match=r"gamma\[1\]: unknown identifier"):
+        gamma_rule({"gamma": ["a", "-t"]}, 2)
+    with pytest.raises(ConfigError, match="must be 'auto' or a list"):
+        gamma_rule({"gamma": 1}, 2)
+
+
+@pytest.mark.parametrize("horizon", [float("inf"), float("nan")])
+def test_horizon_must_be_finite(cfg, horizon):
+    cfg["horizon"] = horizon
+    with pytest.raises(ConfigError, match="be finite"):
         load_config(cfg)
 
 
@@ -272,6 +299,46 @@ def test_cli_synthesize_exit_one_when_refuted(capsys, tmp_path):
     assert d["c2"]["verdict"] == "refuted"
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--gamma", "auto", "--margin=0"], "margin must be a positive"),
+    (["--margin=0"], "margin must be a positive"),
+    (["--margin=-1"], "margin must be a positive"),
+    (["--gamma=-1", "--gamma=-t", "--margin=5"],
+     "--margin only applies to gamma='auto'")])
+def test_cli_rejects_bad_margin_flags(capsys, cfg_file, flags, message):
+    rc, out, err = run_cli(capsys, "synthesize", "--config", str(cfg_file),
+                           *flags)
+    assert rc == 2 and out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"gamma": "auto"}, ["--gamma", "auto"]),
+    ({"gamma": "auto", "margin": 2}, ["--gamma", "auto", "--margin", "2"]),
+    ({"margin": 2}, ["--margin", "2"])])
+def test_cli_controller_file_reads_auto_gamma(capsys, plant_file, tmp_path,
+                                              doc, flags):
+    ctl = tmp_path / "ctl.json"
+    ctl.write_text(json.dumps(doc))
+    rc, from_file, _ = run_cli(capsys, "synthesize", "--config",
+                               str(plant_file), "--controller", str(ctl))
+    assert rc == 0
+    rc, from_flags, _ = run_cli(capsys, "synthesize", "--config",
+                                str(plant_file), *flags)
+    assert rc == 0
+    assert json.loads(from_file)["gamma"] == json.loads(from_flags)["gamma"]
+
+
+def test_cli_controller_file_margin_requires_auto_gamma(capsys, plant_file,
+                                                        tmp_path):
+    ctl = tmp_path / "ctl.json"
+    ctl.write_text(json.dumps({"gamma": ["-1", "-1"], "margin": 2}))
+    rc, _, err = run_cli(capsys, "synthesize", "--config", str(plant_file),
+                         "--controller", str(ctl))
+    assert rc == 2
+    assert "margin only applies" in err
+
+
 def test_cli_controller_file_round_trip(capsys, plant_file, tmp_path):
     rc, out, _ = run_cli(capsys, "synthesize", "--config", str(plant_file),
                          "--gamma", "auto")
@@ -323,6 +390,28 @@ def test_cli_verify_example(capsys, cfg_file):
     for cid in ("A1", "A2", "A3", "A4", "C3"):
         assert d[cid]["verdict"] == "supported"
     assert d["phi_horizon"] == pytest.approx(2.148151, abs=1e-5)
+
+
+def test_cli_verify_quad_tol_reaches_c3(capsys, cfg, cfg_file):
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_file),
+                         "--quad-tol", "1e-4")
+    lc = load_config(cfg)
+    ctrl = lc.controller.build(lc.spec)
+    want = verify_c3(ctrl, lc.horizon, 1e-4).measured["quad_error"]
+    assert want != verify_c3(ctrl, lc.horizon).measured["quad_error"]
+    assert json.loads(out)["C3"]["measured"]["quad_error"] == want
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--quad-tol", "0"], "tol must be a positive finite"),
+    (["verify", "--quad-tol", "-1"], "tol must be a positive finite"),
+    (["classify", "--horizon", "inf"], "--horizon must be finite")])
+def test_cli_rejects_bad_tolerance_and_horizon(capsys, cfg_file, argv,
+                                               message):
+    rc, out, err = run_cli(capsys, argv[0], "--config", str(cfg_file),
+                           *argv[1:])
+    assert rc == 2 and out == ""
+    assert err.startswith(f"error: {message}")
 
 
 def test_cli_verify_requires_controller(capsys, plant_file):

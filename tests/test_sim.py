@@ -98,6 +98,8 @@ def test_simulate_validations():
     s = make_spec(DECAY)
     with pytest.raises(ValueError, match="must exceed t0"):
         simulate(s, None, T=0.0)
+    with pytest.raises(ValueError, match="be finite"):
+        simulate(s, None, T=math.inf)
     with pytest.raises(ValueError, match="n_out"):
         simulate(s, None, T=1.0, n_out=1)
     with pytest.raises(ValueError, match="h_min"):

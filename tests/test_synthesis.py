@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from lognorm_control.analysis import Heuristics
+from lognorm_control.analysis import tail_grid
 from lognorm_control.expr import (
     Bin,
     EvalError,
@@ -247,20 +247,20 @@ def test_envelope_change_touches_only_robust_part(example):
 def test_c2_supported_on_example(example):
     _, ctrl = example
     rep = verify_c2(ctrl, 1e3)
-    assert rep["verdict"] == "supported"
-    assert rep["measured"]["ratio_end"] < 0.05
+    assert rep.verdict == "supported"
+    assert rep.measured["ratio_end"] < 0.05
 
 
 def test_c2_trivial_without_envelope():
     ctrl = synthesize(make_spec(), rule=ExplicitGamma(GAMMA_X))
-    assert verify_c2(ctrl, 10.0)["verdict"] == "supported"
+    assert verify_c2(ctrl, 10.0).verdict == "supported"
 
 
 def test_c2_refuted_for_growing_ratio():
     s = make_spec(omega=parse_vector(["t^2", "0"], ("t",)),
                   omega_bound=parse("t^2"))
     ctrl = synthesize(s, rule=ExplicitGamma((parse("0-1"), parse("0-1"))))
-    assert verify_c2(ctrl, 100.0)["verdict"] == "refuted"
+    assert verify_c2(ctrl, 100.0).verdict == "refuted"
 
 
 def test_c2_inconclusive_when_ratio_does_not_settle():
@@ -269,9 +269,9 @@ def test_c2_inconclusive_when_ratio_does_not_settle():
                   omega_bound=parse("1"))
     ctrl = synthesize(s, rule=ExplicitGamma((parse("-2"), parse("-2"))))
     rep = verify_c2(ctrl, 100.0)
-    assert rep["verdict"] == "inconclusive"
-    assert rep["measured"]["ratio_end"] == 0.5
-    assert all(p["decreasing"] for p in rep["measured"]["per_component"])
+    assert rep.verdict == "inconclusive"
+    assert rep.measured["ratio_end"] == 0.5
+    assert all(p["decreasing"] for p in rep.measured["per_component"])
 
 
 def test_c2_reports_each_components_first_failure():
@@ -281,14 +281,14 @@ def test_c2_reports_each_components_first_failure():
                   omega_bound=parse("sqrt(50-t)"))
     g2 = parse("-sqrt(20-t)")
     ctrl = synthesize(s, rule=ExplicitGamma((parse("-1"), g2)))
-    grid = Heuristics().tail_grid(0.0, 100.0)
+    grid = tail_grid(0.0, 100.0)
     with pytest.raises(EvalError) as w_err:
         eval_expr(s.omega_bound, t=float(grid[grid > 50.0][0]))
     with pytest.raises(EvalError) as g_err:
         eval_expr(g2, t=float(grid[0]))
     rep = verify_c2(ctrl, 100.0)
-    assert rep["verdict"] == "inconclusive"
-    assert rep["measured"]["per_component"] == [
+    assert rep.verdict == "inconclusive"
+    assert rep.measured["per_component"] == [
         {"component": 1, "error": str(w_err.value)},
         {"component": 2, "error": str(g_err.value)}]
 
