@@ -26,7 +26,7 @@ def F(t):
 
 tt = fundamental_matrix(F, 0.0, 5.0, tol=1e-10)
 print(f"fundamental matrix on [0, 5]: {len(tt.times)} output points, "
-      f"{tt.n_rejected} rejected steps")
+      f"{len(tt.step_sizes)} Magnus sub-steps ({tt.n_rejected} cut)")
 print("Phi(5) =")
 print(tt.phis[-1])
 

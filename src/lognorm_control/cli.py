@@ -220,6 +220,8 @@ def cmd_verify(args) -> int:
     if ctrl is None:
         raise ConfigError("verify requires a controller: add a 'controller' "
                           "section to the config or pass --controller FILE")
+    if not (0.0 < args.quad_tol < np.inf):  # before the costly Phi
+        raise ValueError("tol must be a positive finite number")
     spec = cfg.spec
     T = cfg.horizon
 

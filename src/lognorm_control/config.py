@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .expr import (
@@ -68,9 +67,42 @@ CONFIG_SCHEMA = {
     },
 }
 
-# checked against its metaschema once, at import, rather than on every load
-_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
-_VALIDATOR.check_schema(CONFIG_SCHEMA)
+
+def _num(v):
+    return type(v) in (int, float)  # a JSON number; bool is not one
+
+
+def _list(item):
+    return lambda v: type(v) is list and all(item(x) for x in v)
+
+
+def _text(v):
+    return type(v) is str
+
+
+# a hand check of each key that CONFIG_SCHEMA accepts wherever it passes;
+# jsonschema (~5 MB and ~35 ms to import) judges only the documents it
+# does not pass
+_CONTROLLER_KEYS = {
+    "lambda": _list(_num),
+    "gamma": lambda v: v == "auto" if _text(v) else _list(_text)(v),
+    "margin": lambda v: _num(v) and v > 0,
+}
+_KEYS = {
+    "n": lambda v: type(v) is int and 2 <= v <= 16,
+    "t0": _num, "x0": _list(_num),
+    "norm": lambda v: _text(v) and v in ("one", "two", "inf"),
+    "A": _list(_list(_text)), "Delta": _list(_list(_text)),
+    "B": _list(_list(_num)), "omega": _list(_text), "omega_bound": _text,
+    "controller": lambda v: type(v) is dict and all(
+        k in _CONTROLLER_KEYS and _CONTROLLER_KEYS[k](x) for k, x in v.items()),
+    "horizon": _num, "tol": lambda v: _num(v) and v > 0,
+}
+
+
+def _plainly_valid(doc: dict) -> bool:
+    return set(CONFIG_SCHEMA["required"]) <= doc.keys() and all(
+        k in _KEYS and _KEYS[k](v) for k, v in doc.items())
 
 
 class ConfigError(ValueError):
@@ -151,11 +183,15 @@ def load_config(source) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    # the error jsonschema.validate would raise
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if exc is not None:
-        where = exc.json_path if hasattr(exc, "json_path") else "$"
-        raise ConfigError(f"config invalid at {where}: {exc.message}")
+    if not _plainly_valid(doc):
+        # the error jsonschema.validate would raise
+        import jsonschema
+        validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+        exc = jsonschema.exceptions.best_match(
+            validator(CONFIG_SCHEMA).iter_errors(doc))
+        if exc is not None:
+            where = exc.json_path if hasattr(exc, "json_path") else "$"
+            raise ConfigError(f"config invalid at {where}: {exc.message}")
 
     n = doc["n"]
     t0 = float(doc["t0"])

@@ -1,33 +1,33 @@
 """Closed-loop simulation and transition-matrix bound checks.
 
-Each integration starts with an explicit Dormand-Prince 5(4) pair (PI
-step-size control, quartic dense output), accurate enough that the
-logarithmic-norm envelopes can be checked tightly.  When the loop turns
-stiff, DP5 is held to its stability limit instead of its accuracy: the
-stepper watches Hairer's stiffness indicator ``h * rho``, estimated from
-two stages it already has, and once that exceeds ``STIFF_H_RHO`` on
-``STIFF_STEPS`` accepted steps in a row it finishes the run with RODAS4,
-a stiffly accurate linearly implicit Rosenbrock method of order 4(3)
-(Hairer & Wanner, *Solving ODEs II*, IV.7; Petzold's automatic method
-selection, 1983).  RODAS4 uses the exact Jacobian ``M(t)``, plus a
-differenced one for a state-dependent disturbance, and a cubic Hermite
-dense output.  Should the step size stay pinned at ``h_min`` for 50
-consecutive attempts in either stepper, the run aborts with a
-:class:`StiffnessError` carrying the local logarithmic norm.
+:func:`simulate` starts each integration with an explicit Dormand-Prince
+5(4) pair (PI step-size control, quartic dense output), accurate enough
+that the logarithmic-norm envelopes can be checked tightly.  When the
+loop turns stiff, DP5 is held to its stability limit instead of its
+accuracy: the stepper watches Hairer's stiffness indicator ``h * rho``,
+estimated from two stages it already has, and once that exceeds
+``STIFF_H_RHO`` on ``STIFF_STEPS`` accepted steps in a row it finishes
+the run with RODAS4, a stiffly accurate linearly implicit Rosenbrock
+method of order 4(3) (Hairer & Wanner, *Solving ODEs II*, IV.7;
+Petzold's automatic method selection, 1983).  RODAS4 uses the exact
+Jacobian ``M(t)``, plus a differenced one for a state-dependent
+disturbance, and a cubic Hermite dense output.  Should the step size
+stay pinned at ``h_min`` for 50 consecutive attempts in either stepper,
+the run aborts with a :class:`StiffnessError` carrying the local
+logarithmic norm.
 
-Both right-hand sides, ``x' = M(t) x + omega(t, x)`` and ``Phi' = F(t)
-Phi``, are linear in a matrix that does not depend on the state, and a
-step's stage times are known before its first stage.  So each attempt
-evaluates the matrix once, as a batch over its distinct stage times (five
-for DP5; for RODAS4 the four stage times, ``t`` for the Jacobian and
-``t + dt`` for the time derivative), and runs the stages on that stack.
-A matrix function ``F`` passed in must accept a single time and return
-the (n, n) matrix; it is used as a batch only when, given a 1-d array of
-times, it returns the (m, n, n) stack equal bit for bit to its scalar
-calls (checked once on two probe times), and its scalar calls are
-stacked otherwise.  Results are the same bits either way.  If a batch
-raises, the attempt is redone stage by stage, so a domain failure is
-reported at the stage and time where it first occurs.
+The right-hand side ``x' = M(t) x + omega(t, x)`` is linear in a matrix
+that does not depend on the state, and a step's stage times are known
+before its first stage.  So each attempt evaluates the matrix once, as a
+batch over its distinct stage times (five for DP5; for RODAS4 the four
+stage times, ``t`` for the Jacobian and ``t + dt`` for the time
+derivative), and runs the stages on that stack.  If a batch raises, the
+attempt is redone stage by stage, so a domain failure is reported at the
+stage and time where it first occurs.
+
+:func:`fundamental_matrix` does not step: it multiplies Magnus
+propagators, a whole refinement level of sub-steps per batch of ``F``
+(see there for what ``tol`` bounds and how failures are reported).
 """
 
 from __future__ import annotations
@@ -61,7 +61,21 @@ __all__ = [
 ]
 
 PIN_LIMIT = 50  # consecutive attempts at h_min before StiffnessError
-_PHI_H_MIN, _PHI_H_MAX = 1e-9, 0.1  # step-size bounds of fundamental_matrix
+_PHI_H_MIN, _PHI_H_MAX = 1e-9, 0.1  # sub-step bounds of fundamental_matrix
+# at most _PHI_ENTRIES / n^2 sub-steps per Phi, and _PHI_CHUNK node times
+# per call of F: a compiled F builds Python lists of that length, so this
+# caps its transient memory
+_PHI_ENTRIES, _PHI_CHUNK = 2 ** 22, 512
+# a Magnus sub-step's node fractions, ascending: the three Gauss nodes of
+# the sixth-order generator (0, 2, 4) and the two of the fourth-order (1, 3)
+_MAGNUS_C = 0.5 + np.array([-math.sqrt(0.15), -math.sqrt(1 / 12), 0.0,
+                            math.sqrt(1 / 12), math.sqrt(0.15)])
+# Pade 13 of expm: its 1-norm bound and numerator coefficients (Higham 2005)
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
 
 # DP5 hands the run to RODAS4 once Hairer's stiffness indicator h * rho
 # exceeds STIFF_H_RHO on STIFF_STEPS consecutive accepted steps.  rho =
@@ -146,12 +160,18 @@ class NumericalError(RuntimeError):
 class StiffnessError(RuntimeError):
     """The step size stayed pinned at h_min for PIN_LIMIT consecutive
     attempts: near the reported time no step as long as h_min passes the
-    error test, in either stepper."""
+    error test, in either stepper.  For Phi, ``why`` says which of the
+    sub-step limits of :func:`fundamental_matrix` was reached."""
 
-    def __init__(self, t: float, h: float, mu: float | None = None):
+    def __init__(self, t: float, h: float, mu: float | None = None,
+                 why: str | None = None):
         self.t = t
         self.h = h
         self.mu = mu
+        if why is not None:
+            super().__init__(f"{why} near t={t:.6g}; relax tol or shorten "
+                             "the horizon")
+            return
         msg = (f"step size pinned at h={h:g} for {PIN_LIMIT} consecutive "
                f"attempts near t={t:.6g}")
         if mu is not None:
@@ -375,12 +395,10 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
     ``J = M(t)`` (plus the differenced Jacobian of ``g`` if ``nonlinear``)
     and ``f_t`` by one forward difference in t, both per attempt; one
     inverse of ``I / (h gamma) - J`` per attempt serves all six stages.
-    ``J`` acts on ``y`` as a stack of columns, so for ``Phi' = F Phi``
-    (``y`` the raveled Phi) it is the n x n ``F(t)``.  The step size
-    follows rodas.f: ``h err^(-1/4)`` with Gustafsson's predictive
-    controller.  Dense output is the cubic Hermite interpolant on ``(y,
-    f(t, y), y_new, f(t + h, y_new))``; its last slope is the next step's
-    first stage.
+    The step size follows rodas.f: ``h err^(-1/4)`` with Gustafsson's
+    predictive controller.  Dense output is the cubic Hermite interpolant
+    on ``(y, f(t, y), y_new, f(t + h, y_new))``; its last slope is the
+    next step's first stage.
     """
     T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
     U = np.empty((6, len(y)))
@@ -402,18 +420,13 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         ft = (f(tb[1], y, Ms[1]) - fy) / dt
         if nonlinear:
             J = J + _jacobian_g(f, t, y)
-        n = len(J)
-        E_inv = np.linalg.inv(np.eye(n) / (h * _GAMMA) - J)
-
-        def solve(r):
-            return (E_inv @ r.reshape(n, -1)).reshape(-1)
-
-        U[0] = solve(fy + (h * _RD[0]) * ft)
+        E_inv = np.linalg.inv(np.eye(len(J)) / (h * _GAMMA) - J)
+        U[0] = E_inv @ (fy + (h * _RD[0]) * ft)
         for i in range(1, 6):
             yi = y + _RA[i] @ U[:i]
             j = _RJ[i]
             fi = f(tb[j], yi, Ms[j])
-            U[i] = solve(fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft)
+            U[i] = E_inv @ (fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft)
         y_new = yi + U[5]
         finite, err = _error(tol, y, y_new, U[5])
         at_floor = not end_clamped and h <= run.floor
@@ -487,6 +500,9 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     """
     if T is None:
         T = spec.t0 + 10.0
+    if not (spec.t0 < T < math.inf):
+        raise ValueError(f"horizon T={T} must exceed t0={spec.t0} and be "
+                         "finite")
     k = spec.norm
     Acl = closed_loop_function(spec, ctrl, include_delta=True)
     omega = spec.omega.compiled() if spec.omega is not None else None
@@ -532,12 +548,12 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 @dataclass
 class TransitionTrace:
     """The fundamental matrix ``Phi(t)`` (with ``Phi(t0) = I``) sampled
-    on a grid."""
+    on a grid, with the accepted Magnus sub-step lengths in time order
+    and the number of sub-steps cut (see :func:`fundamental_matrix`)."""
     times: np.ndarray
     phis: np.ndarray  # shape (m, n, n)
     step_sizes: np.ndarray
     n_rejected: int
-    n_explicit: int  # the first n_explicit steps are DP5's, then RODAS4's
 
 
 def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
@@ -562,32 +578,162 @@ def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
     return stacked
 
 
+def _expm(A: np.ndarray) -> np.ndarray:
+    """``exp`` of each matrix of an (m, n, n) stack of finite matrices, by
+    scaling and squaring with Pade 13 and a scaling exponent per matrix
+    (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).  Each matrix's bits
+    are those of a call on it alone."""
+    b = _PADE_13
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA_13, 1.0))).astype(int)
+    A = np.ldexp(A, -s[:, None, None])
+    eye = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye)
+    R = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        R[sq] = R[sq] @ R[sq]
+    return R
+
+
+def _magnus(Fs: np.ndarray, h: np.ndarray):
+    """Sixth-order Magnus generators from ``Fs`` (m, 5, n, n), ``F`` at the
+    ``_MAGNUS_C`` nodes of m sub-steps, and the 1-norms of their gaps to
+    the fourth-order ones (Blanes, Casas, Oteo & Ros, Phys. Rep. 470)."""
+    def comm(X, Y):
+        return X @ Y - Y @ X
+
+    h = h[:, None, None]
+    A1, B1, A2, B2, A3 = (Fs[:, i] for i in range(5))
+    a1 = h * A2
+    a2 = (math.sqrt(15.0) / 3.0) * h * (A3 - A1)
+    a3 = (10.0 / 3.0) * h * (A3 - 2.0 * A2 + A1)
+    C1 = comm(a1, a2)
+    C2 = (-1.0 / 60.0) * comm(a1, 2.0 * a3 + C1)
+    O6 = a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + C1, a2 + C2) / 240.0
+    O4 = 0.5 * h * (B1 + B2) + (math.sqrt(3.0) / 12.0) * h * h * comm(B2, B1)
+    return O6, np.abs(O6 - O4).sum(axis=-2).max(axis=-1)
+
+
+def _phi_values(M, F, ts):
+    """``M`` on the ascending times ``ts``.  If that raises, the earliest
+    time at which ``F`` raises an EvalError is reported, else the batch's
+    own error."""
+    try:
+        return np.asarray(M(ts), dtype=float)
+    except Exception:
+        for t in ts.tolist():
+            try:
+                F(t)
+            except EvalError as exc:
+                raise NumericalError("expression evaluation failed at "
+                                     f"t={t:.6g}: {exc}") from exc
+        raise
+
+
+def _split(a, b, k):
+    """Cut each ``[a_i, b_i]`` into ``k_i`` equal pieces: their starts, ends
+    and ``i``, in order.  A piece ends where the next starts, bit for bit,
+    and the last at ``b_i``."""
+    idx = np.repeat(np.arange(len(k)), k)
+    frac = (np.arange(len(idx)) - (np.cumsum(k) - k)[idx]) / k[idx]
+    lo = a[idx] + frac * (b - a)[idx]
+    hi = np.append(lo[1:], 0.0)
+    hi[np.cumsum(k) - 1] = b
+    return lo, hi, idx
+
+
 def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
                        tol: float = 1e-8, n_out: int = 201) -> TransitionTrace:
-    """Integrate ``Phi' = F(t) Phi`` columnwise from the identity.
+    """``Phi' = F(t) Phi``, ``Phi(t0) = I``, on ``n_out`` equally spaced
+    times, as ordered products of Magnus propagators ``exp(Omega6)``.
 
-    ``F`` must accept one time and return the (n, n) matrix.  If it also
-    takes a 1-d array of times and returns the stack, equal bit for bit
-    to the scalar calls on a probe of ``t0`` and ``t0 + min(_PHI_H_MAX, T
-    - t0)``, each step evaluates it once on its stage times; otherwise the
-    scalar calls are stacked.  Either way Phi is the same bit for bit.
+    Each grid cell starts as sub-steps of at most ``_PHI_H_MAX``.  A
+    sub-step passes when ``||Omega6 - Omega4||_1 <= tol`` (sixth- and
+    fourth-order Magnus on three and two Gauss nodes), so ``tol`` bounds
+    each propagator's estimated relative error; a failing one is cut into
+    the 2 to 32 pieces its estimate, read as ``O(h^5)``, predicts will
+    pass (``n_rejected`` counts the cuts).  A refinement level evaluates
+    ``F`` on all its node times, ascending, ``_PHI_CHUNK`` times a call,
+    as a batch if :func:`_batched` accepts ``F`` on ``t0`` and ``t0 +
+    min(_PHI_H_MAX, T - t0)``; Phi has the same bits either way.
+
+    A failing batch is redone time by time, so NumericalError names the
+    earliest time where ``F`` fails; a non-finite generator or Phi raises
+    it too.  A failing sub-step that cannot be halved above
+    ``_PHI_H_MIN``, or more than ``_PHI_ENTRIES / n^2`` sub-steps, raise
+    StiffnessError.
     """
+    if not (t0 < T < math.inf):
+        raise ValueError(f"horizon T={T} must exceed t0={t0} and be finite")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be a positive finite number")
+    if n_out < 2:
+        raise ValueError("n_out must be at least 2")
     n = np.asarray(F(t0)).shape[0]
-
-    def f(t, y, M=None):
-        try:
-            return ((F(t) if M is None else M) @ y.reshape(n, n)).ravel()
-        except EvalError as exc:
-            raise NumericalError(
-                f"expression evaluation failed at t={t:.6g}: {exc}") from exc
-
     grid = np.linspace(t0, T, n_out)
     M = _batched(F, n, (t0, t0 + min(_PHI_H_MAX, T - t0)))
-    flat, steps, nrej, n_explicit = _integrate(
-        f, t0, np.eye(n).ravel(), T, tol, _PHI_H_MIN, _PHI_H_MAX, grid, M=M)
-    return TransitionTrace(times=grid, phis=flat.reshape(len(grid), n, n),
-                           step_sizes=steps, n_rejected=nrej,
-                           n_explicit=n_explicit)
+    # cells a rounding error above _PHI_H_MAX stay whole
+    parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).astype(int)
+    a, b, cell = _split(grid[:-1], grid[1:], parts)
+    done = []  # (a, b, cell, Omega6) of the sub-steps each level accepts
+    n_done = n_split = 0
+    chunk = _PHI_CHUNK // len(_MAGNUS_C)  # sub-steps per call of F
+    while len(a):
+        h = b - a
+        O6, err = np.empty((len(a), n, n)), np.empty(len(a))
+        for c in (slice(i, i + chunk) for i in range(0, len(a), chunk)):
+            ts = (a[c, None] + h[c, None] * _MAGNUS_C).ravel()
+            Fs = _phi_values(M, F, ts)
+            with np.errstate(over="ignore", invalid="ignore"):  # raised below
+                O6[c], err[c] = _magnus(Fs.reshape(-1, 5, n, n), h[c])
+        if not np.isfinite(err).all():
+            raise NumericalError("transition generator became non-finite "
+                                 f"at t={a[~np.isfinite(err)][0]:.6g}")
+        ok = err <= tol
+        done.append((a[ok], b[ok], cell[ok], O6[ok]))
+        n_done += int(ok.sum())
+        a, b, h, cell, err = a[~ok], b[~ok], h[~ok], cell[~ok], err[~ok]
+        with np.errstate(over="ignore"):
+            j = np.clip(np.ceil(0.2 * np.log2(err / tol)), 1, 5)
+        j = np.minimum(j, np.floor(np.log2(h / _PHI_H_MIN)))
+        k = (2 ** j).astype(int)
+        if (j < 1).any():
+            i = int((j < 1).argmax())
+            raise StiffnessError(float(a[i]), float(h[i]), why=(
+                f"a sub-step of h={h[i]:g} fails tol and cannot be halved "
+                f"above h_min={_PHI_H_MIN:g}"))
+        if len(a) and (n_done + k.sum()) * n * n > _PHI_ENTRIES:
+            raise StiffnessError(float(a[0]), float(h[0]), why=(
+                f"Phi needs more than {_PHI_ENTRIES // (n * n)} sub-steps "
+                "to meet tol"))
+        n_split += len(a)
+        a, b, idx = _split(a, b, k)
+        cell = cell[idx]
+    a, b, cell, O6 = (np.concatenate(x) for x in zip(*done))
+    order = np.argsort(a, kind="stable")
+    cell, O6 = cell[order], O6[order]
+    phis = np.empty((n_out, n, n))
+    phis[0] = P = np.eye(n)
+    ends = np.append(cell[1:] != cell[:-1], True).tolist()  # a cell's last
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in (slice(i, i + chunk) for i in range(0, len(O6), chunk)):
+            for Ek, ci, end in zip(_expm(O6[c]), cell[c].tolist(), ends[c]):
+                P = Ek @ P
+                if end:
+                    phis[ci + 1] = P
+    bad = ~np.isfinite(phis).all(axis=(1, 2))
+    if bad.any():
+        raise NumericalError("the fundamental matrix became non-finite at "
+                             f"t={grid[bad.argmax()]:.6g}")
+    return TransitionTrace(times=grid, phis=phis,
+                           step_sizes=(b - a)[order], n_rejected=n_split)
 
 
 @dataclass

@@ -12,9 +12,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import lognorm_control
-from conftest import OSCILLATOR_CONFIG
+from conftest import OSCILLATOR_CONFIG, plant8_config
+from lognorm_control import cli, config
 from lognorm_control.cli import main
 from lognorm_control.config import (
     CONFIG_SCHEMA,
@@ -149,7 +152,8 @@ def test_horizon_must_be_finite(cfg, horizon):
 
 
 def test_load_skips_the_metaschema_check(cfg, monkeypatch):
-    # the schema is checked once at import; a load only validates the doc
+    # the schema meets its metaschema (test_published_schema_matches_
+    # embedded); a load only validates the doc
     checks = []
     validator_class = jsonschema.validators.validator_for(CONFIG_SCHEMA)
     monkeypatch.setattr(validator_class, "check_schema",
@@ -184,6 +188,47 @@ def test_schema_errors_match_jsonschema_validate(cfg, key, value):
 def test_published_schema_matches_embedded():
     with open(DOCS / "config.schema.json") as fh:
         assert json.load(fh) == CONFIG_SCHEMA
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(
+        CONFIG_SCHEMA)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 20) | st.floats()
+    | st.sampled_from(["auto", "one", "two", "inf", "t", "1"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["lambda", "gamma", "margin", "x"]), inner,
+        max_size=3),
+    max_leaves=8)
+
+
+@given(key=st.sampled_from(sorted(CONFIG_SCHEMA["properties"])
+                           + ["controller.lambda", "controller.gamma",
+                              "controller.margin", "controller.x", "x"]),
+       value=_json_values | st.just(KeyError))
+def test_plain_check_accepts_only_what_the_schema_accepts(key, value):
+    # load_config asks jsonschema only about documents the hand check
+    # does not pass, so the hand check must never pass one it rejects
+    doc = example_config()
+    where, _, key = key.rpartition(".")
+    target = doc[where] if where else doc
+    if value is KeyError:
+        target.pop(key, None)
+    else:
+        target[key] = value
+    if config._plainly_valid(doc):
+        jsonschema.validate(doc, CONFIG_SCHEMA)
+
+
+def test_valid_configs_load_without_jsonschema():
+    for doc in (example_config(), OSCILLATOR_CONFIG, plant8_config()):
+        assert config._plainly_valid(doc)
+    code = ("import sys, lognorm_control as lc; "
+            "lc.load_config(lc.presets.example_config()); "
+            "print('jsonschema' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "False", done.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +457,19 @@ def test_cli_rejects_bad_tolerance_and_horizon(capsys, cfg_file, argv,
                            *argv[1:])
     assert rc == 2 and out == ""
     assert err.startswith(f"error: {message}")
+
+
+def test_cli_verify_rejects_quad_tol_before_phi(capsys, cfg_file,
+                                                monkeypatch):
+    # a bad --quad-tol fails at once, not after the whole Phi integration
+    def no_phi(*args, **kwargs):
+        raise AssertionError("fundamental_matrix was called")
+    monkeypatch.setattr(cli, "fundamental_matrix", no_phi)
+    for bad in ("-1", "0", "nan", "inf"):
+        rc, out, err = run_cli(capsys, "verify", "--config", str(cfg_file),
+                               "--quad-tol", bad)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: tol must be a positive finite number")
 
 
 def test_cli_verify_requires_controller(capsys, plant_file):

@@ -2,14 +2,18 @@
 
 import contextlib
 import csv
+import importlib.util
 import math
+import sys
 import threading
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from lognorm_control import sim
+from lognorm_control import cli, sim
 from lognorm_control.analysis import integrate
 from lognorm_control.expr import parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
@@ -106,6 +110,14 @@ def test_simulate_validations():
         simulate(s, None, T=1.0, h_min=0.5, h_max=0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         simulate(s, None, grid=[0.0, 1.0, 0.5])
+
+
+def test_simulate_rejects_an_infinite_horizon_before_the_grid():
+    # no RuntimeWarning from building a grid out to inf first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="be finite"):
+            simulate(make_spec(DECAY), None, T=math.inf)
 
 
 def test_simulate_is_bitwise_reproducible(example):
@@ -340,6 +352,148 @@ def test_sandwich_pair_records(rng):
         assert p["slack"] >= rep.slack
 
 
+def _oscillators():
+    """The benchmark's 12 oscillator plants of seeds 1-2 as (params,
+    config), from bench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return [(p.params, p.config) for seed in (1, 2)
+            for p in mod.oscillator_problems(seed)]
+
+
+def _closed_loop(config):
+    from lognorm_control.config import load_config
+    cfg = load_config(config)
+    return closed_loop_function(cfg.spec, cfg.controller.build(cfg.spec),
+                                include_delta=True)
+
+
+def _phi_ref(M, t0, times):
+    """Phi' = M(t) Phi on ``times`` by scipy's DOP853 at rtol 1e-13;
+    ``M`` may return a stack (k, n, n) of independent systems."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    shape = np.shape(M(t0))
+    sol = solve_ivp(lambda t, y: (M(t) @ y.reshape(shape)).ravel(),
+                    (t0, times[-1]), np.broadcast_to(
+                        np.eye(shape[-1]), shape).ravel(),
+                    method="DOP853", rtol=1e-13, atol=1e-16, t_eval=times)
+    assert sol.success
+    return sol.y.T.reshape(len(times), *shape)
+
+
+def _max_rel_error(phis, ref):
+    return float((np.abs(phis - ref).max(axis=(-2, -1))
+                  / np.abs(ref).max(axis=(-2, -1))).max())
+
+
+def test_expm_matches_scipy():
+    expm = pytest.importorskip("scipy.linalg").expm
+    rng = np.random.default_rng(11)
+    # 1-norms from 1e-4 to 1e3: Pade 13 alone up to theta_13 = 5.37, then
+    # with 1 to 8 squarings
+    norms = np.geomspace(1e-4, 1e3, 22)
+    assert (norms < sim._THETA_13).sum() == 15
+    for n in range(1, 17):
+        A = rng.standard_normal((len(norms), n, n))
+        A *= (norms / np.abs(A).sum(axis=1).max(axis=1))[:, None, None]
+        with np.errstate(over="ignore"):
+            got = sim._expm(A)
+        for Ai, Ei, nrm in zip(A, got, norms):
+            with np.errstate(over="ignore"):
+                ref = expm(Ai)
+                # a matrix's bits do not depend on the stack around it
+                assert sim._expm(Ai[None])[0].tobytes() == Ei.tobytes()
+            scale = np.abs(ref).max()
+            if not 0.0 < scale < math.inf:  # exp(+-1e3) for n = 1
+                continue
+            err = np.abs(Ei - ref).max() / scale
+            assert err <= 2e-13 * max(1.0, nrm), (n, nrm, err)
+    assert np.abs(sim._expm(np.zeros((1, 3, 3)))[0] - np.eye(3)).max() \
+        <= 2.3e-16
+
+
+def test_phi_matches_dop853_on_the_bundled_scenario(example):
+    spec, ctrl = example
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    T_phi = cli._phi_horizon(spec, ctrl, spec.t0, 10.0)
+    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-10)
+    ref = _phi_ref(oracles.repro_closed_loop, spec.t0, tt.times)
+    assert 2.1 < T_phi < 2.2
+    assert _max_rel_error(tt.phis, ref) <= 1e-8
+
+
+def test_phi_matches_dop853_on_the_oscillator_plants():
+    # the 12 closed loops A_skew + diag(rate) + Delta written out from the
+    # drawn numbers, integrated as one stack
+    plants = _oscillators()
+    p = {k: np.array([q[k] for q, _ in plants])
+         for k in ("a", "f", "d", "lam", "margin", "bound")}
+    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def M(t):
+        sk = p["a"] * (1.0 + 0.5 * np.sin(p["f"] * t))
+        rate = p["lam"] - p["margin"] * (1.0 + t) * (1.0 + p["bound"])
+        return (sk[:, None, None] * J + rate[:, None, None] * np.eye(2)
+                + p["d"] * math.exp(-t))
+
+    phis = [fundamental_matrix(_closed_loop(c), 0.0, 20.0, tol=1e-10).phis
+            for _, c in plants]
+    ref = _phi_ref(M, 0.0, np.linspace(0.0, 20.0, 201))
+    assert _max_rel_error(np.stack(phis, axis=1), ref) <= 1e-8
+
+
+def test_phi_matches_dop853_on_plant8(plant8):
+    spec, ctrl = plant8
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    tt = fundamental_matrix(cl, spec.t0, 2.0, tol=1e-10)
+    ref = _phi_ref(cl, spec.t0, tt.times)
+    assert _max_rel_error(tt.phis, ref) <= 1e-8
+
+
+def test_phi_sub_step_and_evaluation_counts():
+    # a deterministic guard in place of wall time: oscillator seed-1
+    # plant 0 to T = 20 at tol 1e-10 takes 1,842 sub-steps and 10,255
+    # evaluation times (a DP5 integration of Phi needs 9,092 steps and
+    # 45k+ evaluation times)
+    F = _closed_loop(_oscillators()[0][1])
+    times = []
+
+    def counted(t):
+        times.append(np.size(t))
+        return F(t)
+
+    tt = fundamental_matrix(counted, 0.0, 20.0, tol=1e-10)
+    assert len(tt.step_sizes) <= 2500
+    assert sum(times) <= 12_000
+
+
+def test_phi_failures_are_located():
+    # a pole no sub-step above the floor resolves
+    pole = lambda t: np.diag([1.0 / (t - 0.5013) ** 2, -1.0])
+    with pytest.raises(StiffnessError, match="cannot be halved") as exc:
+        fundamental_matrix(pole, 0.0, 1.0, tol=1e-10)
+    # the earliest sub-step that fails at the floor, just before the pole
+    assert 0.5012 < exc.value.t < 0.5013 and exc.value.h < 2e-9
+    # an oscillation no sub-step resolves anywhere: the sub-step budget
+    # (2^22 / n^2) stops the refinement before its third level
+    fast = lambda t: math.sin(1e12 * t) * np.eye(8)
+    with pytest.raises(StiffnessError, match="more than 65536 sub-steps"
+                       ) as exc:
+        fundamental_matrix(fast, 0.0, 1.0, tol=1e-10)
+    assert exc.value.t == 0.0
+    # a non-finite matrix, and a product past float64's range
+    inf = lambda t: np.diag([math.inf if t >= 0.5 else 0.0, -1.0])
+    with pytest.raises(NumericalError, match="generator became non-finite"
+                       ) as exc:
+        fundamental_matrix(inf, 0.0, 1.0)
+    assert str(exc.value).endswith("at t=0.5")  # the sub-step from 0.5
+    with pytest.raises(NumericalError, match="non-finite at t=1.42"):
+        fundamental_matrix(lambda t: np.diag([500.0, 0.0]), 0.0, 2.0)
+
+
 def test_liouville_identity(rng):
     # log|det Phi(T)| equals the integral of the trace
     C = rng.uniform(-0.5, 0.5, size=(3, 3, 3))
@@ -407,7 +561,8 @@ def test_stage_batched_stepper_is_bitwise(request, name, T, T_phi):
     tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
     with stage_by_stage():
         ref = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
-        ref_tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
+    # Phi does not step: its stacked levels against F's scalar calls
+    ref_tt = fundamental_matrix(scalar_only(cl), spec.t0, T_phi, tol=1e-9)
     # only the stiff example hands over from DP5 to RODAS4
     assert (tr.n_explicit < len(tr.step_sizes)) == (name == "example")
     assert tr.states.tobytes() == ref.states.tobytes()
@@ -449,29 +604,30 @@ def test_probe_rejects_lookalike_batches():
 
 
 def test_one_batched_evaluation_per_attempt():
+    # one batched F call per refinement level, plus the probe; each
+    # sub-step tried, accepted or cut, costs its five node times
     F = parse_matrix(WOBBLE, ("t",)).compiled()
-    calls = {"scalar": 0, "batch": 0}
+    calls = {"scalar": 0}
+    batches = []
 
     def counted(t):
-        calls["batch" if np.ndim(t) else "scalar"] += 1
+        if np.ndim(t):
+            batches.append(np.array(t))
+        else:
+            calls["scalar"] += 1
         return F(t)
 
-    rhs = []
-    integrate_ = sim._integrate
-
-    def counting(f, *a, **kw):
-        def g(*args):
-            rhs.append(args[0])
-            return f(*args)
-        return integrate_(g, *a, **kw)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sim, "_integrate", counting)
-        tt = fundamental_matrix(counted, 0.0, 5.0, tol=1e-10)
-    attempts = len(tt.step_sizes) + tt.n_rejected
-    # F(t0) for n, two probe times and the first slope at t0
-    assert calls == {"scalar": 4, "batch": attempts + 1}
-    assert len(rhs) == 1 + 6 * attempts
+    tt = fundamental_matrix(counted, 0.0, 5.0, tol=1e-10)
+    # F(t0) for n and the two probe times
+    assert calls == {"scalar": 3}
+    assert batches[0].tolist() == [0.0, 0.1]
+    levels = batches[1:]
+    assert tt.n_rejected > 0 and len(levels) >= 2
+    assert sum(map(len, levels)) == 5 * (len(tt.step_sizes) + tt.n_rejected)
+    for ts in levels:  # ascending node times within a level
+        assert (np.diff(ts) > 0).all()
+    assert len(tt.step_sizes) > len(tt.times) - 1
+    assert tt.step_sizes.sum() == pytest.approx(5.0, rel=1e-14)
 
 
 def count_calls(fn):
@@ -497,23 +653,19 @@ def count_calls(fn):
         return fn(), [b for b, _ in log[1:]], [c for _, c in log]
 
 
-@pytest.mark.parametrize("which", ["simulate", "phi"])
-def test_one_batched_evaluation_per_attempt_after_the_switch(example, which):
+def test_one_batched_evaluation_per_attempt_after_the_switch(example):
     # DP5 attempts batch their 5 stage times and make 6 RHS calls; RODAS4
     # attempts batch 6 times (t, t + dt and the 4 stage times) and make
     # 1 (f_t) + 5 (stages) RHS calls, plus n + 1 for the differenced
     # Jacobian of the disturbance, plus 1 (f(t + h, y_new)) if accepted
     spec, ctrl = example
-    cl = closed_loop_function(spec, ctrl, include_delta=True)
-    run = (lambda: simulate(spec, ctrl, T=10.0, bounds_tol=1e-3)) \
-        if which == "simulate" else \
-        (lambda: fundamental_matrix(cl, spec.t0, 5.0))
-    tr, batches, rhs = count_calls(run)
+    tr, batches, rhs = count_calls(
+        lambda: simulate(spec, ctrl, T=10.0, bounds_tol=1e-3))
     n_dp5 = batches.count(5)
     assert batches == [5] * n_dp5 + [6] * (len(batches) - n_dp5)
     assert len(batches) == len(tr.step_sizes) + tr.n_rejected
     assert rhs[0] == 1 and rhs[1:n_dp5 + 1] == [6] * n_dp5
-    per_attempt = 6 + (spec.n + 1 if which == "simulate" else 0)
+    per_attempt = 6 + spec.n + 1
     after = rhs[n_dp5 + 1:]
     assert set(after) <= {per_attempt, per_attempt + 1}
     assert after.count(per_attempt + 1) == len(tr.step_sizes) - tr.n_explicit
@@ -526,18 +678,16 @@ def test_fundamental_matrix_after_the_switch_matches_radau(example):
     spec, ctrl = example
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     tt = fundamental_matrix(cl, spec.t0, 5.0, tol=1e-8)
-    switch = spec.t0 + tt.step_sizes[:tt.n_explicit].sum()
-    assert switch < 4.0
     M = oracles.repro_closed_loop
     ref = solve_ivp(lambda t, y: (M(t) @ y.reshape(2, 2)).ravel(),
                     (spec.t0, 5.0), np.eye(2).ravel(), method="Radau",
                     rtol=1e-10, atol=1e-16, t_eval=tt.times,
                     jac=lambda t, y: np.kron(M(t), np.eye(2)))
     err = np.abs(tt.phis - ref.y.T.reshape(-1, 2, 2)).max(axis=(1, 2))
-    # DP5 carries the error of its first steps at the sqrt(t) corner of
-    # M at t = 0 (6.4e-7); RODAS4's share is 2.8e-10
-    assert err.max() < 2e-6
-    assert err[tt.times > switch].max() < 1e-8
+    # the two-node companion of the error estimate sees the quadrature
+    # error at the sqrt(t) corner of M at t = 0, so the first sub-steps
+    # shrink until it is resolved
+    assert err.max() < 1e-8
     rep = verify_sandwich(tt, cl, spec.norm, phi_tol=1e-8)
     assert rep.passed and rep.notes == []
 
@@ -577,8 +727,6 @@ def test_domain_error_after_the_switch_matches_stage_by_stage(a22, omega,
     if omega is None:
         F = s.A.compiled()
         calls.append(lambda: fundamental_matrix(F, 0.0, 2.0))
-        tt = fundamental_matrix(F, 0.0, 0.9)
-        assert tt.n_explicit < len(tt.step_sizes)
     tr = simulate(s, None, T=0.9)
     assert tr.n_explicit < len(tr.step_sizes)
     got = [_failure(c) for c in calls]
