@@ -15,6 +15,7 @@ ignored; all sampling in reports is deterministically seeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -331,9 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_parser = functools.cache(build_parser)  # one parser per process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (StiffnessError, NumericalError, ConvergenceError) as exc:

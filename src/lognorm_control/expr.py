@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -574,6 +575,77 @@ def _lambda(params: str, body: str) -> Callable:
     return eval(f"lambda {params}: {body}", dict(_GEN_GLOBALS))
 
 
+class _Code:
+    """Generated code, compiled on first use: ``raw(t, _x)`` lists a grid's
+    values at one time, ``run(_ts, _x)`` its columns over many."""
+
+    def __init__(self, sources):
+        self.sources, self.raw, self.run = sources, None, None
+
+    def scalar(self):
+        self.raw = _lambda("t, _x=None", f"[{', '.join(self.sources)}]")
+        return self.raw
+
+    def batch(self):
+        columns = ", ".join(f"[{s} for t in _ts]" for s in self.sources)
+        self.run = _lambda("_ts, _x=None", f"[{columns}]")
+        return self.run
+
+
+def _evaluator(code: _Code, checked: Callable, shape: tuple) -> Callable:
+    """:meth:`_Grid.compiled`'s evaluator; nothing it holds refers to it."""
+    ndarray, array, isfinite = np.ndarray, np.array, math.isfinite
+
+    def fn(t, x=None):
+        if type(t) is ndarray and t.ndim:
+            return _batch(code, checked, shape, t, x)
+        try:
+            v = (code.raw or code.scalar())(t, x)
+            if isfinite(sum(v)):
+                return array(v).reshape(shape)
+        except Exception:
+            pass
+        return checked(t, x)
+
+    fn.exact_batches = True  # see sim._batched
+    return fn
+
+
+def _batch(code, checked, shape, ts, x):
+    if ts.ndim != 1:
+        raise ValueError(f"times must be a scalar or a 1-d array, "
+                         f"got shape {ts.shape}")
+    try:
+        run = code.run or code.batch()
+        v = np.ascontiguousarray(np.array(run(ts.tolist(), x)).T)
+        if np.isfinite(v).all():
+            return v.reshape((-1,) + shape)
+    except Exception:
+        pass
+    scalar = _evaluator(code, checked, shape)
+    return np.array([scalar(t, x) for t in ts.tolist()])
+
+
+def _checked(flat, shape, domain, t, x=None) -> np.ndarray:
+    """:meth:`_Grid.__call__` of the grid of entries ``flat``."""
+    if domain is not None:
+        domain(t, x)
+    env = _env(t, x)
+    out = np.empty(shape)
+    for idx, e in zip(np.ndindex(shape), flat):
+        try:
+            out[idx] = _eval(e, env)
+        except EvalError as exc:
+            if len(flat) == 1:
+                raise
+            where = ",".join(str(i + 1) for i in idx)
+            if len(idx) > 1:
+                where = f"({where})"
+            raise EvalError(f"entry {where}: {exc.message}",
+                            exc.offset) from None
+    return out
+
+
 class _Grid:
     """Shared machinery for expression-valued matrices and vectors:
     ``entries`` is a nested tuple of expressions of the given ``shape``."""
@@ -610,28 +682,16 @@ class _Grid:
             self._src = [_gen(e, xs) for e in self._flat()]
         return self._src
 
+    def _fallback(self) -> Callable[..., np.ndarray]:
+        """:meth:`__call__` as a callable that does not hold this grid."""
+        return partial(_checked, self._flat(), self.shape, self.domain)
+
     def __call__(self, t: float, x=None) -> np.ndarray:
         """Evaluate the domain, then every entry, with the checked
         evaluator.  An EvalError names the failing entry, 1-based:
         ``entry (i,j)`` of a matrix, ``entry i`` of a vector; a grid of
         one entry raises its entry's error as it is."""
-        if self.domain is not None:
-            self.domain(t, x)
-        env = _env(t, x)
-        out = np.empty(self.shape)
-        flat = self._flat()
-        for idx, e in zip(np.ndindex(self.shape), flat):
-            try:
-                out[idx] = _eval(e, env)
-            except EvalError as exc:
-                if len(flat) == 1:
-                    raise
-                where = ",".join(str(i + 1) for i in idx)
-                if len(idx) > 1:
-                    where = f"({where})"
-                raise EvalError(f"entry {where}: {exc.message}",
-                                exc.offset) from None
-        return out
+        return self._fallback()(t, x)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.entries == other.entries
@@ -655,50 +715,13 @@ class _Grid:
         comprehension over the times per entry, and checks finiteness
         once; on any failure it redoes the batch time by time through
         the scalar path, so a batch fails exactly as the first failing
-        scalar call in it.  Each of the two is compiled on its first
-        call.
+        scalar call in it.  The evaluator, made once, holds the generated
+        code and :meth:`__call__` apart from the grid: no reference cycle.
         """
-        if self._compiled is not None:
-            return self._compiled
-        shape, stack = self.shape, (-1,) + self.shape
-        ndarray, array, isfinite = np.ndarray, np.array, math.isfinite
-
-        def raw(t, x=None):  # replaces itself with the generated code
-            nonlocal raw
-            raw = _lambda("t, _x=None", f"[{', '.join(self._sources())}]")
-            return raw(t, x)
-
-        def run(ts, x=None):  # the same for the batch
-            nonlocal run
-            columns = ", ".join(f"[{s} for t in _ts]" for s in self._sources())
-            run = _lambda("_ts, _x=None", f"[{columns}]")
-            return run(ts, x)
-
-        def batch(ts, x):
-            if ts.ndim != 1:
-                raise ValueError(f"times must be a scalar or a 1-d array, "
-                                 f"got shape {ts.shape}")
-            try:
-                v = np.ascontiguousarray(array(run(ts.tolist(), x)).T)
-                if np.isfinite(v).all():
-                    return v.reshape(stack)
-            except Exception:
-                pass
-            return array([fn(t, x) for t in ts.tolist()])
-
-        def fn(t, x=None):
-            if type(t) is ndarray and t.ndim:
-                return batch(t, x)
-            try:
-                v = raw(t, x)
-                if isfinite(sum(v)):
-                    return array(v).reshape(shape)
-            except Exception:
-                pass
-            return self(t, x)
-
-        self._compiled = fn
-        return fn
+        if self._compiled is None:
+            self._compiled = _evaluator(_Code(self._sources()),
+                                        self._fallback(), self.shape)
+        return self._compiled
 
 
 class MatrixFunction(_Grid):
@@ -755,10 +778,11 @@ class MatrixFunction(_Grid):
 class _Sum(MatrixFunction):
     """The grid of :meth:`MatrixFunction.plus`.  Its entries are checked
     already, and their sources are the parts'; its checked evaluator
-    runs the parts' compiled evaluators, ``left`` first."""
+    adds the parts' compiled evaluators, the left one's first.  It keeps
+    those evaluators and ``right``, not the left grid, which caches it."""
 
     def __init__(self, left, right):
-        self.left, self.right = left, right
+        self.right, self._parts = right, (left.compiled(), right.compiled())
         self.entries = tuple(tuple(Bin("+", a, b) for a, b in zip(ra, rb))
                              for ra, rb in zip(left.entries, right.entries))
         self.n, self.shape = left.n, left.shape
@@ -768,8 +792,9 @@ class _Sum(MatrixFunction):
                      for a, b in zip(left._sources(), right._sources())]
         self._compiled = self._sum = None
 
-    def __call__(self, t, x=None):
-        return self.left.compiled()(t, x) + self.right.compiled()(t, x)
+    def _fallback(self):
+        left, right = self._parts
+        return lambda t, x=None: left(t, x) + right(t, x)
 
 
 class VectorFunction(_Grid):

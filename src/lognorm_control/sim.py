@@ -32,7 +32,7 @@ propagators, a whole refinement level of sub-steps per batch of ``F``
 
 from __future__ import annotations
 
-import csv
+import inspect
 import math
 import random
 from dataclasses import dataclass, field
@@ -556,10 +556,16 @@ class TransitionTrace:
     n_rejected: int
 
 
+def _exact_batches(F: Callable) -> bool:
+    return getattr(inspect.unwrap(F), "exact_batches", False)
+
+
 def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
     """``F`` itself if it batches, else a loop stacking its scalar calls.
 
-    ``F`` batches when, given the two ``probe`` times as a 1-d array, it
+    A compiled grid batches by construction, unprobed (its
+    ``exact_batches``, read through ``__wrapped__``).  Another ``F``
+    batches when, given the two ``probe`` times as a 1-d array, it
     returns the (2, n, n) stack equal bit for bit to its two scalar
     calls.  Anything else, an exception included, selects the loop,
     which passes a single time straight to ``F``.
@@ -567,6 +573,8 @@ def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
     def stacked(ts):
         return F(ts) if np.ndim(ts) == 0 else np.array([F(t) for t in ts])
 
+    if _exact_batches(F):
+        return F
     probe = np.asarray(probe, dtype=float)
     try:
         got = np.asarray(F(probe), dtype=float)
@@ -661,8 +669,8 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
     the 2 to 32 pieces its estimate, read as ``O(h^5)``, predicts will
     pass (``n_rejected`` counts the cuts).  A refinement level evaluates
     ``F`` on all its node times, ascending, ``_PHI_CHUNK`` times a call,
-    as a batch if :func:`_batched` accepts ``F`` on ``t0`` and ``t0 +
-    min(_PHI_H_MAX, T - t0)``; Phi has the same bits either way.
+    as a batch if :func:`_batched` accepts it; Phi has the same bits
+    either way.
 
     A failing batch is redone time by time, so NumericalError names the
     earliest time where ``F`` fails; a non-finite generator or Phi raises
@@ -676,8 +684,8 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
         raise ValueError("tol must be a positive finite number")
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
-    n = np.asarray(F(t0)).shape[0]
     grid = np.linspace(t0, T, n_out)
+    n = np.asarray(F(grid[:1]) if _exact_batches(F) else F(t0)).shape[-1]
     M = _batched(F, n, (t0, t0 + min(_PHI_H_MAX, T - t0)))
     # cells a rounding error above _PHI_H_MAX stay whole
     parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).astype(int)
@@ -784,8 +792,8 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
 
     ``F`` follows the contract of :func:`fundamental_matrix`: scalar
     calls are required; the quadrature evaluates ``F`` as a batch per
-    refinement level when it batches bit for bit on the trace's first
-    and last times, and stacks scalar calls otherwise.
+    refinement level when :func:`_batched` accepts it (probed on the
+    trace's first and last times), and stacks scalar calls otherwise.
     """
     times = tt.times
     m = len(times)
@@ -899,28 +907,17 @@ def convergence_report(trace: Trace) -> ConvergenceReport:
 def write_trace_csv(trace: Trace, path) -> None:
     """Write a trace as CSV: ``t, x_1..x_n, norm_x, mu_cl, bound_upper,
     bound_lower`` with 17 significant digits (enough to round-trip
-    float64 exactly)."""
+    float64 exactly), in one write, as ``csv.writer`` would write them."""
     header = (["t"] + [f"x_{i + 1}" for i in range(trace.n)]
               + ["norm_x", "mu_cl", "bound_upper", "bound_lower"])
-
-    def fmt(v: float) -> str:
-        return f"{v:.17g}"
-
-    close = False
+    cols = np.column_stack((trace.times, trace.states, trace.norms,
+                            trace.mu_cl, trace.bound_upper,
+                            trace.bound_lower))
+    row = ",".join(["%.17g"] * len(header)) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(
+        [row % tuple(r) for r in cols.tolist()])
     if hasattr(path, "write"):
-        fh = path
+        path.write(text)
     else:
-        fh = open(path, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(trace.times)):
-            row = ([fmt(trace.times[i])]
-                   + [fmt(v) for v in trace.states[i]]
-                   + [fmt(trace.norms[i]), fmt(trace.mu_cl[i]),
-                      fmt(trace.bound_upper[i]), fmt(trace.bound_lower[i])])
-            w.writerow(row)
-    finally:
-        if close:
-            fh.close()
+        with open(path, "w", newline="") as fh:
+            fh.write(text)

@@ -55,6 +55,7 @@ __all__ = [
     "ExplicitGamma",
     "auto_gamma",
     "decompose_sym_skew",
+    "expand_gain",
     "synthesize",
     "verify_c2",
     "verify_c3",
@@ -174,7 +175,7 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
     The returned ControllerSpec satisfies
     ``mu_2[A(t) + B K(t)] = max_i(lam_i + gamma_i(t))`` identically; a
     spot check of the defining identity at sample times guards the
-    construction.
+    expanded ``K`` when it is first read (:func:`expand_gain`).
     """
     n = spec.n
     lam = np.full(n, -1.0) if lam is None else np.asarray(lam, dtype=float)
@@ -206,17 +207,22 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
         inner[i][i] = Bin("+", adaptive[i][i], gamma[i])
         closed[i][i] = Bin("+", rates[i], Bin("*", Lit(0.0), spec.A.entries[i][i]))
 
-    K_entries = [[_dot_row(B_inv[i], [inner[k][j] for k in range(n)])
-                  for j in range(n)] for i in range(n)]
-    ctrl = ControllerSpec(lam=lam, gamma=gamma,
-                          K=MatrixFunction(K_entries, ("t",)),
+    return ControllerSpec(lam=lam, gamma=gamma,
+                          inner=tuple(tuple(row) for row in inner),
                           adaptive_part=MatrixFunction(adaptive, ("t",)),
                           B_inv=B_inv, system=spec,
                           closed_loop=MatrixFunction(closed, ("t",),
                                                      domain=spec.A),
                           rates=VectorFunction(rates))
-    _spot_check_gain(spec, ctrl, sym)
-    return ctrl
+
+
+def expand_gain(ctrl: ControllerSpec) -> MatrixFunction:
+    """``K = B^{-1} inner`` as a grid in t, spot-checked at sample times."""
+    n, inner = ctrl.n, ctrl.inner
+    K = MatrixFunction([[_dot_row(ctrl.B_inv[i], [row[j] for row in inner])
+                         for j in range(n)] for i in range(n)], ("t",))
+    _spot_check_gain(ctrl, K)
+    return K
 
 
 def _dot_row(coeffs, exprs) -> Expr:
@@ -235,11 +241,11 @@ def _dot_row(coeffs, exprs) -> Expr:
     return acc if acc is not None else Lit(0.0)
 
 
-def _spot_check_gain(spec: SystemSpec, ctrl: ControllerSpec,
-                     sym: MatrixFunction):
+def _spot_check_gain(ctrl: ControllerSpec, K: MatrixFunction):
     # the printed gain against the form the closed loop is evaluated in
-    sym_c = sym.compiled()
-    K_c = ctrl.K.compiled()
+    spec = ctrl.system
+    sym_c = decompose_sym_skew(spec.A)[0].compiled()
+    K_c = K.compiled()
     rates = ctrl.rates.compiled()
     checked = 0
     for dt in (0.1, 0.37, 0.9, 1.7, 3.1, 6.4, 9.9):

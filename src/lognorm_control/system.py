@@ -11,6 +11,7 @@ envelope ``omega_bound(t)``.  A controller supplies the state feedback
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -110,11 +111,13 @@ class ControllerSpec:
     within ``1e-14 * (1 + max|A + B K|)``, not bit for bit.  It fails
     where an entry of ``A`` does: its diagonal is ``rate_i + 0 * A_ii``,
     and its ``domain`` is ``A``, so the error raised there is ``A``'s.
+
+    ``K`` is built and spot-checked on first read (synthesis.expand_gain).
     """
 
     lam: np.ndarray
     gamma: tuple  # tuple[Expr] diagonal entries of the robust part
-    K: MatrixFunction
+    inner: tuple  # rows of Expr: -A_sym(t) + diag(lam) + diag(gamma(t))
     adaptive_part: MatrixFunction  # -A_sym(t) + diag(lam)
     B_inv: np.ndarray
     system: SystemSpec
@@ -124,6 +127,12 @@ class ControllerSpec:
     @property
     def n(self) -> int:
         return len(self.lam)
+
+    @cached_property
+    def K(self) -> MatrixFunction:
+        """The gain; a ValueError or AssertionError is the spot check's."""
+        from .synthesis import expand_gain  # synthesis imports this module
+        return expand_gain(self)
 
     def gamma_max(self) -> Callable[[float], float]:
         """The pointwise closed-loop rate ``Gamma(t) = max_i(lam_i + gamma_i(t))``.

@@ -1,0 +1,204 @@
+"""What a command builds: only what it reads, once, freed when it returns.
+
+Each command here runs in process through ``cli.main`` on the bundled
+scenario and on the first oscillator config of the benchmark's seed 1.
+The counts are exact, so a command that starts to build (or generate
+code for) something it does not read shows without timing anything.
+"""
+
+import contextlib
+import gc
+import importlib.util
+import io
+import json
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import lognorm_control
+from lognorm_control import cli, expr, synthesis
+from lognorm_control.expr import Bin, Lit
+from lognorm_control.presets import example_config
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
+COMMANDS = ("synthesize", "classify", "simulate", "verify")
+
+
+def _oscillator_config():
+    """Config 0 of ``bench/workloads.py``'s oscillator workload, seed 1."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    return mod.oscillator_problems(1)[0].config
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("configs")
+    paths = {}
+    for name, doc in (("bundled", example_config()),
+                      ("oscillator", _oscillator_config())):
+        paths[name] = out / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    return paths
+
+
+def _run(command, config):
+    argv = [command, "--config", str(config)]
+    if command == "simulate":
+        argv += ["--out", str(config.with_suffix(".csv"))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+
+def _made_by_package(obj) -> bool:
+    """A grid, an expression node, an evaluator or any other object of a
+    package class; an argparse object; or a function whose code is the
+    package's, generated code included."""
+    module = type(obj).__module__ or ""
+    if module.startswith("lognorm_control") or module == "argparse":
+        return True
+    if isinstance(obj, types.FunctionType):
+        code = obj.__code__.co_filename
+        return (code.startswith(PACKAGE)
+                or obj.__globals__.get("_nonfinite") is expr._nonfinite)
+    return False
+
+
+@pytest.mark.parametrize("workload", ["bundled", "oscillator"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_leave_no_cyclic_garbage(configs, workload, command):
+    # what a command builds is freed by reference counting when it
+    # returns: the cyclic collector finds none of it.  The parser is
+    # built once per process (argparse's formatters form cycles then),
+    # so a first command builds it here
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["lognorm", "[[0, 1], [1, 0]]"])
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert _run(command, configs[workload]) == 0
+        gc.collect()
+        ours = [repr(o)[:80] for o in gc.garbage if _made_by_package(o)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert ours == []
+
+
+@pytest.mark.parametrize("workload, counts", [
+    ("bundled", {"synthesize": 10, "classify": 5, "simulate": 5,
+                 "verify": 11}),
+    ("oscillator", {"synthesize": 8, "classify": 3, "simulate": 3,
+                    "verify": 9}),
+])
+def test_code_generated_per_command(configs, monkeypatch, workload, counts):
+    # one compile per generated function a command runs: classify and
+    # simulate never build the gain K, so neither K's code nor the
+    # symmetric part's and the rates' scalar code its spot check runs
+    # is made; verify batches its fused loop without a scalar call
+    made = []
+    original = expr._lambda
+
+    def counting(params, body):
+        made.append(params)
+        return original(params, body)
+    monkeypatch.setattr(expr, "_lambda", counting)
+    got = {}
+    for command in COMMANDS:
+        made.clear()
+        assert _run(command, configs[workload]) == 0
+        got[command] = len(made)
+    assert got == counts
+
+
+@pytest.mark.parametrize("workload", ["bundled", "oscillator"])
+def test_spot_check_runs_where_the_gain_is_read(configs, monkeypatch,
+                                               workload):
+    calls = []
+    original = synthesis._spot_check_gain
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(synthesis, "_spot_check_gain", counting)
+    got = {}
+    for command in COMMANDS:
+        calls.clear()
+        assert _run(command, configs[workload]) == 0
+        got[command] = len(calls)
+    assert got == {"synthesize": 1, "classify": 0, "simulate": 0,
+                   "verify": 1}
+
+
+def test_a_wrong_gain_fails_where_it_is_read(configs, monkeypatch):
+    # every entry of K off by 1e-3: synthesize prints K and verify's C3
+    # checks it, so both fail the spot check as before; classify and
+    # simulate evaluate the closed loop and never build K
+    original = synthesis._dot_row
+    monkeypatch.setattr(synthesis, "_dot_row", lambda c, e: Bin(
+        "+", original(c, e), Lit(1e-3)))
+    for command in ("synthesize", "verify"):
+        with pytest.raises(AssertionError,
+                           match=r"^gain identity violated at t=0\.1: "
+                                 r"max error 1\.\d+e-03$"):
+            _run(command, configs["bundled"])
+    for command in ("classify", "simulate"):
+        assert _run(command, configs["bundled"]) == 0
+
+
+def test_an_unevaluable_gain_leaves_classify_and_simulate_to_the_loop(
+        tmp_path, capsys):
+    # A, hence K, exists only on [0, 0.05], before the first probe time
+    # of the spot check: synthesize still fails it, while classify and
+    # simulate report the closed loop's own failure
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({
+        "n": 2, "t0": 0.0, "x0": [1.0, -0.5], "norm": "two",
+        "A": [["sqrt(0.05-t)", "1"], ["0", "-1"]],
+        "B": [[1.0, 0.0], [0.0, 1.0]],
+        "controller": {"lambda": [-1.0, -1.0], "gamma": "auto"},
+        "horizon": 1.0, "tol": 1e-8}))
+    assert cli.main(["synthesize", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == \
+        "error: could not evaluate the gain at any probe time\n"
+    assert cli.main(["classify", "--config", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["entries"]["AS"]["note"].startswith(
+        "could not evaluate the closed loop: entry (1,1): sqrt of negative "
+        "value")
+    assert cli.main(["simulate", "--config", str(path)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: expression evaluation failed at t=0.05")
+
+
+def test_verify_batches_the_fused_loop(configs, monkeypatch):
+    # the fused loop is a compiled grid, which batches by construction:
+    # Phi and the sandwich take it without scalar probe calls, and its
+    # dimension comes from a batch
+    scalar = []
+    modules = [m for m in (cli, lognorm_control.analysis, lognorm_control.sim)
+               if hasattr(m, "closed_loop_function")]
+    original = lognorm_control.system.closed_loop_function
+
+    def counting(spec, ctrl=None, include_delta=False):
+        fn = original(spec, ctrl, include_delta)
+        if not include_delta:
+            return fn
+
+        def wrapper(t, x=None):
+            if not (hasattr(t, "ndim") and t.ndim):
+                scalar.append(t)
+            return fn(t, x)
+        wrapper.__wrapped__ = fn
+        return wrapper
+    for m in modules:
+        monkeypatch.setattr(m, "closed_loop_function", counting)
+    for workload in ("bundled", "oscillator"):
+        assert _run("verify", configs[workload]) == 0
+    assert scalar == []

@@ -527,6 +527,31 @@ def test_trace_csv_round_trip(tmp_path):
             assert float(cell) == cols[j][i]  # 17 digits round trip
 
 
+def test_trace_csv_bytes_match_csv_writer(tmp_path):
+    # the one-pass writer against the csv.writer it replaced, on the
+    # values whose text is special
+    special = [math.inf, -math.inf, math.nan, -0.0, 5e-324,
+               1.7976931348623157e308, 0.1, -2.5e-7]
+    tr = simulate(make_spec(WOBBLE, x0=(1.0, -1.0)), None, T=1.0,
+                  n_out=len(special))
+    for name in ("times", "norms", "mu_cl", "bound_upper", "bound_lower"):
+        setattr(tr, name, np.roll(special, len(name)))
+    tr.states = np.column_stack([special, special[::-1]])
+    path = tmp_path / "trace.csv"
+    write_trace_csv(tr, path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["t", "x_1", "x_2", "norm_x", "mu_cl", "bound_upper",
+                    "bound_lower"])
+        for i in range(len(special)):
+            row = [tr.times[i], *tr.states[i], tr.norms[i], tr.mu_cl[i],
+                   tr.bound_upper[i], tr.bound_lower[i]]
+            w.writerow([f"{v:.17g}" for v in row])
+    assert path.read_bytes() == ref.read_bytes()
+    assert b"-inf" in ref.read_bytes() and b",-0," in ref.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # the stage-batched stepper against the stage-by-stage path
 
