@@ -48,6 +48,7 @@ from .report import dumps
 from .sim import (
     NumericalError,
     StiffnessError,
+    _phi_values,
     convergence_report,
     fundamental_matrix,
     simulate,
@@ -201,9 +202,12 @@ def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     """
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     k = spec.norm
+
+    def F(ts):  # the loop, naming the earliest time where it fails
+        return _phi_values(cl, cl, ts)
     grid = np.linspace(t0, T, 33)
-    J_up, _, _, _ = cumulative_integral(lambda ts: lognorm(cl(ts), k), grid, 1e-6)
-    J_low, _, _, _ = cumulative_integral(lambda ts: lognorm(-cl(ts), k), grid, 1e-6)
+    J_up, _, _, _ = cumulative_integral(lambda ts: lognorm(F(ts), k), grid, 1e-6)
+    J_low, _, _, _ = cumulative_integral(lambda ts: lognorm(-F(ts), k), grid, 1e-6)
     mag = np.maximum(np.abs(J_up), np.abs(J_low))
     exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
     if len(exceed) == 0:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -495,41 +495,88 @@ def format_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # compilation
 
-def _gen(e: Expr, subs: dict) -> str:
-    """Fully parenthesized source of ``e``; semantics match _eval except
-    that the domain checks are left to the caller's fallback path.
-    ``subs`` maps a variable to the source standing for it, if not its
-    name."""
-    return _code(e, subs)[0]
+def _dag(flat: list, subs: dict) -> tuple:
+    """The entries ``flat`` as ``(nodes, roots)``.  A node ``[e, operands,
+    uses]`` stands for every copy of a subtree other than a literal or a
+    variable, in one entry or across entries, keyed by its operator over
+    its operands; an operand or a root is a node's index or a leaf's
+    source.  One walk, linear in the trees' size, finds them, operands
+    first.  ``subs`` maps a variable to the source standing for it."""
+    seen, keys, nodes = {}, {}, []
+
+    def walk(e):
+        kind = type(e)
+        if kind is Lit:
+            return f"({e.value!r})"
+        if kind is Var:
+            return subs.get(e.name, e.name)
+        k = seen.get(id(e))
+        if k is None:
+            if kind is Bin:
+                key = (e.op, walk(e.left), walk(e.right))
+            else:
+                key = (e.fn, *map(walk, e.args)) if kind is Call else \
+                    ("-", walk(e.operand))
+            n = len(nodes)
+            k = seen[id(e)] = keys.setdefault(key, n)
+            if k < n:  # a copy: its operands count once, as k's
+                for c in key[1:]:
+                    if type(c) is int:
+                        nodes[c][2] -= 1
+            else:
+                nodes.append([e, key[1:], 0])
+        nodes[k][2] += 1
+        return k
+
+    roots = [walk(e) for e in flat]
+    del walk  # it refers to itself: no cycle is left for the collector
+    return nodes, roots
 
 
-def _code(e: Expr, subs: dict):
-    # (source, constant): ``constant`` says ``e`` uses no variable
-    if isinstance(e, Lit):
-        return f"({e.value!r})", True
-    if isinstance(e, Var):
-        return subs.get(e.name, e.name), False
+def _gen(dag: tuple, array: bool) -> str:
+    """The body of the scalar or the array function of the entries ``dag``
+    (see :meth:`_Grid.compiled`); it matches _eval but leaves the domain
+    checks to the caller's fallback path, and computes each node used
+    more than once a single time per call, into a temporary."""
+    nodes, roots = dag
+    code, temps = [], []
+
+    def operand(c):  # (node, source, per time, constant)
+        return code[c] if type(c) is int else (None, c, c == "t", c[0] == "(")
+
+    for k, (e, kids, uses) in enumerate(nodes):
+        src, vec, const = _emit(e, [operand(c) for c in kids], array)
+        if uses > 1:
+            temps.append(f"(_{k} := {src})")
+            src = f"_{k}"
+        code.append((e, src, vec, const))
+    values = f"[{', '.join(operand(c)[1] for c in roots)}]"
+    return f"({', '.join(temps)}, {values})[-1]" if temps else values
+
+
+def _emit(e: Expr, ops: list, array: bool) -> tuple:
+    """The source of ``e``, a node over the operands ``ops`` (see _gen's
+    ``operand``), and whether it is per time and constant.  The array
+    form's ``t`` is the array of times; a value not depending on it is a
+    float, computed as in the scalar form."""
+    vec, const = ops[0][2] or ops[-1][2], ops[0][3] and ops[-1][3]
     if isinstance(e, Neg):
-        src, const = _code(e.operand, subs)
-        return f"(-{src})", const
-    if isinstance(e, Bin):
-        (left, lc), (right, rc) = _code(e.left, subs), _code(e.right, subs)
-        if e.op == "^":
-            left = _finite(e.left, left, lc)
-            return f"pow({left}, {_finite(e.right, right, rc)})", lc and rc
-        if e.op == "/":
-            right = _finite(e.right, right, rc)
-        return f"({left}{e.op}{right})", lc and rc
-    if isinstance(e, Call):
-        args = [_code(a, subs) for a in e.args]
-        const = all(c for _, c in args)
-        if e.fn in _ABSORBING:
-            args = [(_finite(a, s, c), c) for a, (s, c) in zip(e.args, args)]
-        return f"{e.fn}({', '.join(s for s, _ in args)})", const
-    raise TypeError(f"not an expression node: {e!r}")
+        return f"(-{ops[0][1]})", vec, const
+    fn = e.fn if isinstance(e, Call) else "pow" if e.op == "^" else None
+    if fn is None:
+        right = _finite(*ops[1], array) if e.op == "/" else ops[1][1]
+        return f"({ops[0][1]}{e.op}{right})", vec, const
+    args = ", ".join(_finite(*o, array) if fn in _ABSORBING else o[1]
+                     for o in ops)
+    if not (array and vec):
+        return f"{fn}({args})", vec, const
+    if fn in ("abs", "sqrt", "min", "max"):
+        return f"_{fn}({args})", vec, const
+    return f"_map({fn}, {args})", vec, const
 
 
-# Python float + - * / overflow to inf silently.  An inf or nan operand
+# Python float + - * / overflow to inf silently; numpy's also give inf
+# or nan where Python raises (x/0, sqrt(-1)).  An inf or nan operand
 # keeps the result non-finite, where the caller's final check sees it,
 # except at these positions: a divisor (x/inf = 0), the arguments of min,
 # max and pow (pow(inf, 0) = 1, min(nan, 1) = nan but min(1, nan) = 1)
@@ -538,14 +585,14 @@ def _code(e: Expr, subs: dict):
 _ABSORBING = frozenset(("min", "max", "pow", "exp"))
 
 
-def _finite(e: Expr, src: str, const: bool) -> str:
-    """``src``, the source of ``e``, raising if ``e`` is non-finite.  A
-    variable or a literal, negated or not, needs no check (the checked
+def _finite(e, src: str, vec: bool, const: bool, array: bool) -> str:
+    """The source of the operand ``e`` (see _emit), raising if non-finite.
+    A variable or a literal, negated or not, needs no check (the checked
     evaluator does not check them either), nor does a constant that the
     checked evaluator evaluates, as every intermediate is finite then."""
     while isinstance(e, Neg):
         e = e.operand
-    if isinstance(e, (Lit, Var)):
+    if e is None or isinstance(e, (Lit, Var)):
         return src
     if const:
         try:
@@ -553,11 +600,22 @@ def _finite(e: Expr, src: str, const: bool) -> str:
             return src
         except EvalError:
             pass
-    return f"(_v if _isfinite(_v := {src}) else _nonfinite())"
+    check = "_allfinite" if array and vec else "_isfinite"
+    return f"(_v if {check}(_v := {src}) else _nonfinite())"
 
 
 def _nonfinite():
     raise ArithmeticError("non-finite intermediate")
+
+
+def _map(f: Callable, a, b=None) -> np.ndarray:
+    """``f`` at each time, of one or two arguments: an array holds one
+    value per time, a float one value for all of them."""
+    if b is None:
+        return np.fromiter(map(f, a.tolist()), float, len(a))
+    m = len(a) if type(a) is np.ndarray else len(b)
+    a, b = (v.tolist() if type(v) is np.ndarray else [v] * m for v in (a, b))
+    return np.fromiter(map(f, a, b), float, m)
 
 
 _GEN_GLOBALS = {
@@ -567,7 +625,14 @@ _GEN_GLOBALS = {
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "abs": abs, "min": min, "max": max,
     "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
+    # the array form's; min(a, b) is a unless b < a, and max alike
+    "_map": _map, "_abs": np.abs, "_sqrt": np.sqrt,
+    "_min": lambda a, b: np.where(b < a, b, a),
+    "_max": lambda a, b: np.where(b > a, b, a),
+    "_allfinite": lambda v: np.isfinite(v).all(),
 }
+
+_ARRAY_MIN = 48  # a batch of fewer times loops the scalar form
 
 
 def _lambda(params: str, body: str) -> Callable:
@@ -577,18 +642,22 @@ def _lambda(params: str, body: str) -> Callable:
 
 class _Code:
     """Generated code, compiled on first use: ``raw(t, _x)`` lists a grid's
-    values at one time, ``run(_ts, _x)`` its columns over many."""
+    values at one time, ``run(t, _x)`` its columns at an array of times
+    (a float for a column the same at every time)."""
 
-    def __init__(self, sources):
-        self.sources, self.raw, self.run = sources, None, None
+    def __init__(self, flat, subs):
+        self.flat, self.subs, self.raw, self.run = flat, subs, None, None
+
+    @cached_property
+    def dag(self):
+        return _dag(self.flat, self.subs)
 
     def scalar(self):
-        self.raw = _lambda("t, _x=None", f"[{', '.join(self.sources)}]")
+        self.raw = _lambda("t, _x=None", _gen(self.dag, False))
         return self.raw
 
-    def batch(self):
-        columns = ", ".join(f"[{s} for t in _ts]" for s in self.sources)
-        self.run = _lambda("_ts, _x=None", f"[{columns}]")
+    def array(self):
+        self.run = _lambda("t, _x=None", _gen(self.dag, True))
         return self.run
 
 
@@ -616,8 +685,16 @@ def _batch(code, checked, shape, ts, x):
         raise ValueError(f"times must be a scalar or a 1-d array, "
                          f"got shape {ts.shape}")
     try:
-        run = code.run or code.batch()
-        v = np.ascontiguousarray(np.array(run(ts.tolist(), x)).T)
+        if len(ts) < _ARRAY_MIN:
+            raw = code.raw or code.scalar()
+            v = np.array([raw(t, x) for t in ts.tolist()])
+        else:
+            run = code.run or code.array()
+            with np.errstate(all="ignore"):
+                columns = run(ts, x)
+            v = np.empty((len(ts), len(columns)))
+            for j, c in enumerate(columns):
+                v[:, j] = c
         if np.isfinite(v).all():
             return v.reshape((-1,) + shape)
     except Exception:
@@ -668,19 +745,10 @@ class _Grid:
                 f"variable(s) {sorted(bad)} not allowed here; "
                 f"allowed: {sorted(self.allowed)}")
         self.state_dependent = any(v != "t" for v in used)
-        self._compiled = self._src = None
+        self._compiled = None
 
     def _flat(self):
         raise NotImplementedError
-
-    def _sources(self) -> list:
-        """The generated source of each entry, row major, made once and
-        shared by the scalar and the batch code."""
-        if self._src is None:
-            # state component x<k> is x[k - 1], as in the checked evaluator
-            xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
-            self._src = [_gen(e, xs) for e in self._flat()]
-        return self._src
 
     def _fallback(self) -> Callable[..., np.ndarray]:
         """:meth:`__call__` as a callable that does not hold this grid."""
@@ -703,23 +771,30 @@ class _Grid:
         :meth:`__call__` and falling back to it on domain failures, so
         that they raise the same EvalError (the domain's, if it fails).
 
-        The generated code lists the entries' values; they are finite
-        when their Python sum is, and only then become the array.  A sum
-        can overflow with every entry finite; that case, too, goes to
-        :meth:`__call__`, which returns the same bits.
+        The generated code lists the entries' values, computing each
+        subtree they repeat once; they are finite when their Python sum
+        is, and only then become the array.  A sum can overflow with
+        every entry finite; that case, too, goes to :meth:`__call__`,
+        which returns the same bits.
 
         ``t`` may also be a 1-d array of m times (with one state ``x`` for
         all of them); the result is then the (m, *shape) stack of the
         values at those times, equal bit for bit to stacking the scalar
-        calls.  The batch runs the same generated code, one list
-        comprehension over the times per entry, and checks finiteness
-        once; on any failure it redoes the batch time by time through
-        the scalar path, so a batch fails exactly as the first failing
-        scalar call in it.  The evaluator, made once, holds the generated
-        code and :meth:`__call__` apart from the grid: no reference cycle.
+        calls.  A batch of fewer than ``_ARRAY_MIN`` times loops the
+        scalar code.  A larger one runs its array form once: numpy for
+        + - * /, negation, abs and sqrt, which IEEE 754 rounds correctly,
+        and ``math`` time by time for the other functions, as numpy's
+        may round otherwise (its exp does, on some builds and CPUs).
+        Either checks finiteness once; on any failure the batch is redone
+        time by time through the scalar path, so it fails exactly as the
+        first failing scalar call in it.  The evaluator, made once, holds
+        the code, generated and compiled on first use, and
+        :meth:`__call__` apart from the grid: no reference cycle.
         """
         if self._compiled is None:
-            self._compiled = _evaluator(_Code(self._sources()),
+            # state component x<k> is x[k - 1], as in the checked evaluator
+            xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
+            self._compiled = _evaluator(_Code(self._flat(), xs),
                                         self._fallback(), self.shape)
         return self._compiled
 
@@ -777,9 +852,9 @@ class MatrixFunction(_Grid):
 
 class _Sum(MatrixFunction):
     """The grid of :meth:`MatrixFunction.plus`.  Its entries are checked
-    already, and their sources are the parts'; its checked evaluator
-    adds the parts' compiled evaluators, the left one's first.  It keeps
-    those evaluators and ``right``, not the left grid, which caches it."""
+    already, and its code shares subtrees across the parts; its checked
+    evaluator adds the parts' compiled evaluators, the left one's first.
+    It keeps those and ``right``, not the left grid, which caches it."""
 
     def __init__(self, left, right):
         self.right, self._parts = right, (left.compiled(), right.compiled())
@@ -788,8 +863,6 @@ class _Sum(MatrixFunction):
         self.n, self.shape = left.n, left.shape
         self.allowed = left.allowed | right.allowed
         self.state_dependent = left.state_dependent or right.state_dependent
-        self._src = [f"({a}+{b})"
-                     for a, b in zip(left._sources(), right._sources())]
         self._compiled = self._sum = None
 
     def _fallback(self):

@@ -15,12 +15,15 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lognorm_control
 from lognorm_control import cli, expr, synthesis
+from lognorm_control.config import load_config
 from lognorm_control.expr import Bin, Lit
 from lognorm_control.presets import example_config
+from lognorm_control.system import closed_loop_function
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
@@ -92,16 +95,17 @@ def test_commands_leave_no_cyclic_garbage(configs, workload, command):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("bundled", {"synthesize": 10, "classify": 5, "simulate": 5,
-                 "verify": 11}),
-    ("oscillator", {"synthesize": 8, "classify": 3, "simulate": 3,
-                    "verify": 9}),
+    ("bundled", {"synthesize": 10, "classify": 8, "simulate": 5,
+                 "verify": 14}),
+    ("oscillator", {"synthesize": 8, "classify": 5, "simulate": 3,
+                    "verify": 12}),
 ])
 def test_code_generated_per_command(configs, monkeypatch, workload, counts):
     # one compile per generated function a command runs: classify and
     # simulate never build the gain K, so neither K's code nor the
     # symmetric part's and the rates' scalar code its spot check runs
-    # is made; verify batches its fused loop without a scalar call
+    # is made.  A grid batched both below and from expr._ARRAY_MIN
+    # times compiles its scalar and its array function
     made = []
     original = expr._lambda
 
@@ -115,6 +119,25 @@ def test_code_generated_per_command(configs, monkeypatch, workload, counts):
         assert _run(command, configs[workload]) == 0
         got[command] = len(made)
     assert got == counts
+
+
+def test_a_large_batch_runs_only_the_array_function(monkeypatch):
+    # a batch of the oscillator's fused loop as large as Phi's runs the
+    # generated array function once and never the scalar one
+    cfg = load_config(_oscillator_config())
+    ctrl = cfg.controller.build(cfg.spec)
+    calls = []
+    original = expr._lambda
+
+    def counting(params, body):
+        fn = original(params, body)
+        return lambda t, _x=None: calls.append(type(t)) or fn(t, _x)
+    monkeypatch.setattr(expr, "_lambda", counting)
+    F = closed_loop_function(cfg.spec, ctrl, include_delta=True)
+    ts = np.linspace(cfg.spec.t0, cfg.horizon, 512)
+    got = F(ts)
+    assert calls == [np.ndarray]
+    assert got.tobytes() == np.array([F(t) for t in ts]).tobytes()
 
 
 @pytest.mark.parametrize("workload", ["bundled", "oscillator"])

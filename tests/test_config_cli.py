@@ -478,6 +478,23 @@ def test_cli_verify_requires_controller(capsys, plant_file):
     assert "requires a controller" in err
 
 
+def test_cli_verify_names_the_time_the_loop_fails(capsys, tmp_path):
+    # A, hence the closed loop, exists only on [0, 0.05]: the first
+    # quadrature of verify fails there, and names the earliest failing
+    # time of its failing batch, with the exit code simulate gives
+    p = tmp_path / "short.json"
+    p.write_text(json.dumps({
+        "n": 2, "t0": 0.0, "x0": [1.0, -0.5], "norm": "two",
+        "A": [["sqrt(0.05-t)", "1"], ["0", "-1"]],
+        "B": [[1.0, 0.0], [0.0, 1.0]],
+        "controller": {"lambda": [-1.0, -1.0], "gamma": "auto"},
+        "horizon": 1.0, "tol": 1e-8}))
+    rc, out, err = run_cli(capsys, "verify", "--config", str(p))
+    assert (rc, out) == (3, "")
+    assert err == ("error: expression evaluation failed at t=0.0625: entry "
+                   "(1,1): sqrt of negative value -0.0125 at offset 0\n")
+
+
 def test_cli_repro_example(capsys, tmp_path):
     out_csv = tmp_path / "repro.csv"
     rc, out, _ = run_cli(capsys, "repro-example", "--out", str(out_csv))

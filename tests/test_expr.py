@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lognorm_control import expr
 from lognorm_control.expr import (
     Bin,
     Call,
@@ -238,6 +239,33 @@ def test_compiled_matches_interpreted_where_an_overflow_is_absorbed(e, t, x1,
     else:
         assert fn(t, x1, x2) == want
         assert np.array_equal(batch(np.array([t]), [x1, x2])[:, 0, 0], [want])
+
+
+_BIG_BATCH = st.lists(st.floats(0.1, 5.0), min_size=2 * expr._ARRAY_MIN,
+                      max_size=4 * expr._ARRAY_MIN)
+
+
+@settings(max_examples=100)
+@given(e=st.one_of(_tree, _absorbing), ts=_BIG_BATCH,
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_array_form_matches_interpreted_bitwise(e, ts, x1, x2):
+    # a batch this large runs the array form once; its entries share
+    # ``e``, which the generated code computes once per batch.  It equals
+    # the checked evaluator time by time, or fails as its first failure
+    rows = [[e, Bin("*", e, Var("t"))], [Neg(e), Call("sin", (e,))]]
+    batch = MatrixFunction(rows, ("t", "x1", "x2")).compiled()
+    want = []
+    try:
+        for t in ts:
+            want.append([eval_expr(f, t=t, x=[x1, x2])
+                         for row in rows for f in row])
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
+            batch(np.array(ts), [x1, x2])
+        assert got.value.offset == exc.offset
+        return
+    got = batch(np.array(ts), [x1, x2])
+    assert got.tobytes() == np.array(want).reshape(-1, 2, 2).tobytes()
 
 
 @pytest.mark.parametrize("text, at", [
