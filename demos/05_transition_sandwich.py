@@ -31,7 +31,7 @@ print("Phi(5) =")
 print(tt.phis[-1])
 
 for kind in ("one", "two", "inf"):
-    rep = verify_sandwich(tt, F, kind, phi_tol=1e-10)
+    rep = verify_sandwich(tt, F, kind)
     print(f"\n{kind}-norm sandwich over {rep.n_pairs} random pairs: "
           f"{'holds' if rep.passed else 'VIOLATED'}")
     print(f"  worst upper margin {rep.worst_upper_margin:.3e} "
@@ -39,7 +39,7 @@ for kind in ("one", "two", "inf"):
     print(f"  worst lower margin {rep.worst_lower_margin:.3e}")
 
 # tightest pair in the two norm, spelled out
-rep = verify_sandwich(tt, F, "two", phi_tol=1e-10)
+rep = verify_sandwich(tt, F, "two")
 p = min(rep.pairs, key=lambda q: q["upper_margin"])
 print(f"\ntightest two-norm pair: tau={p['tau']:.3f}, t={p['t']:.3f}")
 print(f"  int mu_lower = {p['int_mu_lower']: .6f}")

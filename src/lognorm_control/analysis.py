@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import EvalError, VectorFunction
+from .expr import EvalError, eval_expr
 from .linalg import Weighted, lognorm
 from .report import Report
 from .system import ControllerSpec, SystemSpec, closed_loop_function
@@ -107,8 +107,9 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
     tolerance halved per split, a panel below its rounding noise accepted
     too, and forced acceptance (unconverged) at ``max_depth``.  Values
     and errors are summed in the recursion's order, so the result equals
-    the per-cell recursion bit for bit.  Returns ``(cell_values,
-    est_error, evals, converged)``.
+    the per-cell recursion bit for bit.  An estimate that overflows
+    raises ValueError.  Returns ``(cell_values, est_error, evals,
+    converged)``.
     """
     ncell = len(grid) - 1
     x = np.empty(2 * ncell + 1)    # grid nodes and cell midpoints
@@ -133,6 +134,10 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
+        abs_delta = np.abs(delta)
+        if not math.isfinite(abs_delta.max()):  # overflowed: none can pass
+            raise ValueError("quadrature overflows on the panel from "
+                             f"{float(a[~np.isfinite(delta)][0])!r}")
         if depth >= max_depth:
             done = np.ones(len(a), dtype=bool)
             converged = False
@@ -141,11 +146,11 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
             # delta / 15.  Below the rounding noise of the panel values no
             # further refinement can help, so accept there too.
             noise = 1e-15 * (np.abs(left) + np.abs(right))
-            done = np.abs(delta) <= np.maximum(15.0 * tol, noise)
+            done = abs_delta <= np.maximum(15.0 * tol, noise)
         levels.append((done, left + right + delta / 15.0))
         leaf_a.append(a[done])
         leaf_cell.append(cell[done])
-        leaf_err.append(np.abs(delta[done]) / 15.0)
+        leaf_err.append(abs_delta[done] / 15.0)
         s = ~done
         # split panels become their left and right halves, in order
         a, m, b = _pair(a[s], m[s]), _pair(lm[s], rm[s]), _pair(m[s], b[s])
@@ -219,9 +224,9 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
 
     Returns ``(values, est_error, evals, converged)`` with
     ``values[k] = int_{grid[0]}^{grid[k]} f``; the total estimated error
-    is roughly ``tol * (len - 1)``.  A non-finite integrand value raises
-    ValueError naming the node, as do a ``tol`` that is not positive and
-    finite and a non-finite grid.
+    is roughly ``tol * (len - 1)``.  A non-finite integrand value or
+    panel estimate raises ValueError naming the node or the panel's left
+    end, as do a ``tol`` that is not positive and finite and a bad grid.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be a positive finite number")
@@ -438,11 +443,10 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     if spec.omega_bound is None:
         return Evidence("A3", "supported", {"ratio_end": 0.0},
                         "no disturbance envelope declared; ratio is zero")
-    wb = VectorFunction([spec.omega_bound]).compiled()
     cl = closed_loop_function(spec, ctrl)
     try:
         grid = tail_grid(spec.t0, T)
-        w = wb(grid)[:, 0]
+        w = np.array([eval_expr(spec.omega_bound, t) for t in grid.tolist()])
         m = np.abs(lognorm(cl(grid), k))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")

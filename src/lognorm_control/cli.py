@@ -196,9 +196,9 @@ def _print_trace(trace, cfg, args, **extra) -> int:
 def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     """Largest horizon on which the sandwich check stays meaningful.
 
-    Once |int mu| (either direction) exceeds -log(phi_tol), the computed
-    Phi sits at the integrator's absolute noise floor and transition
-    norms test noise, not the bound; cap well before that point.
+    Once |int mu| (either direction) exceeds -log of Phi's tolerance, the
+    computed Phi sits at the integrator's absolute noise floor and
+    transition norms test noise, not the bound; cap well before that.
     """
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     k = spec.norm
@@ -232,9 +232,8 @@ def cmd_verify(args) -> int:
 
     T_phi = _phi_horizon(spec, ctrl, spec.t0, T)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
-    phi_tol = min(cfg.tol, PHI_TOL)
-    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=phi_tol)
-    sandwich = verify_sandwich(tt, cl, spec.norm, phi_tol=phi_tol)
+    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=min(cfg.tol, PHI_TOL))
+    sandwich = verify_sandwich(tt, cl, spec.norm)
 
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), args.quad_tol)
     a2, a4 = check_A2_A4(spec, ctrl, T, args.quad_tol)

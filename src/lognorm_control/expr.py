@@ -727,11 +727,10 @@ class _Grid:
     """Shared machinery for expression-valued matrices and vectors:
     ``entries`` is a nested tuple of expressions of the given ``shape``."""
 
-    domain = None  # see MatrixFunction
-
-    def __init__(self, entries, allowed_vars, shape):
+    def __init__(self, entries, allowed_vars, shape, domain=None):
         self.entries = entries
         self.shape = shape
+        self.domain = domain
         self.allowed = frozenset(allowed_vars)
         for v in self.allowed:
             if v != "t" and not re.fullmatch(r"x\d+", v):
@@ -750,16 +749,12 @@ class _Grid:
     def _flat(self):
         raise NotImplementedError
 
-    def _fallback(self) -> Callable[..., np.ndarray]:
-        """:meth:`__call__` as a callable that does not hold this grid."""
-        return partial(_checked, self._flat(), self.shape, self.domain)
-
     def __call__(self, t: float, x=None) -> np.ndarray:
         """Evaluate the domain, then every entry, with the checked
         evaluator.  An EvalError names the failing entry, 1-based:
         ``entry (i,j)`` of a matrix, ``entry i`` of a vector; a grid of
         one entry raises its entry's error as it is."""
-        return self._fallback()(t, x)
+        return _checked(self._flat(), self.shape, self.domain, t, x)
 
     def __eq__(self, other):
         return type(other) is type(self) and self.entries == other.entries
@@ -794,8 +789,9 @@ class _Grid:
         if self._compiled is None:
             # state component x<k> is x[k - 1], as in the checked evaluator
             xs = {v: f"_x[{int(v[1:]) - 1}]" for v in self.allowed if v != "t"}
-            self._compiled = _evaluator(_Code(self._flat(), xs),
-                                        self._fallback(), self.shape)
+            checked = partial(_checked, self._flat(), self.shape, self.domain)
+            self._compiled = _evaluator(_Code(self._flat(), xs), checked,
+                                        self.shape)
         return self._compiled
 
 
@@ -804,10 +800,11 @@ class MatrixFunction(_Grid):
 
     Entries may use ``t`` and, when constructed with state variables in
     ``allowed_vars``, the components ``x1 .. xn``.  ``domain``, if given,
-    is a grid this one is defined only where it is: wherever this grid's
-    evaluation fails, the domain's error, if it has one, is the one
-    raised, scalar and batch alike (see :meth:`compiled`).  Two instances
-    compare equal when their expression trees do.
+    is a grid, or a grid's compiled evaluator, this one is defined only
+    where it is: wherever this grid's evaluation fails, the domain's
+    error, if it has one, is the one raised, scalar and batch alike (see
+    :meth:`compiled`).  Two instances compare equal when their
+    expression trees do.
     """
 
     def __init__(self, entries, allowed_vars=("t",), domain=None):
@@ -820,9 +817,8 @@ class MatrixFunction(_Grid):
                 if not isinstance(e, Expr):
                     raise SourceError(f"matrix entry {e!r} is not an expression")
         self.n = n
-        super().__init__(entries, allowed_vars, (n, n))
-        self.domain = domain
         self._sum = None
+        super().__init__(entries, allowed_vars, (n, n), domain)
 
     def _flat(self):
         return [e for row in self.entries for e in row]
@@ -832,42 +828,22 @@ class MatrixFunction(_Grid):
         return [[format_expr(e) for e in row] for row in self.entries]
 
     def plus(self, other: MatrixFunction) -> MatrixFunction:
-        """``self + other`` as one grid, whose compiled evaluator runs
-        both in one call; made once per ``other``.
-
-        Entry (i, j) is ``s_ij + o_ij``, and Python's float ``+`` rounds
-        as numpy's, so the values are those of ``self(t) + other(t)``
-        bit for bit.  Where that sum fails or is non-finite at a time,
-        the grid evaluates ``self`` and then ``other`` there as two
-        compiled grids and adds the arrays, as one would without it: the
-        errors, overflow and ``self``'s domain included, are theirs.
+        """``self + other`` as one grid of the entries ``s_ij + o_ij``,
+        made once per ``other``.  Python's float ``+`` rounds as numpy's,
+        so its values are those of ``self(t) + other(t)`` bit for bit.
+        Its domain is this grid's compiled evaluator (the grid caches the
+        sum, so holding it would make a cycle): where the sum fails, the
+        error is this grid's, its own domain's first, and else that of
+        the first failing entry, ``other``'s or a non-finite sum's.
         """
         if other.n != self.n:
             raise SourceError("matrices of a sum must have the same size")
-        s = self._sum
-        if s is None or s.right is not other:
-            s = self._sum = _Sum(self, other)
-        return s
-
-
-class _Sum(MatrixFunction):
-    """The grid of :meth:`MatrixFunction.plus`.  Its entries are checked
-    already, and its code shares subtrees across the parts; its checked
-    evaluator adds the parts' compiled evaluators, the left one's first.
-    It keeps those and ``right``, not the left grid, which caches it."""
-
-    def __init__(self, left, right):
-        self.right, self._parts = right, (left.compiled(), right.compiled())
-        self.entries = tuple(tuple(Bin("+", a, b) for a, b in zip(ra, rb))
-                             for ra, rb in zip(left.entries, right.entries))
-        self.n, self.shape = left.n, left.shape
-        self.allowed = left.allowed | right.allowed
-        self.state_dependent = left.state_dependent or right.state_dependent
-        self._compiled = self._sum = None
-
-    def _fallback(self):
-        left, right = self._parts
-        return lambda t, x=None: left(t, x) + right(t, x)
+        if self._sum is None or self._sum[0] is not other:
+            entries = [[Bin("+", a, b) for a, b in zip(ra, rb)]
+                       for ra, rb in zip(self.entries, other.entries)]
+            self._sum = other, MatrixFunction(
+                entries, self.allowed | other.allowed, domain=self.compiled())
+        return self._sum[1]
 
 
 class VectorFunction(_Grid):

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 PIN_LIMIT = 50  # consecutive attempts at h_min before StiffnessError
+_BOUNDS_TOL = 1e-10  # per-cell tolerance of simulate's bound integrals
 _PHI_H_MIN, _PHI_H_MAX = 1e-9, 0.1  # sub-step bounds of fundamental_matrix
 # at most _PHI_ENTRIES / n^2 sub-steps per Phi, and _PHI_CHUNK node times
 # per call of F: a compiled F builds Python lists of that length, so this
@@ -487,8 +488,7 @@ class Trace:
 def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
              T: float | None = None, tol: float = 1e-8,
              h_min: float = 1e-9, h_max: float = 0.1,
-             grid=None, n_out: int = 1001,
-             bounds_tol: float = 1e-10) -> Trace:
+             grid=None, n_out: int = 1001) -> Trace:
     """Integrate ``x' = [A + Delta + B K] x + omega(t, x)`` from (t0, x0).
 
     The local error per step is held below ``tol * (1 + ||x||)``.  The
@@ -531,9 +531,9 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 
     x0n = vector_norm(spec.x0, k)
     if len(grid) >= 2:
-        J_up, _, _, _ = cumulative_integral(diag, grid, bounds_tol)
+        J_up, _, _, _ = cumulative_integral(diag, grid, _BOUNDS_TOL)
         J_low, _, _, _ = cumulative_integral(
-            lambda t: lognorm(-Acl(t), k), grid, bounds_tol)
+            lambda t: lognorm(-Acl(t), k), grid, _BOUNDS_TOL)
     else:
         J_up = J_low = np.zeros(len(grid))
     with np.errstate(over="ignore"):
@@ -548,12 +548,13 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 @dataclass
 class TransitionTrace:
     """The fundamental matrix ``Phi(t)`` (with ``Phi(t0) = I``) sampled
-    on a grid, with the accepted Magnus sub-step lengths in time order
-    and the number of sub-steps cut (see :func:`fundamental_matrix`)."""
+    on a grid, with the accepted Magnus sub-step lengths in time order,
+    the number cut and the ``tol`` each met (see :func:`fundamental_matrix`)."""
     times: np.ndarray
     phis: np.ndarray  # shape (m, n, n)
     step_sizes: np.ndarray
     n_rejected: int
+    tol: float
 
 
 def _exact_batches(F: Callable) -> bool:
@@ -740,8 +741,8 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
     if bad.any():
         raise NumericalError("the fundamental matrix became non-finite at "
                              f"t={grid[bad.argmax()]:.6g}")
-    return TransitionTrace(times=grid, phis=phis,
-                           step_sizes=(b - a)[order], n_rejected=n_split)
+    return TransitionTrace(times=grid, phis=phis, step_sizes=(b - a)[order],
+                           n_rejected=n_split, tol=tol)
 
 
 @dataclass
@@ -776,14 +777,14 @@ _SEED = 0                         # of the pair and unit-vector sample
 
 
 def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
-                    kind="two", phi_tol: float = 1e-8) -> SandwichReport:
+                    kind="two") -> SandwichReport:
     """Check the logarithmic-norm sandwich on a computed fundamental matrix.
 
-    ``phi_tol`` is the local tolerance the Phi integration used.  The
-    computed Phi carries absolute noise of roughly that size, and forming
-    a transition norm amplifies it by ||Phi(tau)^{-1}||, which can reach
-    exp(int mu[-F]).  Each (tau, t) pair therefore gets its own slack:
-    the base slack plus log1p(C * phi_tol * (e^{J-(tau)} + e^{J-(t)}))
+    The computed Phi carries absolute noise of roughly the tolerance
+    ``tt.tol`` it was built to, and forming a transition norm amplifies
+    it by ||Phi(tau)^{-1}||, which can reach exp(int mu[-F]).  Each
+    (tau, t) pair therefore gets its own slack: the base slack plus
+    log1p(C * tt.tol * (e^{J-(tau)} + e^{J-(t)}))
     with J- the cumulative integral of mu[-F].  The pair sample always
     contains (t0, T), (t0, mid) and (mid, T); the rest is drawn from a
     seeded generator, so the report is reproducible.  A trace of m points
@@ -810,9 +811,7 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
         # first-order error in W = Phi(t)Phi(tau)^{-1}: ||dW||/||W|| <=
         # ||E|| ||Phi(tau)^{-1}|| (1/||W|| + 1), bounded via the a-priori
         # estimates ||Phi(s)^{-1}|| <= e^{J-(s)} and ||W|| >= e^{-dJ-}
-        if phi_tol <= 0.0:
-            return base_slack
-        noise_log = (math.log(_NOISE_GAIN * phi_tol)
+        noise_log = (math.log(_NOISE_GAIN * tt.tol)
                      + float(np.logaddexp(J_low[i], J_low[j])))
         # log1p(e^x), overflow-safe
         return base_slack + float(np.logaddexp(0.0, noise_log))

@@ -45,6 +45,7 @@ from .expr import (
     Var,
     VectorFunction,
     collect_vars,
+    eval_expr,
 )
 from .linalg import SingularMatrixError, invert, lognorm
 from .system import ControllerSpec, SystemSpec
@@ -150,11 +151,10 @@ def _reject_vanishing_gamma(spec: SystemSpec, entries):
     # gamma component that is zero at every probe time
     probes = [spec.t0 + k * 1.37 for k in range(8)]
     for i, g in enumerate(entries):
-        fn = VectorFunction([g]).compiled()
         vals = []
         for tp in probes:
             try:
-                vals.append(fn(tp)[0])
+                vals.append(eval_expr(g, tp))
             except EvalError:
                 continue
         if vals and all(v == 0.0 for v in vals):
@@ -276,22 +276,20 @@ def verify_c2(ctrl: ControllerSpec, T: float) -> Evidence:
     if spec.omega_bound is None:
         return Evidence("C2", "supported", {"ratio_end": 0.0},
                         "no disturbance envelope declared; r = 0")
-    wb = VectorFunction([spec.omega_bound]).compiled()
-    ts = tail_grid(spec.t0, T)
+    ts = tail_grid(spec.t0, T).tolist()
     w = []
     w_exc = None
     try:
-        for t in ts.tolist():
-            w.append(wb(t)[0])
+        for t in ts:
+            w.append(eval_expr(spec.omega_bound, t))
     except EvalError as exc:
         w_exc = exc  # met by each component after its own earlier samples
     w = np.array(w)
     per = []
     verdicts = []
     for i, g in enumerate(ctrl.gamma):
-        gf = VectorFunction([g]).compiled()
         try:
-            m = np.abs(gf(ts[:len(w)])[:, 0])
+            m = np.abs([eval_expr(g, t) for t in ts[:len(w)]])
             if w_exc is not None:
                 raise w_exc
         except EvalError as exc:

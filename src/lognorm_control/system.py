@@ -181,9 +181,9 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     With ``Delta`` the loop and ``Delta`` are one grid of entrywise sums
     (:meth:`MatrixFunction.plus`), made once per controller and plant, so
     each call runs one generated function and one finiteness check.  Its
-    values are those of the loop plus ``Delta(t)`` bit for bit; where the
-    sum fails at a time, the loop and then ``Delta`` are evaluated there,
-    so the error is the one ``A``, the loop or ``Delta`` raises.
+    values are those of the loop plus ``Delta(t)`` bit for bit; where it
+    fails, the error is ``A``'s or the loop's, else it names the first
+    entry where ``Delta`` fails or the sum is not finite.
     """
     if ctrl is None:
         M = spec.A

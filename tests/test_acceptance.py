@@ -213,7 +213,7 @@ def test_c5_coppel_sandwich_random_ltv(report):
                 + C[2] * math.cos(w[1] * t)
 
         tt = fundamental_matrix(F, 0.0, 5.0, tol=1e-8)
-        rep = verify_sandwich(tt, F, KINDS[i % 3], phi_tol=1e-8)
+        rep = verify_sandwich(tt, F, KINDS[i % 3])
         checked += 2 * len(rep.pairs)  # upper and lower per pair
         all_ok = all_ok and rep.passed
     ok = all_ok and checked >= 200

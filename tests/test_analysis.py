@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,6 +161,41 @@ def test_cumulative_integral_names_nonfinite_node():
     with pytest.raises(ValueError, match=r"non-finite value at 0\.375"):
         cumulative_integral(lambda t: np.where(t == 0.375, np.nan, t),
                             np.linspace(0, 1, 3))
+
+
+_OVERFLOWING_QUADRATURES = """
+import resource
+import numpy as np
+from lognorm_control.analysis import classify_stability, cumulative_integral
+from lognorm_control.expr import parse_matrix
+from lognorm_control.system import SystemSpec
+# a regression splits every panel down to depth 40: fail here, not the host
+resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+spec = SystemSpec(n=2, A=parse_matrix([["0-1", "1.5e308*t"], ["0", "0-1"]]),
+                  B=np.eye(2), t0=0.0, x0=np.array([1.0, 1.0]))
+for run in (lambda: cumulative_integral(lambda x: np.full(x.shape, 1e308),
+                                        [0.0, 1.0], 1e-9),
+            lambda: classify_stability(spec, T=1.0)):
+    try:
+        run()
+    except ValueError as exc:
+        print(exc)
+"""
+
+
+def test_an_overflowing_quadrature_names_its_panel():
+    # finite integrand values near 1e308 whose Simpson estimates
+    # overflow, directly and through the closed loop's mu integral
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", _OVERFLOWING_QUADRATURES],
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "quadrature overflows on the panel from 0.0",
+        "quadrature overflows on the panel from 0.3984375"]
 
 
 def test_integrate_mu_matches_arctan(example):

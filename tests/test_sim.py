@@ -205,7 +205,7 @@ def test_stiff_long_horizon_completes(example):
 def test_example_steps_after_the_switch(example, T):
     # DP5 alone needs 6,696 steps to T = 10 and ~46k to T = 15
     spec, ctrl = example
-    tr = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+    tr = simulate(spec, ctrl, T=T)
     assert len(tr.step_sizes) <= 1000
     switch = spec.t0 + tr.step_sizes[:tr.n_explicit].sum()
     assert 3.0 < switch < 5.0
@@ -277,8 +277,7 @@ def test_fundamental_matrix_rotation():
 
 def test_sandwich_constant_diagonal():
     F = lambda t: np.diag([-1.0, -2.0])
-    rep = verify_sandwich(fundamental_matrix(F, 0.0, 2.0, tol=1e-10), F,
-                          "two", phi_tol=1e-10)
+    rep = verify_sandwich(fundamental_matrix(F, 0.0, 2.0, tol=1e-10), F, "two")
     assert rep.passed
     assert rep.n_pairs == 20
     # slowest mode saturates the upper estimate
@@ -287,10 +286,22 @@ def test_sandwich_constant_diagonal():
     assert rep.notes == []
 
 
+def test_sandwich_slack_follows_the_trace_tolerance():
+    # mu_2[-F] = 2, so J-(s) = 2 s and a pair's slack adds
+    # log1p(16 tol (e^{2 tau} + e^{2 t})) to the base, tol the trace's
+    F = lambda t: np.diag([-1.0, -2.0])
+    tt = fundamental_matrix(F, 0.0, 2.0, tol=1e-12)
+    assert tt.tol == 1e-12
+    rep = verify_sandwich(tt, F, "two")
+    for p in rep.pairs:
+        noise = 16e-12 * (math.exp(2.0 * p["tau"]) + math.exp(2.0 * p["t"]))
+        assert p["slack"] - rep.slack == pytest.approx(math.log1p(noise),
+                                                       rel=1e-6)
+
+
 def test_sandwich_rotation_is_tight_both_sides():
     F = lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]])
-    rep = verify_sandwich(fundamental_matrix(F, 0.0, 5.0, tol=1e-10), F,
-                          "two", phi_tol=1e-10)
+    rep = verify_sandwich(fundamental_matrix(F, 0.0, 5.0, tol=1e-10), F, "two")
     assert rep.passed
     assert rep.worst_upper_margin < 1e-4
     assert rep.worst_lower_margin < 1e-4
@@ -300,7 +311,7 @@ def test_sandwich_example_closed_loop(example):
     spec, ctrl = example
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     tt = fundamental_matrix(cl, 0.0, 2.0, tol=1e-10)
-    rep = verify_sandwich(tt, cl, spec.norm, phi_tol=1e-10)
+    rep = verify_sandwich(tt, cl, spec.norm)
     assert rep.passed
     assert rep.worst_upper_margin > 0.0
     assert rep.p4_worst_margin > 0.0
@@ -318,7 +329,7 @@ def test_sandwich_random_ltv(rng):
                     + C[2] * math.cos(w[1] * t)
 
             tt = fundamental_matrix(F, 0.0, 5.0, tol=1e-8)
-            rep = verify_sandwich(tt, F, kind, phi_tol=1e-8)
+            rep = verify_sandwich(tt, F, kind)
             assert rep.passed, (kind, rep.worst_upper_margin,
                                 rep.worst_lower_margin)
 
@@ -582,10 +593,10 @@ def scalar_only(F):
 def test_stage_batched_stepper_is_bitwise(request, name, T, T_phi):
     spec, ctrl = request.getfixturevalue(name)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
-    tr = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+    tr = simulate(spec, ctrl, T=T)
     tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-9)
     with stage_by_stage():
-        ref = simulate(spec, ctrl, T=T, bounds_tol=1e-3)
+        ref = simulate(spec, ctrl, T=T)
     # Phi does not step: its stacked levels against F's scalar calls
     ref_tt = fundamental_matrix(scalar_only(cl), spec.t0, T_phi, tol=1e-9)
     # only the stiff example hands over from DP5 to RODAS4
@@ -612,8 +623,8 @@ def test_batching_F_matches_scalar_only_F(request, name):
     assert tt.phis.tobytes() == ref.phis.tobytes()
     assert tt.step_sizes.tobytes() == ref.step_sizes.tobytes()
     # the sandwich integrates mu over batches of F or of stacked calls
-    assert verify_sandwich(tt, cl, spec.norm, phi_tol=1e-9).to_json() == \
-        verify_sandwich(tt, G, spec.norm, phi_tol=1e-9).to_json()
+    assert verify_sandwich(tt, cl, spec.norm).to_json() == \
+        verify_sandwich(tt, G, spec.norm).to_json()
 
 
 def test_probe_rejects_lookalike_batches():
@@ -685,7 +696,7 @@ def test_one_batched_evaluation_per_attempt_after_the_switch(example):
     # Jacobian of the disturbance, plus 1 (f(t + h, y_new)) if accepted
     spec, ctrl = example
     tr, batches, rhs = count_calls(
-        lambda: simulate(spec, ctrl, T=10.0, bounds_tol=1e-3))
+        lambda: simulate(spec, ctrl, T=10.0))
     n_dp5 = batches.count(5)
     assert batches == [5] * n_dp5 + [6] * (len(batches) - n_dp5)
     assert len(batches) == len(tr.step_sizes) + tr.n_rejected
@@ -713,7 +724,7 @@ def test_fundamental_matrix_after_the_switch_matches_radau(example):
     # error at the sqrt(t) corner of M at t = 0, so the first sub-steps
     # shrink until it is resolved
     assert err.max() < 1e-8
-    rep = verify_sandwich(tt, cl, spec.norm, phi_tol=1e-8)
+    rep = verify_sandwich(tt, cl, spec.norm)
     assert rep.passed and rep.notes == []
 
 

@@ -259,6 +259,18 @@ def test_fused_delta_raises_the_unfused_error(A, Delta, cases):
             assert text in _error_text(f, t)
 
 
+def test_fused_delta_raises_where_the_sum_overflows():
+    # the loop and Delta finite, their sum not: the fused grid's checked
+    # evaluator raises at that entry, as for any checked intermediate
+    spec = make_spec(A=parse_matrix([["0-1", "1.5e308*t"], ["0", "0-1"]]),
+                     Delta=parse_matrix([["0", "1.5e308"], ["0", "0"]]))
+    f = closed_loop_function(spec, None, include_delta=True)
+    assert f(0.0)[0, 1] == 1.5e308
+    for t in (0.5, 1.0, np.array([0.0, 0.5, 1.0])):
+        assert _error_text(f, t) == \
+            "entry (1,2): non-finite result in addition"
+
+
 def _first_scalar_error(fn, ts, *x):
     """str() of the first scalar call of ``fn`` in ``ts`` that raises."""
     for t in ts.tolist():
