@@ -22,6 +22,7 @@ from .linalg import (
     invert,
     lognorm,
     lognorm_limit,
+    lognorm_pair,
     lyapunov_solve,
     symmetric_eigen_max,
     symmetric_eigenvalues,

@@ -81,20 +81,26 @@ class QuadResult:
 
 
 def _pair(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Interleave two equal-length arrays: u0, v0, u1, v1, ..."""
-    return np.column_stack((u, v)).ravel()
+    """Interleave two arrays along their last axis: u0, v0, u1, v1, ..."""
+    out = np.empty(u.shape[:-1] + (2 * u.shape[-1],))
+    out[..., 0::2] = u
+    out[..., 1::2] = v
+    return out
 
 
-def _values(f, x: np.ndarray) -> np.ndarray:
-    """``f(x)`` for an array of nodes, checked for shape and finiteness."""
+def _values(f, x: np.ndarray, lead=None) -> np.ndarray:
+    """``f(x)``, checked for finiteness and for the shape ``lead +
+    x.shape``, ``lead`` () or (c,) as the first call's if None."""
     v = np.asarray(f(x), dtype=float)
-    if v.shape != x.shape:
+    if lead is None:
+        lead = v.shape[:-1]
+    if v.shape != lead + x.shape or len(lead) > 1:
         raise ValueError(f"integrand returned shape {v.shape} for "
                          f"{len(x)} nodes")
     bad = ~np.isfinite(v)
     if bad.any():
         raise ValueError("integrand returned a non-finite value at "
-                         f"{float(x[bad][0])!r}")
+                         f"{float(x[np.atleast_2d(bad).any(0)][0])!r}")
     return v
 
 
@@ -105,20 +111,21 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
     call ``f(nodes)`` (nodes ascending).  Acceptance follows the
     recursive rule panel by panel: Richardson ``|delta| <= 15 tol``, the
     tolerance halved per split, a panel below its rounding noise accepted
-    too, and forced acceptance (unconverged) at ``max_depth``.  Values
-    and errors are summed in the recursion's order, so the result equals
-    the per-cell recursion bit for bit.  An estimate that overflows
-    raises ValueError.  Returns ``(cell_values, est_error, evals,
-    converged)``.
+    too, and forced acceptance (unconverged) at ``max_depth``; a panel of
+    c components passes when each does.  Values and errors are summed in
+    the recursion's order, so the result equals the per-cell recursion
+    bit for bit.  An estimate that overflows raises ValueError.  Returns
+    ``(cell_values, est_error, evals, converged)``.
     """
     ncell = len(grid) - 1
     x = np.empty(2 * ncell + 1)    # grid nodes and cell midpoints
     x[0::2] = grid
     x[1::2] = 0.5 * (grid[:-1] + grid[1:])
     fx = _values(f, x)
+    lead = fx.shape[:-1]
     evals = len(x)
     a, m, b = x[0:-1:2], x[1::2], x[2::2]
-    fa, fm, fb = fx[0:-1:2], fx[1::2], fx[2::2]
+    fa, fm, fb = fx[..., 0:-1:2], fx[..., 1::2], fx[..., 2::2]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     cell = np.arange(ncell)
     levels = []                    # (accepted, value) per level
@@ -128,16 +135,17 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
     while len(a):
         lm = 0.5 * (a + m)
         rm = 0.5 * (m + b)
-        fnew = _values(f, _pair(lm, rm))
-        evals += len(fnew)
-        flm, frm = fnew[0::2], fnew[1::2]
+        fnew = _values(f, _pair(lm, rm), lead)
+        evals += 2 * len(a)
+        flm, frm = fnew[..., 0::2], fnew[..., 1::2]
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         abs_delta = np.abs(delta)
         if not math.isfinite(abs_delta.max()):  # overflowed: none can pass
+            bad = np.atleast_2d(~np.isfinite(delta)).any(0)
             raise ValueError("quadrature overflows on the panel from "
-                             f"{float(a[~np.isfinite(delta)][0])!r}")
+                             f"{float(a[bad][0])!r}")
         if depth >= max_depth:
             done = np.ones(len(a), dtype=bool)
             converged = False
@@ -147,36 +155,36 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
             # further refinement can help, so accept there too.
             noise = 1e-15 * (np.abs(left) + np.abs(right))
             done = abs_delta <= np.maximum(15.0 * tol, noise)
+            if lead:
+                done = done.all(axis=0)
         levels.append((done, left + right + delta / 15.0))
         leaf_a.append(a[done])
         leaf_cell.append(cell[done])
-        leaf_err.append(abs_delta[done] / 15.0)
+        leaf_err.append(abs_delta[..., done] / 15.0)
         s = ~done
         # split panels become their left and right halves, in order
         a, m, b = _pair(a[s], m[s]), _pair(lm[s], rm[s]), _pair(m[s], b[s])
-        fa, fm, fb = (_pair(fa[s], fm[s]), _pair(flm[s], frm[s]),
-                      _pair(fm[s], fb[s]))
-        whole = _pair(left[s], right[s])
+        fa, fm, fb = (_pair(fa[..., s], fm[..., s]),
+                      _pair(flm[..., s], frm[..., s]),
+                      _pair(fm[..., s], fb[..., s]))
+        whole = _pair(left[..., s], right[..., s])
         cell = np.repeat(cell[s], 2)
         tol = 0.5 * tol
         depth += 1
     # a split panel's value is the sum of its two children's, bottom up
-    value = np.empty(0)
+    value = np.empty(lead + (0,))
     for done, leaf_value in reversed(levels):
-        leaf_value[~done] = value[0::2] + value[1::2]
+        leaf_value[..., ~done] = value[..., 0::2] + value[..., 1::2]
         value = leaf_value
     # errors accumulate leaf by leaf from the left, first within each cell
     # and then over the cells; leaves tile the grid, so sorting by left
     # end restores that order
     order = np.argsort(np.concatenate(leaf_a), kind="stable")
-    cell_err = [0.0] * ncell
-    for c, e in zip(np.concatenate(leaf_cell)[order].tolist(),
-                    np.concatenate(leaf_err)[order].tolist()):
-        cell_err[c] += e
-    err = 0.0
-    for e in cell_err:
-        err += e
-    return value, err, evals, converged
+    cell_err = np.zeros(lead + (ncell,))
+    np.add.at(cell_err, (..., np.concatenate(leaf_cell)[order]),
+              np.concatenate(leaf_err, axis=-1)[..., order])
+    err = np.cumsum(cell_err, axis=-1)[..., -1]  # adds in order, as above
+    return value, err if lead else float(err), evals, converged
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -216,17 +224,22 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
                         tol: float = 1e-9):
     """Integrate ``f`` cell by cell over an increasing grid.
 
-    ``f`` is evaluated on arrays: it takes a 1-d array of nodes and
-    returns the array of integrand values there.  Every cell is refined
-    by adaptive Simpson to ``tol`` (see :func:`integrate`), all cells
-    together one level at a time, and the grid nodes shared by two cells
-    are evaluated once.
+    ``f`` is evaluated on arrays: it takes a 1-d array of N nodes and
+    returns the N integrand values there, or a (c, N) array of c
+    components, such as ``lognorm_pair``'s ``mu[M]`` and ``mu[-M]``.
+    Every cell is refined by adaptive Simpson to ``tol`` (see
+    :func:`integrate`), all cells together one level at a time; the first
+    call's nodes are the grid nodes and, between them, the cell
+    midpoints.  Components share their panels: one is accepted when every
+    component passes its own test.
 
-    Returns ``(values, est_error, evals, converged)`` with
-    ``values[k] = int_{grid[0]}^{grid[k]} f``; the total estimated error
-    is roughly ``tol * (len - 1)``.  A non-finite integrand value or
-    panel estimate raises ValueError naming the node or the panel's left
-    end, as do a ``tol`` that is not positive and finite and a bad grid.
+    Returns ``(values, est_error, evals, converged)`` with ``values[...,
+    k] = int_{grid[0]}^{grid[k]} f`` and ``est_error`` a float, or a (c,
+    len(grid)) array and c errors; the total estimated error is roughly
+    ``tol * (len - 1)``.  A non-finite integrand value, panel estimate or
+    running sum raises ValueError naming the node, the panel's left end
+    or the grid point, as do a ``tol`` that is not positive and finite
+    and a bad grid.
     """
     if not (0.0 < tol < math.inf):
         raise ValueError("tol must be a positive finite number")
@@ -236,8 +249,13 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
         raise ValueError("grid must be finite and strictly increasing with "
                          ">= 2 points")
     cells, err, evals, ok = _simpson(f, grid, tol)
-    out = np.zeros(len(grid))
-    np.cumsum(cells, out=out[1:])
+    out = np.zeros(cells.shape[:-1] + grid.shape)
+    with np.errstate(over="ignore"):  # raised below
+        np.cumsum(cells, axis=-1, out=out[..., 1:])
+    bad = np.atleast_2d(~np.isfinite(out)).any(0)
+    if bad.any():
+        raise ValueError("the cumulative integral overflows at grid point "
+                         f"{float(grid[bad.argmax()])!r}")
     return out, err, evals, ok
 
 

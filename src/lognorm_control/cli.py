@@ -42,6 +42,7 @@ from .linalg import (
     as_matrix,
     induced_norm,
     lognorm,
+    lognorm_pair,
 )
 from .presets import example_loaded
 from .report import dumps
@@ -201,14 +202,13 @@ def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     transition norms test noise, not the bound; cap well before that.
     """
     cl = closed_loop_function(spec, ctrl, include_delta=True)
-    k = spec.norm
-
-    def F(ts):  # the loop, naming the earliest time where it fails
-        return _phi_values(cl, cl, ts)
     grid = np.linspace(t0, T, 33)
-    J_up, _, _, _ = cumulative_integral(lambda ts: lognorm(F(ts), k), grid, 1e-6)
-    J_low, _, _, _ = cumulative_integral(lambda ts: lognorm(-F(ts), k), grid, 1e-6)
-    mag = np.maximum(np.abs(J_up), np.abs(J_low))
+    # both signs in one quadrature; _phi_values names the earliest time
+    # where the loop fails
+    J, _, _, _ = cumulative_integral(
+        lambda ts: lognorm_pair(_phi_values(cl, cl, ts), spec.norm),
+        grid, 1e-6)
+    mag = np.abs(J).max(axis=0)
     exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
     if len(exceed) == 0:
         return T

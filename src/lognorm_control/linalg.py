@@ -47,6 +47,7 @@ __all__ = [
     "vector_norm",
     "induced_norm",
     "lognorm",
+    "lognorm_pair",
     "lognorm_limit",
     "symmetric_eigenvalues",
     "symmetric_eigen_max",
@@ -177,17 +178,20 @@ def _check_kind(kind, n: int):
                       "'inf' or a Weighted instance")
 
 
-def vector_norm(x, kind=TWO) -> float:
-    """Vector norm ``||x||`` for kind 'one', 'two', 'inf' or Weighted."""
-    v = as_vector(x)
-    kind = _check_kind(kind, v.shape[0])
-    if kind == ONE:
-        return float(np.abs(v).sum())
-    if kind == TWO:
-        return float(np.sqrt(v @ v))
-    if kind == INF:
-        return float(np.abs(v).max())
-    return float(np.linalg.norm(kind.L @ v))
+def vector_norm(x, kind=TWO):
+    """Vector norm ``||x||`` for kind 'one', 'two', 'inf' or Weighted.  An
+    (m, n) stack gives the array of its rows' norms, bit for bit."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 2:
+        v = as_vector(v)
+    elif not np.isfinite(v).all():
+        raise LinalgError("vector stack has non-finite entries")
+    kind = _check_kind(kind, v.shape[-1])
+    if isinstance(kind, Weighted):
+        v = (kind.L @ v[..., None])[..., 0]
+    r = (np.abs(v).sum(axis=-1) if kind == ONE else
+         np.abs(v).max(axis=-1) if kind == INF else np.sqrt(np.vecdot(v, v)))
+    return float(r) if v.ndim == 1 else r
 
 
 def induced_norm(M, kind=TWO) -> float:
@@ -224,18 +228,35 @@ def lognorm(M, kind=TWO):
     the stacked matrices' log norms, equal bit for bit to calling this
     function on each matrix in turn.
     """
+    mu = _lognorms(M, kind, pair=False)[0]
+    return float(mu) if mu.ndim == 0 else mu
+
+
+def lognorm_pair(M, kind=TWO) -> tuple:
+    """``(mu[M], mu[-M])`` from one pass over ``M``: floats for a matrix,
+    length-m arrays for an (m, n, n) stack, each entry the bits of a call
+    on its matrix alone.  One and inf take ``max(s + d)`` and ``max(s -
+    d)`` over the same off-diagonal sums ``s``, the bits of two
+    :func:`lognorm` calls; two and Weighted take ``lambda_max / 2`` and
+    ``-lambda_min / 2`` of one ``eigvalsh``, the second within rounding
+    of ``lognorm(-M)``."""
+    up, low = _lognorms(M, kind, pair=True)
+    return (float(up), float(low)) if up.ndim == 0 else (up, low)
+
+
+def _lognorms(M, kind, pair: bool) -> tuple:
+    """``(mu[M], mu[-M] if pair else None)``, numpy scalars or arrays."""
     A = _as_matrices(M)
     kind = _check_kind(kind, A.shape[-1])
     if kind == ONE or kind == INF:
         d = np.diagonal(A, axis1=-2, axis2=-1)
-        sums = np.abs(A).sum(axis=-2 if kind == ONE else -1) - np.abs(d) + d
-        mu = sums.max(axis=-1)
-    else:
-        if isinstance(kind, Weighted):
-            A = kind.L @ A @ kind.L_inv
-        # M + M^T is exactly symmetric, so no symmetry check is needed
-        mu = 0.5 * np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))[..., -1]
-    return float(mu) if A.ndim == 2 else mu
+        s = np.abs(A).sum(axis=-2 if kind == ONE else -1) - np.abs(d)
+        return (s + d).max(axis=-1), (s - d).max(axis=-1) if pair else None
+    if isinstance(kind, Weighted):
+        A = kind.L @ A @ kind.L_inv
+    # M + M^T is exactly symmetric, so no symmetry check is needed
+    lam = np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))
+    return 0.5 * lam[..., -1], -0.5 * lam[..., 0] if pair else None
 
 
 def lognorm_limit(M, kind=TWO, h: float = 1e-7) -> float:

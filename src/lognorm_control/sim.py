@@ -41,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import EvalError
-from .linalg import induced_norm, lognorm, vector_norm
+from .linalg import induced_norm, lognorm, lognorm_pair, vector_norm
 from .analysis import cumulative_integral, norm_name
 from .report import Report
 from .system import ControllerSpec, SystemSpec, closed_loop_function
@@ -493,7 +493,9 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 
     The local error per step is held below ``tol * (1 + ||x||)``.  The
     returned trace carries the state on the output grid together with the
-    pointwise closed-loop logarithmic norm and the integrated envelopes.
+    pointwise closed-loop logarithmic norm and the integrated envelopes,
+    whose ``int mu[M]`` and ``int mu[-M]`` come from one two-component
+    quadrature (``mu_cl`` from its first level, on the grid's nodes).
     Raises StiffnessError / NumericalError as described in the module
     docstring; expression domain failures along the trajectory are
     wrapped in NumericalError.
@@ -521,20 +523,24 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         if n_out < 2:
             raise ValueError("n_out must be at least 2")
         grid = np.linspace(spec.t0, T, n_out)
-    diag = lambda t: lognorm(Acl(t), k)
     states, steps, nrej, n_explicit = _integrate(
         f, spec.t0, spec.x0, T, tol, h_min, h_max, grid, M=Acl,
-        diag_mu=diag, nonlinear=omega is not None and spec.omega.state_dependent)
+        diag_mu=lambda t: lognorm(Acl(t), k),
+        nonlinear=omega is not None and spec.omega.state_dependent)
     grid = np.asarray(grid, dtype=float)
-    mu_vals = lognorm(Acl(grid), k)
-    norms = np.array([vector_norm(x, k) for x in states])
-
+    norms = vector_norm(states, k)
     x0n = vector_norm(spec.x0, k)
     if len(grid) >= 2:
-        J_up, _, _, _ = cumulative_integral(diag, grid, _BOUNDS_TOL)
-        J_low, _, _, _ = cumulative_integral(
-            lambda t: lognorm(-Acl(t), k), grid, _BOUNDS_TOL)
+        levels = []  # the first level's even nodes are the grid
+
+        def mu_pair(t):
+            levels.append(lognorm_pair(Acl(t), k))
+            return levels[-1]
+        (J_up, J_low), _, _, _ = cumulative_integral(mu_pair, grid,
+                                                     _BOUNDS_TOL)
+        mu_vals = levels[0][0][0::2]
     else:
+        mu_vals = lognorm(Acl(grid), k)
         J_up = J_low = np.zeros(len(grid))
     with np.errstate(over="ignore"):
         upper = x0n * np.exp(J_up)
@@ -792,20 +798,19 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     is checked once.
 
     ``F`` follows the contract of :func:`fundamental_matrix`: scalar
-    calls are required; the quadrature evaluates ``F`` as a batch per
-    refinement level when :func:`_batched` accepts it (probed on the
-    trace's first and last times), and stacks scalar calls otherwise.
+    calls are required.  ``int mu[F]`` and ``int mu[-F]`` come from one
+    quadrature of both signs, which evaluates ``F`` once per refinement
+    level, as a batch when :func:`_batched` accepts it (probed on the
+    trace's first and last times), else as stacked scalar calls.
     """
     times = tt.times
     m = len(times)
     n = tt.phis.shape[1]
     # the quadrature asks for a level of nodes at a time
     Fb = _batched(F, n, times[[0, -1]])
-    J_up, e_up, _, _ = cumulative_integral(
-        lambda ts: lognorm(Fb(ts), kind), times, _QUAD_TOL)
-    J_low, e_low, _, _ = cumulative_integral(
-        lambda ts: lognorm(-Fb(ts), kind), times, _QUAD_TOL)
-    base_slack = _BASE_SLACK + 4.0 * (e_up + e_low)
+    (J_up, J_low), (e_up, e_low), _, _ = cumulative_integral(
+        lambda ts: lognorm_pair(Fb(ts), kind), times, _QUAD_TOL)
+    base_slack = _BASE_SLACK + 4.0 * (float(e_up) + float(e_low))
 
     def pair_slack(i: int, j: int) -> float:
         # first-order error in W = Phi(t)Phi(tau)^{-1}: ||dW||/||W|| <=

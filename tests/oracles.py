@@ -10,8 +10,6 @@ synthesized gamma expressions one component at a time with the package's
 checked tree-walking evaluator ``eval_expr``.
 """
 
-import math
-
 import numpy as np
 from scipy.linalg import ldl
 
@@ -115,11 +113,12 @@ class _SimpsonState:
         self.converged = True
 
     def eval(self, x):
+        """A float, or the array of a vector integrand's components."""
         self.evals += 1
-        v = float(self.f(x))
-        if not math.isfinite(v):
+        v = np.asarray(self.f(x), dtype=float)
+        if not np.isfinite(v).all():
             raise ValueError(f"integrand returned a non-finite value at {x!r}")
-        return v
+        return v if v.ndim else float(v)
 
 
 def _simpson_adapt(st, a, fa, m, fm, b, fb, whole, tol, depth):
@@ -135,7 +134,7 @@ def _simpson_adapt(st, a, fa, m, fm, b, fb, whole, tol, depth):
         st.converged = False
         st.error += abs(delta) / 15.0
         return left + right + delta / 15.0
-    if abs(delta) <= max(15.0 * tol, noise):
+    if np.all(np.abs(delta) <= np.maximum(15.0 * tol, noise)):
         st.error += abs(delta) / 15.0
         return left + right + delta / 15.0
     half = 0.5 * tol
@@ -145,12 +144,14 @@ def _simpson_adapt(st, a, fa, m, fm, b, fb, whole, tol, depth):
 
 
 def simpson_ref(f, a, b, tol=1e-8, max_depth=40):
-    """Recursive adaptive Simpson of a scalar integrand over [a, b]:
-    ``(value, est_error, evals, converged)``.  Panels are accepted when
-    ``|S(fine) - S(coarse)| <= max(15 tol, rounding noise)``, with tol
-    halved per split and forced (unconverged) acceptance at max_depth.
-    This is the rule the package's level-synchronous quadrature follows,
-    written as the plain depth-first recursion."""
+    """Recursive adaptive Simpson over [a, b]: ``(value, est_error,
+    evals, converged)``.  Panels are accepted when ``|S(fine) -
+    S(coarse)| <= max(15 tol, rounding noise)``, with tol halved per
+    split and forced (unconverged) acceptance at max_depth.  This is the
+    rule the package's level-synchronous quadrature follows, written as
+    the plain depth-first recursion.  An integrand that returns an array
+    of components gets arrays of values and errors, and a panel is
+    accepted only when every component passes."""
     st = _SimpsonState(f, max_depth)
     fa = st.eval(a)
     m = 0.5 * (a + b)
@@ -163,18 +164,21 @@ def simpson_ref(f, a, b, tol=1e-8, max_depth=40):
 
 def cumulative_simpson_ref(f, grid, tol=1e-9):
     """``simpson_ref`` cell by cell over grid, accumulated:
-    ``(values, est_error, evals, converged)`` with values[0] = 0."""
-    out = np.zeros(len(grid))
+    ``(values, est_error, evals, converged)`` with values[..., 0] = 0;
+    a vector integrand gives (components, len(grid)) values."""
+    vals = []
     acc = err = 0.0
     evals = 0
     ok = True
     for k in range(len(grid) - 1):
         value, e, n, conv = simpson_ref(f, grid[k], grid[k + 1], tol)
-        acc += value
-        out[k + 1] = acc
-        err += e
+        acc = acc + value
+        vals.append(acc)
+        err = err + e
         evals += n
         ok = ok and conv
+    vals = np.array(vals)
+    out = np.concatenate((np.zeros((1,) + vals.shape[1:]), vals)).T
     return out, err, evals, ok
 
 

@@ -26,6 +26,7 @@ from lognorm_control.expr import parse, parse_matrix, parse_vector
 from lognorm_control.linalg import (
     Weighted,
     lognorm,
+    lognorm_pair,
     lyapunov_solve,
     symmetric_eigen_max,
 )
@@ -151,6 +152,60 @@ def test_cumulative_integral_matches_recursive_reference(case, example,
     assert evals == ref_evals - (len(grid) - 2)
     assert np.all(np.abs(vals - ref_vals) <= 1e-13 * (1.0 + np.abs(ref_vals)))
     assert err == pytest.approx(ref_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("case", ["bundled", "oscillator"])
+def test_pair_quadrature_matches_recursive_reference(case, example,
+                                                     oscillator):
+    # mu[M] and mu[-M] as one integrand: a panel is accepted when both
+    # components pass, in the level-synchronous quadrature and in the
+    # depth-first recursion alike
+    spec, ctrl = example if case == "bundled" else oscillator
+    cl = closed_loop_function(spec, ctrl, include_delta=True)
+    grid = np.linspace(0.0, 10.0 if case == "bundled" else 20.0, 201)
+    f = lambda ts: lognorm_pair(cl(ts), "two")  # noqa: E731
+    vals, err, evals, ok = cumulative_integral(f, grid, 1e-10)
+    ref_vals, ref_err, ref_evals, ref_ok = oracles.cumulative_simpson_ref(
+        lambda t: lognorm_pair(cl(t), "two"), grid, 1e-10)
+    assert vals.shape == ref_vals.shape == (2, len(grid))
+    assert ok == ref_ok
+    assert evals == ref_evals - (len(grid) - 2)
+    assert np.all(np.abs(vals - ref_vals) <= 1e-13 * (1.0 + np.abs(ref_vals)))
+    assert err == pytest.approx(ref_err, rel=1e-12)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-12])
+def test_one_component_integrand_reproduces_the_scalar_call(tol, example):
+    cl = closed_loop_function(*example, include_delta=True)
+    f = lambda ts: lognorm(cl(ts), "two")  # noqa: E731
+    grid = np.linspace(0.0, 10.0, 101)
+    vals, err, evals, ok = cumulative_integral(f, grid, tol)
+    vec = cumulative_integral(lambda ts: f(ts)[None], grid, tol)
+    assert vec[0].shape == (1, len(grid)) and vec[1].shape == (1,)
+    assert vec[0][0].tobytes() == vals.tobytes()
+    assert vec[1][0] == err and isinstance(err, float)
+    assert vec[2:] == (evals, ok)
+
+
+def test_vector_integrand_shape_must_hold_across_levels():
+    calls = []
+
+    def f(ts):  # two components at first, then one
+        calls.append(len(ts))
+        return np.stack((ts, ts)) if len(calls) == 1 else ts * ts
+    with pytest.raises(ValueError, match="shape"):
+        cumulative_integral(f, [0.0, 1.0], 1e-9)
+
+
+@pytest.mark.parametrize("components", [None, 2])
+def test_overflowing_running_sum_names_its_grid_point(components):
+    # every cell is finite (1e308) but the second one's running sum is not
+    def f(x):
+        v = np.full(x.shape, 1e307)
+        return v if components is None else np.stack([v] * components)
+    with pytest.raises(ValueError, match="cumulative integral overflows at "
+                                         r"grid point 20\.0"):
+        cumulative_integral(f, [0.0, 10.0, 20.0], 1e-9)
 
 
 def test_cumulative_integral_names_nonfinite_node():

@@ -230,3 +230,47 @@ def test_verify_batches_the_fused_loop(configs, monkeypatch):
     for workload in ("bundled", "oscillator"):
         assert _run("verify", configs[workload]) == 0
     assert scalar == []
+
+
+@pytest.mark.parametrize("workload", ["bundled", "oscillator"])
+def test_one_quadrature_per_log_norm_pair(configs, monkeypatch, workload):
+    # simulate's envelopes, the sandwich and the Phi horizon each integrate
+    # mu[M] and mu[-M] as one two-component integrand: one
+    # cumulative_integral per site, and one closed-loop batch per
+    # refinement level of it
+    sim = lognorm_control.sim
+    loop_calls = [0]
+    quads = []  # (module, integrand calls, closed-loop calls during it)
+    original_loop = lognorm_control.system.closed_loop_function
+    original_quad = lognorm_control.analysis.cumulative_integral
+
+    def counting_loop(spec, ctrl=None, include_delta=False):
+        fn = original_loop(spec, ctrl, include_delta)
+
+        def wrapper(t, x=None):
+            loop_calls[0] += 1
+            return fn(t, x)
+        wrapper.__wrapped__ = fn
+        return wrapper
+
+    def counting_quad(module):
+        def quad(f, grid, tol=1e-9):
+            calls, before = [0], loop_calls[0]
+
+            def g(ts):
+                calls[0] += 1
+                return f(ts)
+            out = original_quad(g, grid, tol)
+            quads.append((module, out[0].shape[0], calls[0],
+                          loop_calls[0] - before))
+            return out
+        return quad
+    for m in (cli, sim):
+        monkeypatch.setattr(m, "closed_loop_function", counting_loop)
+        monkeypatch.setattr(m, "cumulative_integral",
+                            counting_quad(m.__name__.split(".")[-1]))
+    assert _run("simulate", configs[workload]) == 0
+    assert _run("verify", configs[workload]) == 0
+    # simulate's envelopes; verify's Phi horizon, then its sandwich
+    assert [q[:2] for q in quads] == [("sim", 2), ("cli", 2), ("sim", 2)]
+    assert all(calls == loops for _, _, calls, loops in quads)

@@ -26,6 +26,7 @@ from lognorm_control.linalg import (
     invert,
     lognorm,
     lognorm_limit,
+    lognorm_pair,
     lyapunov_solve,
     symmetric_eigen_max,
     symmetric_eigenvalues,
@@ -210,6 +211,65 @@ def test_lognorm_stack_matches_per_matrix_bitwise(n, rng):
         assert got.shape == (7,)
         assert np.array_equal(got, [lognorm(M, k) for M in Ms])
         assert isinstance(lognorm(Ms[0], k), float)
+
+
+def _ulps(a, b):
+    return np.abs(np.asarray(a) - b) / np.spacing(np.abs(np.asarray(b)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_lognorm_pair_matches_two_calls(n, rng):
+    # one and inf share every operation with the two calls, so their bits;
+    # two and Weighted read -lambda_min(M + M^T) / 2 off the same
+    # eigvalsh, against lambda_max(-M - M^T) / 2 from a call of its own
+    G = oracles.random_matrix(rng, n)
+    W = Weighted(G @ G.T + n * np.eye(n))
+    for _ in range(200):
+        M = (oracles.random_matrix(rng, n)
+             * 10.0 ** rng.uniform(-3.0, 3.0))
+        for k in (ONE, INF):
+            assert lognorm_pair(M, k) == (lognorm(M, k), lognorm(-M, k))
+        for k in (TWO, W):
+            up, low = lognorm_pair(M, k)
+            assert isinstance(up, float) and isinstance(low, float)
+            assert up == lognorm(M, k)
+            assert _ulps(low, lognorm(-M, k)) <= 2.0
+
+
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_lognorm_pair_stack_matches_per_matrix_bitwise(n, rng):
+    G = oracles.random_matrix(rng, n)
+    kinds = KINDS + (Weighted(G @ G.T + n * np.eye(n)),)
+    Ms = (oracles.random_matrix(rng, 7 * n).reshape(7, n, 7 * n)[:, :, ::7]
+          * 10.0 ** rng.uniform(-3.0, 3.0, size=(7, 1, 1)))
+    for k in kinds:
+        up, low = lognorm_pair(Ms, k)
+        assert up.shape == low.shape == (7,)
+        assert np.array_equal(np.stack((up, low)),
+                              np.transpose([lognorm_pair(M, k) for M in Ms]))
+        assert np.array_equal(up, lognorm(Ms, k))
+    assert np.shape(lognorm_pair(np.zeros((0, 3, 3)), TWO)) == (2, 0)
+    with pytest.raises(LinalgError, match="non-finite"):
+        lognorm_pair(np.full((2, 2), np.nan), ONE)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 16])
+def test_vector_norm_stack_matches_per_row_bitwise(n, rng):
+    G = oracles.random_matrix(rng, n)
+    kinds = KINDS + (Weighted(G @ G.T + n * np.eye(n)),)
+    X = (rng.standard_normal((50, n))
+         * 10.0 ** rng.uniform(-5.0, 5.0, size=(50, 1)))
+    for k in kinds:
+        got = vector_norm(X, k)
+        assert got.shape == (50,)
+        assert got.tobytes() == np.array([vector_norm(x, k)
+                                          for x in X]).tobytes()
+        assert isinstance(vector_norm(X[0], k), float)
+    X[3, 1] = np.inf
+    with pytest.raises(LinalgError, match="non-finite"):
+        vector_norm(X)
+    with pytest.raises(LinalgError, match="1-dimensional"):
+        vector_norm(np.zeros((2, 2, 2)))
 
 
 def test_lognorm_stack_validation():
