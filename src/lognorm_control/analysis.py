@@ -128,7 +128,7 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
     fa, fm, fb = fx[..., 0:-1:2], fx[..., 1::2], fx[..., 2::2]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     cell = np.arange(ncell)
-    levels = []                    # (accepted, value) per level
+    levels = []                    # (split panels, value) per level
     leaf_a, leaf_cell, leaf_err = [], [], []
     converged = True
     depth = 0
@@ -157,24 +157,25 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
             done = abs_delta <= np.maximum(15.0 * tol, noise)
             if lead:
                 done = done.all(axis=0)
-        levels.append((done, left + right + delta / 15.0))
+        s = ~done
+        # a component axis is indexed through; plain masks index faster
+        ix, iy = ((..., done), (..., s)) if lead else (done, s)
+        levels.append((iy, left + right + delta / 15.0))
         leaf_a.append(a[done])
         leaf_cell.append(cell[done])
-        leaf_err.append(abs_delta[..., done] / 15.0)
-        s = ~done
+        leaf_err.append(abs_delta[ix] / 15.0)
         # split panels become their left and right halves, in order
         a, m, b = _pair(a[s], m[s]), _pair(lm[s], rm[s]), _pair(m[s], b[s])
-        fa, fm, fb = (_pair(fa[..., s], fm[..., s]),
-                      _pair(flm[..., s], frm[..., s]),
-                      _pair(fm[..., s], fb[..., s]))
-        whole = _pair(left[..., s], right[..., s])
+        fa, fm, fb = (_pair(fa[iy], fm[iy]), _pair(flm[iy], frm[iy]),
+                      _pair(fm[iy], fb[iy]))
+        whole = _pair(left[iy], right[iy])
         cell = np.repeat(cell[s], 2)
         tol = 0.5 * tol
         depth += 1
     # a split panel's value is the sum of its two children's, bottom up
     value = np.empty(lead + (0,))
-    for done, leaf_value in reversed(levels):
-        leaf_value[..., ~done] = value[..., 0::2] + value[..., 1::2]
+    for split, leaf_value in reversed(levels):
+        leaf_value[split] = value[..., 0::2] + value[..., 1::2]
         value = leaf_value
     # errors accumulate leaf by leaf from the left, first within each cell
     # and then over the cells; leaves tile the grid, so sorting by left
