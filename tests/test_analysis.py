@@ -294,8 +294,39 @@ def test_a1_supported_on_example(example):
     spec, _ = example
     e = check_A1(spec, 1e4)
     assert e.verdict == "supported"
-    assert e.measured["I"] == pytest.approx(math.atan(1e4), abs=1e-6)
+    assert e.measured["I"] == pytest.approx(math.atan(1e4), abs=1e-8)
     assert e.measured["tail"] == pytest.approx(1e-4, rel=1e-2)
+    assert e.measured["quad_error"] <= 1e-8
+
+
+def test_a1_matches_the_closed_form_of_a_decaying_uncertainty():
+    # mu_2(diag(e^-t, 0)) = e^-t, so I = e^-t0 - e^-T; from t0 = 1, so the
+    # grid's grading starts off the origin
+    s = make_spec(A=parse_matrix(ZERO_A, ("t",)), t0=1.0,
+                  Delta=parse_matrix([["exp(0-t)", "0"], ["0", "0"]], ("t",)))
+    e = check_A1(s, 1.0 + 1e4)
+    assert e.verdict == "supported"
+    assert e.measured["quad_error"] <= 1e-8
+    assert abs(e.measured["I"] - math.exp(-1.0)) <= e.measured["quad_error"]
+    assert e.measured["I_half"] == pytest.approx(math.exp(-1.0), abs=1e-9)
+    with pytest.raises(ValueError, match="must exceed t0"):
+        check_A1(s, 0.5)
+
+
+def test_a1_quadrature_is_graded_toward_t0(example, monkeypatch):
+    # two half-span cells took 2,173 evaluations on the example; cells
+    # graded geometrically from t0 need at most half of them
+    spec, _ = example
+    evals = []
+    original = analysis.cumulative_integral
+
+    def counting(f, grid, tol=1e-9):
+        out = original(f, grid, tol)
+        evals.append(out[2])
+        return out
+    monkeypatch.setattr(analysis, "cumulative_integral", counting)
+    assert check_A1(spec, 1e4).verdict == "supported"
+    assert len(evals) == 1 and evals[0] <= 2173 // 2
 
 
 def test_a1_trivial_without_uncertainty():

@@ -232,6 +232,35 @@ def test_verify_batches_the_fused_loop(configs, monkeypatch):
     assert scalar == []
 
 
+@pytest.mark.parametrize("workload, counts", [
+    ("bundled", {"classify": [961, 1053, 2493],
+                 "verify": [349, 941, 961, 1141, 1141]}),
+    ("oscillator", {"classify": [537, 1025, 533],
+                    "verify": [133, 801, 537, 513, 513]}),
+])
+def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
+                                            counts):
+    # the integrand evaluations of every cumulative_integral a command
+    # runs, in call order: classify's A1, its J and its UNSTABLE doubling
+    # test; verify's Phi horizon, sandwich, A1, A4 and C3.  A quadrature
+    # that starts to refine more (or less) shows here without timing
+    evals = []
+    original = lognorm_control.analysis.cumulative_integral
+
+    def counting(f, grid, tol=1e-9):
+        out = original(f, grid, tol)
+        evals.append(out[2])
+        return out
+    for m in (lognorm_control.analysis, cli, lognorm_control.sim):
+        monkeypatch.setattr(m, "cumulative_integral", counting)
+    got = {}
+    for command in ("classify", "verify"):
+        evals.clear()
+        assert _run(command, configs[workload]) == 0
+        got[command] = list(evals)
+    assert got == counts
+
+
 @pytest.mark.parametrize("workload", ["bundled", "oscillator"])
 def test_one_quadrature_per_log_norm_pair(configs, monkeypatch, workload):
     # simulate's envelopes, the sandwich and the Phi horizon each integrate

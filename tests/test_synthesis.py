@@ -2,11 +2,13 @@
 
 import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 
 import oracles
+from lognorm_control import synthesis
 from lognorm_control.analysis import tail_grid
 from lognorm_control.expr import (
     Bin,
@@ -329,6 +331,30 @@ def test_c3_inconclusive_where_gamma_is_undefined():
     assert ev.note.startswith("could not evaluate Gamma: entry 1: sqrt of "
                               "negative value")
     assert ev.measured["identity_max_rel_err"] < 1e-9
+
+
+def test_c3_identity_is_one_batch_unless_a_sample_fails(example, monkeypatch):
+    # the 32 sample times go through lognorm as one stack; where Gamma
+    # fails past t = 3, the times are checked one at a time and only
+    # those before t = 3 count
+    shapes = []
+
+    def counting(M, kind):
+        shapes.append(np.shape(M))
+        return lognorm(M, kind)
+    monkeypatch.setattr(synthesis, "lognorm", counting)
+    _, ctrl = example
+    assert verify_c3(ctrl, 10.0).verdict == "supported"
+    assert shapes == [(32, 2, 2)]
+    shapes.clear()
+    ctrl = synthesize(make_spec(), lam=np.array([-1.0, -1.0]),
+                      rule=ExplicitGamma((parse("-sqrt(3-t)"),
+                                          parse("-1-t"))))
+    rng = random.Random(32)
+    before = sum(10.0 * rng.random() < 3.0 for _ in range(32))
+    assert 0 < before < 32
+    assert verify_c3(ctrl, 10.0).verdict == "inconclusive"
+    assert shapes == [(2, 2)] * before
 
 
 def test_c3_constant_gamma_supported():
