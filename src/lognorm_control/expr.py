@@ -686,8 +686,14 @@ def _batch(code, checked, shape, ts, x):
                          f"got shape {ts.shape}")
     try:
         if len(ts) < _ARRAY_MIN:
+            # one flat list, finite if its sum is, as on the scalar path
             raw = code.raw or code.scalar()
-            v = np.array([raw(t, x) for t in ts.tolist()])
+            v = []
+            for t in ts.tolist():
+                v += raw(t, x)
+            if math.isfinite(sum(v)):
+                return np.array(v).reshape((-1,) + shape)
+            v = np.array(v)
         else:
             run = code.run or code.array()
             with np.errstate(all="ignore"):

@@ -280,15 +280,21 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
     n_explicit): the first n_explicit accepted steps are DP5's, the rest
     RODAS4's (see :func:`_dp5` for the switch).
 
-    ``f(t, y, Mt)`` is the right-hand side ``Mt @ y + g(t, y)`` with
-    ``Mt = M(t)``; ``f(t, y)`` evaluates the matrix itself.  ``M`` takes
-    one time, or a 1-d array of times and returns the stack, equal bit
-    for bit to the scalar calls.  Each attempt evaluates ``M`` once, as a
-    batch on its distinct stage times; if that raises, the attempt is
-    redone stage by stage with ``f(t_i, y_i)``, so any error is the one
-    the first failing stage raises.  ``nonlinear`` says ``g`` depends on
-    ``y``; RODAS4 then adds its Jacobian, by forward differences of
-    ``f(t, ., 0)``, to ``M(t)``.
+    ``f(t, y, Mt=None, out=None)`` is the right-hand side ``Mt @ y +
+    g(t, y)`` with ``Mt = M(t)`` (evaluated by ``f`` if None), written
+    into the row ``out`` and returned, or returned as a new array.
+    ``M`` takes one time, or a 1-d array of times and returns the stack,
+    equal bit for bit to the scalar calls.  Each attempt evaluates ``M``
+    once, as a batch on its distinct stage times; if that raises, the
+    attempt is redone stage by stage with ``f(t_i, y_i)``, so any error
+    is the one the first failing stage raises.  ``nonlinear`` says ``g``
+    depends on ``y``; RODAS4 then adds its Jacobian, by forward
+    differences of ``f(t, ., 0)``, to ``M(t)``.
+
+    At n = 2 a numpy call costs more than its arithmetic, so the steppers
+    make one ``f`` call per stage and build stage arguments, right-hand
+    sides and error vectors in rows allocated once per run; every
+    accepted state and every array returned is new.
     """
     if not (t0 < T < math.inf):
         raise ValueError(f"horizon T={T} must exceed t0={t0} and be finite")
@@ -327,6 +333,11 @@ def _dp5(f, M, run, t, y, fy, h):
     # stage i: its row of k, its weights on the rows before it and its
     # time's index in the batch (stages 5 and 6 both sit at t + h)
     stages = [(k[i], _A[i], k[:i], min(i, 5) - 1) for i in range(1, 7)]
+    # scratch: stage times, _RHO's rows, a stage's argument, a weighted
+    # sum and the error vector
+    ts, rho = np.empty(len(_C_BATCH)), np.empty((2, len(y)))
+    yi, tmp, err_vec = (np.empty(len(y)) for _ in range(3))
+    dot, mul, add = np.dot, np.multiply, np.add
     facold = 1e-4
     stiff = 0
     while t < T:
@@ -337,12 +348,14 @@ def _dp5(f, M, run, t, y, fy, h):
             h = T - t
         h_attempt = h
 
-        ts = t + _C_BATCH * h
+        add(t, mul(_C_BATCH, h, out=ts), out=ts)
         Ms = _batch(M, ts)
-        for ki, a, before, j in stages:
-            ki[:] = f(ts[j], y + h * (a @ before), Ms[j])
-        y_new = y + h * (_B5 @ k)
-        finite, err = _error(tol, y, y_new, h * (_E @ k))
+        for ki, a, before, j in stages:  # y + h * (a @ before)
+            add(y, mul(dot(a, before, out=tmp), h, out=tmp), out=yi)
+            f(ts[j], yi, Ms[j], ki)
+        y_new = y + mul(dot(_B5, k, out=tmp), h, out=tmp)
+        mul(dot(_E, k, out=err_vec), h, out=err_vec)
+        finite, err = _error(tol, y, y_new, err_vec)
         at_floor = not end_clamped and h_attempt <= run.floor
         if err <= 1.0:
             if run.next_out <= t + h:  # dense output over (t, t + h]
@@ -353,7 +366,7 @@ def _dp5(f, M, run, t, y, fy, h):
                 run.fill(t, h, lambda th: y + th * (
                     ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5))))
             accepted.append(h)
-            dk, dy = (_RHO @ k).tolist()
+            dk, dy = dot(_RHO, k, out=rho).tolist()
             stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
                 else 0
             t = t + h
@@ -376,14 +389,13 @@ def _dp5(f, M, run, t, y, fy, h):
     return t, y, k[0], h, False
 
 
-def _jacobian_g(f, t, y):
-    """Forward differences of ``g = f(t, ., 0)``, the state-dependent part
-    of the right-hand side, with rodas.f's increments."""
-    Z = np.zeros((len(y), len(y)))
+def _jacobian_g(f, t, y, Z, yj):
+    """Forward differences of ``g = f(t, ., Z)``, ``Z`` the zero matrix,
+    with rodas.f's increments; ``yj`` is a row for the perturbed state."""
     g0 = f(t, y, Z)
     cols = []
     for j in range(len(y)):
-        yj = y.copy()
+        yj[:] = y
         yj[j] += math.sqrt(1e-16 * max(1e-5, abs(y[j])))
         cols.append((f(t, yj, Z) - g0) / (yj[j] - y[j]))
     return np.column_stack(cols)
@@ -402,7 +414,13 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
     next step's first stage.
     """
     T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
-    U = np.empty((6, len(y)))
+    n = len(y)
+    U = np.empty((6, n))
+    # scratch: stage times, f_t, a stage's argument and right-hand side,
+    # a weighted sum, and _jacobian_g's zero matrix and perturbed state
+    tb, (ft, yi, fi, tmp, yj) = np.empty(len(_RT)), np.empty((5, n))
+    Z, eye = np.zeros((n, n)), np.eye(n)
+    dot, mul, add = np.dot, np.multiply, np.add
     h_acc = err_acc = None
     rejected = False
     while t < T:
@@ -412,22 +430,28 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         if end_clamped:
             h = T - t
 
-        tb = t + _RT * h
+        add(t, mul(_RT, h, out=tb), out=tb)
         tb[1] = t + math.sqrt(1e-16 * max(1e-5, abs(t)))  # rodas.f's dt
         dt = tb[1] - t
         Ms = _batch(M, tb)
         # M(t) was evaluated before, as the previous step's end
         J = M(t) if Ms[0] is None else Ms[0]
-        ft = (f(tb[1], y, Ms[1]) - fy) / dt
+        f(tb[1], y, Ms[1], ft)
+        np.divide(np.subtract(ft, fy, out=ft), dt, out=ft)
         if nonlinear:
-            J = J + _jacobian_g(f, t, y)
-        E_inv = np.linalg.inv(np.eye(len(J)) / (h * _GAMMA) - J)
-        U[0] = E_inv @ (fy + (h * _RD[0]) * ft)
+            J = J + _jacobian_g(f, t, y, Z, yj)
+        E_inv = np.linalg.inv(eye / (h * _GAMMA) - J)
+        add(fy, mul(ft, h * _RD[0], out=tmp), out=fi)
+        dot(E_inv, fi, out=U[0])
         for i in range(1, 6):
-            yi = y + _RA[i] @ U[:i]
+            add(y, dot(_RA[i], U[:i], out=tmp), out=yi)
             j = _RJ[i]
-            fi = f(tb[j], yi, Ms[j])
-            U[i] = E_inv @ (fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft)
+            f(tb[j], yi, Ms[j], fi)
+            # fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft
+            add(fi, np.divide(dot(_RG[i], U[:i], out=tmp), h, out=tmp),
+                out=fi)
+            add(fi, mul(ft, h * _RD[i], out=tmp), out=fi)
+            dot(E_inv, fi, out=U[i])
         y_new = yi + U[5]
         finite, err = _error(tol, y, y_new, U[5])
         at_floor = not end_clamped and h <= run.floor
@@ -509,11 +533,11 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     Acl = closed_loop_function(spec, ctrl, include_delta=True)
     omega = spec.omega.compiled() if spec.omega is not None else None
 
-    def f(t, y, M=None):
+    def f(t, y, M=None, out=None):
         try:
-            dy = (Acl(t) if M is None else M) @ y
+            dy = np.dot(Acl(t) if M is None else M, y, out=out)
             if omega is not None:
-                dy = dy + omega(t, y)
+                dy += omega(t, y)
         except EvalError as exc:
             raise NumericalError(
                 f"expression evaluation failed at t={t:.6g}: {exc}") from exc
@@ -567,30 +591,15 @@ def _exact_batches(F: Callable) -> bool:
     return getattr(inspect.unwrap(F), "exact_batches", False)
 
 
-def _batched(F: Callable, n: int, probe) -> Callable[[np.ndarray], np.ndarray]:
-    """``F`` itself if it batches, else a loop stacking its scalar calls.
-
-    A compiled grid batches by construction, unprobed (its
-    ``exact_batches``, read through ``__wrapped__``).  Another ``F``
-    batches when, given the two ``probe`` times as a 1-d array, it
-    returns the (2, n, n) stack equal bit for bit to its two scalar
-    calls.  Anything else, an exception included, selects the loop,
-    which passes a single time straight to ``F``.
-    """
-    def stacked(ts):
-        return F(ts) if np.ndim(ts) == 0 else np.array([F(t) for t in ts])
-
+def _batched(F: Callable) -> Callable[[np.ndarray], np.ndarray]:
+    """``F`` itself if it is a compiled grid, which batches by
+    construction (its ``exact_batches``, read through ``__wrapped__``),
+    else a loop stacking its scalar calls, which passes a single time
+    straight to ``F``."""
     if _exact_batches(F):
         return F
-    probe = np.asarray(probe, dtype=float)
-    try:
-        got = np.asarray(F(probe), dtype=float)
-        want = np.asarray(stacked(probe), dtype=float)
-        if got.shape == (len(probe), n, n) and got.tobytes() == want.tobytes():
-            return F
-    except Exception:
-        pass
-    return stacked
+    return lambda ts: (F(ts) if np.ndim(ts) == 0
+                       else np.array([F(t) for t in ts]))
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -675,9 +684,9 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
     each propagator's estimated relative error; a failing one is cut into
     the 2 to 32 pieces its estimate, read as ``O(h^5)``, predicts will
     pass (``n_rejected`` counts the cuts).  A refinement level evaluates
-    ``F`` on all its node times, ascending, ``_PHI_CHUNK`` times a call,
-    as a batch if :func:`_batched` accepts it; Phi has the same bits
-    either way.
+    ``F`` on all its node times, ascending, ``_PHI_CHUNK`` times a call:
+    as one batch if ``F`` is a compiled grid (see :func:`_batched`), else
+    as stacked scalar calls; Phi has the same bits either way.
 
     A failing batch is redone time by time, so NumericalError names the
     earliest time where ``F`` fails; a non-finite generator or Phi raises
@@ -693,7 +702,7 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
         raise ValueError("n_out must be at least 2")
     grid = np.linspace(t0, T, n_out)
     n = np.asarray(F(grid[:1]) if _exact_batches(F) else F(t0)).shape[-1]
-    M = _batched(F, n, (t0, t0 + min(_PHI_H_MAX, T - t0)))
+    M = _batched(F)
     # cells a rounding error above _PHI_H_MAX stay whole
     parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).astype(int)
     a, b, cell = _split(grid[:-1], grid[1:], parts)
@@ -800,14 +809,14 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     ``F`` follows the contract of :func:`fundamental_matrix`: scalar
     calls are required.  ``int mu[F]`` and ``int mu[-F]`` come from one
     quadrature of both signs, which evaluates ``F`` once per refinement
-    level, as a batch when :func:`_batched` accepts it (probed on the
-    trace's first and last times), else as stacked scalar calls.
+    level, as a batch if ``F`` is a compiled grid (see :func:`_batched`),
+    else as stacked scalar calls.
     """
     times = tt.times
     m = len(times)
     n = tt.phis.shape[1]
     # the quadrature asks for a level of nodes at a time
-    Fb = _batched(F, n, times[[0, -1]])
+    Fb = _batched(F)
     (J_up, J_low), (e_up, e_low), _, _ = cumulative_integral(
         lambda ts: lognorm_pair(Fb(ts), kind), times, _QUAD_TOL)
     base_slack = _BASE_SLACK + 4.0 * (float(e_up) + float(e_low))

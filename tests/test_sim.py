@@ -587,6 +587,27 @@ def scalar_only(F):
     return G
 
 
+def test_traces_share_no_memory(example):
+    # the steppers' scratch rows never leak into a trace: every array of
+    # two runs on one spec is its own, and the second run leaves the
+    # first's bytes as they were
+    spec, ctrl = example
+    first = simulate(spec, ctrl, T=10.0)
+    kept = {k: v.tobytes() for k, v in vars(first).items()
+            if isinstance(v, np.ndarray)}
+    second = simulate(spec, ctrl, T=10.0)
+    assert 0 < first.n_explicit < len(first.step_sizes)  # both steppers
+    arrays = [(i, k, v) for i, tr in enumerate((first, second))
+              for k, v in vars(tr).items() if isinstance(v, np.ndarray)]
+    assert {k for _, k, _ in arrays} >= {"states", "norms", "step_sizes"}
+    for a, (i, k, u) in enumerate(arrays):
+        for j, m, v in arrays[a + 1:]:
+            assert not np.shares_memory(u, v), (i, k, j, m)
+    assert {k: v.tobytes() for k, v in vars(first).items()
+            if isinstance(v, np.ndarray)} == kept
+    assert second.states.tobytes() == kept["states"]
+
+
 @pytest.mark.parametrize("name, T, T_phi", [("example", 10.0, 2.0),
                                             ("oscillator", 20.0, 5.0),
                                             ("plant8", 2.0, 2.0)])
@@ -615,9 +636,8 @@ def test_batching_F_matches_scalar_only_F(request, name):
     spec, ctrl = request.getfixturevalue(name)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     G = scalar_only(cl)
-    probe = np.array([spec.t0, spec.t0 + 0.1])
-    assert sim._batched(cl, spec.n, probe) is cl
-    assert sim._batched(G, spec.n, probe) is not G
+    assert sim._batched(cl) is cl
+    assert sim._batched(G) is not G
     tt = fundamental_matrix(cl, spec.t0, 2.0, tol=1e-9)
     ref = fundamental_matrix(G, spec.t0, 2.0, tol=1e-9)
     assert tt.phis.tobytes() == ref.phis.tobytes()
@@ -627,21 +647,12 @@ def test_batching_F_matches_scalar_only_F(request, name):
         verify_sandwich(tt, G, spec.norm).to_json()
 
 
-def test_probe_rejects_lookalike_batches():
-    # right shape, wrong values; and a constant that ignores the times
-    n = 2
-    probe = np.array([0.0, 0.1])
-    bad = lambda t: (np.zeros((len(t), n, n)) if np.ndim(t)
-                     else np.eye(n))
-    const = lambda t: np.diag([-1.0, -2.0])
-    assert sim._batched(bad, n, probe) is not bad
-    assert sim._batched(const, n, probe) is not const
-    assert sim._batched(const, n, probe)(probe).shape == (2, n, n)
-
-
 def test_one_batched_evaluation_per_attempt():
-    # one batched F call per refinement level, plus the probe; each
-    # sub-step tried, accepted or cut, costs its five node times
+    # a wrapper naming a compiled grid as __wrapped__ batches: one F call
+    # per refinement level, after one batch of t0 for n; each sub-step
+    # tried, accepted or cut, costs its five node times.  Without
+    # __wrapped__ the same wrapper gets only scalar calls: F(t0) for n,
+    # then five per sub-step.
     F = parse_matrix(WOBBLE, ("t",)).compiled()
     calls = {"scalar": 0}
     batches = []
@@ -654,12 +665,17 @@ def test_one_batched_evaluation_per_attempt():
         return F(t)
 
     tt = fundamental_matrix(counted, 0.0, 5.0, tol=1e-10)
-    # F(t0) for n and the two probe times
-    assert calls == {"scalar": 3}
-    assert batches[0].tolist() == [0.0, 0.1]
+    attempts = len(tt.step_sizes) + tt.n_rejected
+    assert batches == [] and calls == {"scalar": 1 + 5 * attempts}
+    calls["scalar"] = 0
+    counted.__wrapped__ = F
+    batched = fundamental_matrix(counted, 0.0, 5.0, tol=1e-10)
+    assert batched.phis.tobytes() == tt.phis.tobytes()
+    assert calls == {"scalar": 0}
+    assert batches[0].tolist() == [0.0]
     levels = batches[1:]
     assert tt.n_rejected > 0 and len(levels) >= 2
-    assert sum(map(len, levels)) == 5 * (len(tt.step_sizes) + tt.n_rejected)
+    assert sum(map(len, levels)) == 5 * attempts
     for ts in levels:  # ascending node times within a level
         assert (np.diff(ts) > 0).all()
     assert len(tt.step_sizes) > len(tt.times) - 1

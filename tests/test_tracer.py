@@ -2,8 +2,9 @@
 
 ``bench/tracer.py`` wraps package functions from outside and refuses to
 run (``RuntimeError``) when a binding it needs is gone, so a refactor
-that renames or drops one breaks ``bench/run.py --trace 1``.  This test
-installs the tracer on the loaded package and restores it.
+that renames or drops one breaks ``bench/run.py --trace 1``.  These tests
+install the tracer on the loaded package and restore it; a simulate run
+under the tracer must count every right-hand side and keep its bits.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ import sys
 from pathlib import Path
 
 import lognorm_control.cli  # noqa: F401  (loads every package module)
+from lognorm_control import sim
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -56,3 +58,23 @@ def test_tracer_installs_and_restores():
     assert after.keys() == before.keys()
     changed = [k for k in before if after[k] is not before[k]]
     assert changed == []
+
+
+def test_traced_simulate_counts_every_rhs_call(example):
+    # the tracer counts the right-hand sides sim._integrate is handed
+    # through a (*args, **kwargs) wrapper: a stepper that bypasses f, or
+    # whose output row does not pass through that wrapper, changes the
+    # count or the states.  4,623 is the bundled scenario's count.
+    spec, ctrl = example
+    plain = sim.simulate(spec, ctrl, T=10.0)
+    tracer = _load_tracer().Tracer()
+    restore = tracer.install()
+    try:
+        traced = sim.simulate(spec, ctrl, T=10.0)
+    finally:
+        restore()
+    rhs = sum(n for (_, name), (n, _) in tracer.hot.items()
+              if name == "sim.rhs")
+    assert rhs == 4623
+    assert traced.states.tobytes() == plain.states.tobytes()
+    assert traced.step_sizes.tobytes() == plain.step_sizes.tobytes()
