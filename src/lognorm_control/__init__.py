@@ -41,7 +41,6 @@ from .expr import (
     VectorFunction,
     collect_vars,
     eval_expr,
-    eval_matrix,
     format_expr,
     parse,
     parse_matrix,

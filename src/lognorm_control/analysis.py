@@ -404,16 +404,15 @@ def _decay_notes(description: str) -> Callable:
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-                quad_tol: float = 1e-8, norm=None):
+                quad_tol: float = 1e-8):
     """The closed-loop decay assumptions.
 
     A2: ``mu[A + B K](t)`` is eventually negative; checked on a trailing
     window.  A4: ``int mu[A + B K] -> -inf``; checked by the doubling
     test.  Returns ``(a2, a4)``.
     """
-    k = norm if norm is not None else spec.norm
     cl = closed_loop_function(spec, ctrl)
-    mu = lambda t: lognorm(cl(t), k)
+    mu = lambda t: lognorm(cl(t), spec.norm)
     try:
         window = window_grid(spec.t0, T)
         vals = mu(window)
@@ -457,8 +456,8 @@ def ratio_tail(w: np.ndarray, m: np.ndarray):
     return r, decreasing, verdict
 
 
-def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-             norm=None) -> Evidence:
+def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None,
+             T: float) -> Evidence:
     """The disturbance envelope is dominated by the closed-loop decay:
     ``omega_bound(t) / |mu[A + B K](t)| -> 0``.
 
@@ -466,7 +465,6 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     and ends below the threshold.  Trivially supported when no envelope
     is declared.
     """
-    k = norm if norm is not None else spec.norm
     if spec.omega_bound is None:
         return Evidence("A3", "supported", {"ratio_end": 0.0},
                         "no disturbance envelope declared; ratio is zero")
@@ -474,7 +472,7 @@ def check_A3(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     try:
         grid = tail_grid(spec.t0, T)
         w = np.array([eval_expr(spec.omega_bound, t) for t in grid.tolist()])
-        m = np.abs(lognorm(cl(grid), k))
+        m = np.abs(lognorm(cl(grid), spec.norm))
     except EvalError as exc:
         return Evidence("A3", "inconclusive", {}, f"could not evaluate: {exc}")
     r, _, verdict = ratio_tail(w, m)

@@ -232,7 +232,7 @@ def cmd_verify(args) -> int:
 
     T_phi = _phi_horizon(spec, ctrl, spec.t0, T)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
-    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=min(cfg.tol, PHI_TOL))
+    tt = fundamental_matrix(cl, spec.t0, T_phi, tol=PHI_TOL)
     sandwich = verify_sandwich(tt, cl, spec.norm)
 
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), args.quad_tol)
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transition-matrix sandwich and assumptions "
                             "A1-A4, c3")
     common(q)
-    q.add_argument("--tol", type=float, help="integrator tolerance")
     q.add_argument("--quad-tol", type=float, default=1e-8)
     q.set_defaults(func=cmd_verify)
 

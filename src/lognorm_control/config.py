@@ -25,7 +25,7 @@ from .expr import (
     parse,
     state_vars,
 )
-from .linalg import TWO, LinalgError, Weighted
+from .linalg import MAX_DIM, MIN_DIM, TWO, LinalgError, Weighted
 from .synthesis import AutoGamma, ExplicitGamma, synthesize
 from .system import ControllerSpec, SystemSpec
 
@@ -39,7 +39,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "required": ["n", "t0", "x0", "A", "B"],
     "properties": {
-        "n": {"type": "integer", "minimum": 2, "maximum": 16},
+        "n": {"type": "integer", "minimum": MIN_DIM, "maximum": MAX_DIM},
         "t0": {"type": "number"},
         "x0": {"type": "array", "items": {"type": "number"}},
         "norm": {"enum": ["one", "two", "inf"]},
@@ -68,41 +68,38 @@ CONFIG_SCHEMA = {
 }
 
 
-def _num(v):
-    return type(v) in (int, float)  # a JSON number; bool is not one
+# jsonschema (~5 MB and ~35 ms to import) judges only the documents that
+# this walk of CONFIG_SCHEMA does not pass
+_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
+          "array": (list,), "object": (dict,)}  # bool is no JSON number
 
 
-def _list(item):
-    return lambda v: type(v) is list and all(item(x) for x in v)
-
-
-def _text(v):
-    return type(v) is str
-
-
-# a hand check of each key that CONFIG_SCHEMA accepts wherever it passes;
-# jsonschema (~5 MB and ~35 ms to import) judges only the documents it
-# does not pass
-_CONTROLLER_KEYS = {
-    "lambda": _list(_num),
-    "gamma": lambda v: v == "auto" if _text(v) else _list(_text)(v),
-    "margin": lambda v: _num(v) and v > 0,
-}
-_KEYS = {
-    "n": lambda v: type(v) is int and 2 <= v <= 16,
-    "t0": _num, "x0": _list(_num),
-    "norm": lambda v: _text(v) and v in ("one", "two", "inf"),
-    "A": _list(_list(_text)), "Delta": _list(_list(_text)),
-    "B": _list(_list(_num)), "omega": _list(_text), "omega_bound": _text,
-    "controller": lambda v: type(v) is dict and all(
-        k in _CONTROLLER_KEYS and _CONTROLLER_KEYS[k](x) for k, x in v.items()),
-    "horizon": _num, "tol": lambda v: _num(v) and v > 0,
-}
+def _fits(v, s: dict) -> bool:
+    """Whether the schema ``s`` plainly accepts ``v``, reading the
+    keywords CONFIG_SCHEMA uses; every object is closed to keys outside
+    its ``properties``, as the schema's are.  A bound is compared only
+    where its keyword is present, so NaN and +-inf pass where no bound
+    applies, as under jsonschema.  ``oneOf`` needs the walk to be exact
+    on each branch, as it is on the schema's two."""
+    if ("type" in s and type(v) not in _TYPES[s["type"]]
+            or "enum" in s and v not in s["enum"]
+            or "const" in s and v != s["const"]
+            or "oneOf" in s and sum(_fits(v, o) for o in s["oneOf"]) != 1
+            or "minimum" in s and not v >= s["minimum"]
+            or "maximum" in s and not v <= s["maximum"]
+            or "exclusiveMinimum" in s and not v > s["exclusiveMinimum"]):
+        return False
+    if type(v) is list and "items" in s:
+        return all(_fits(x, s["items"]) for x in v)
+    if type(v) is dict and "properties" in s:
+        props = s["properties"]
+        return set(s.get("required", ())) <= v.keys() and all(
+            k in props and _fits(x, props[k]) for k, x in v.items())
+    return True
 
 
 def _plainly_valid(doc: dict) -> bool:
-    return set(CONFIG_SCHEMA["required"]) <= doc.keys() and all(
-        k in _KEYS and _KEYS[k](v) for k, v in doc.items())
+    return _fits(doc, CONFIG_SCHEMA)
 
 
 class ConfigError(ValueError):

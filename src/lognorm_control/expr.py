@@ -47,7 +47,6 @@ __all__ = [
     "parse_matrix",
     "parse_vector",
     "eval_expr",
-    "eval_matrix",
     "format_expr",
     "collect_vars",
     "MatrixFunction",
@@ -870,12 +869,6 @@ class VectorFunction(_Grid):
 
     def formatted(self):
         return [format_expr(e) for e in self.entries]
-
-
-def eval_matrix(F: MatrixFunction, t: float, x=None) -> np.ndarray:
-    """Evaluate a MatrixFunction entrywise; EvalErrors are annotated with
-    the (row, column) of the failing entry, 1-based."""
-    return F(t, x)
 
 
 def parse_matrix(rows, allowed_vars=("t",)) -> MatrixFunction:

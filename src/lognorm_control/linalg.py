@@ -23,14 +23,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tolerances import (
-    LYAPUNOV_RESIDUAL_TOL,
-    MAX_DIM,
-    MIN_DIM,
-    SINGULAR_PIVOT_TOL,
-    SYMMETRY_TOL,
-)
-
 __all__ = [
     "ONE",
     "TWO",
@@ -59,6 +51,11 @@ __all__ = [
 ONE = "one"
 TWO = "two"
 INF = "inf"
+
+MIN_DIM, MAX_DIM = 2, 16      # supported problem sizes
+SYMMETRY_TOL = 1e-12          # max|S - S^T| / max(1, ||S||_F) accepted
+SINGULAR_PIVOT_TOL = 1e-13    # min singular value <= tol * ||M||_F: singular
+LYAPUNOV_RESIDUAL_TOL = 1e-9  # Frobenius residual of A^T H + H A + 2 I
 
 
 class LinalgError(ValueError):

@@ -1,36 +1,32 @@
 """The JSON form of every report the package prints.
 
-Reports are dataclasses whose fields are the report's keys; numpy
-scalars and arrays in them are written as plain JSON numbers and lists.
-Keys are sorted, so a report's text depends only on its values.
+Reports are dataclasses whose fields are the report's keys, holding
+plain Python values.  A non-finite number is written as null, so every
+report is strict JSON (RFC 8259).  Keys are sorted, so a report's text
+depends only on its values.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 
-import numpy as np
-
-__all__ = ["Report", "dumps", "json_default"]
+__all__ = ["Report", "dumps"]
 
 
-def json_default(obj):
-    """Make numpy scalars and arrays serializable in reports."""
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
+def _finite(v):
+    """``v`` with every non-finite float in it replaced by None."""
+    if isinstance(v, dict):
+        return {k: _finite(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite(x) for x in v]
+    return None if isinstance(v, float) and not math.isfinite(v) else v
 
 
 def dumps(doc) -> str:
-    """``doc`` as indented JSON with sorted keys."""
-    return json.dumps(doc, indent=2, sort_keys=True, default=json_default)
+    """``doc`` as indented strict JSON with sorted keys."""
+    return json.dumps(_finite(doc), indent=2, sort_keys=True, allow_nan=False)
 
 
 class Report:

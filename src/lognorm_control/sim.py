@@ -247,12 +247,10 @@ class _Run:
         raise StiffnessError at PIN_LIMIT in a row."""
         self.pinned = self.pinned + 1 if at_floor else 0
         if self.pinned >= PIN_LIMIT:
-            mu = None
-            if self.diag_mu is not None:
-                try:
-                    mu = self.diag_mu(t)
-                except Exception:
-                    mu = None
+            try:
+                mu = self.diag_mu(t)
+            except Exception:
+                mu = None
             raise StiffnessError(t, self.h_min, mu)
 
 
@@ -273,8 +271,7 @@ def _error(tol, y, y_new, err_vec):
     return True, math.sqrt(ee) / (tol * (1.0 + math.sqrt(y.dot(y))))
 
 
-def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
-               nonlinear=False):
+def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
     by dense output and returns (outputs, accepted_h, n_rejected,
     n_explicit): the first n_explicit accepted steps are DP5's, the rest
@@ -303,8 +300,8 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu=None,
     if not (0.0 < h_min <= h_max):
         raise ValueError("need 0 < h_min <= h_max")
     grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or len(grid) == 0 or (np.diff(grid) <= 0).any():
-        raise ValueError("output grid must be non-empty and strictly increasing")
+    if grid.ndim != 1 or (np.diff(grid) <= 0).any():
+        raise ValueError("output grid must be strictly increasing")
     if grid[0] < t0 or grid[-1] > T:
         raise ValueError("output grid must lie within [t0, T]")
 
@@ -547,25 +544,22 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         if n_out < 2:
             raise ValueError("n_out must be at least 2")
         grid = np.linspace(spec.t0, T, n_out)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise ValueError("output grid must have at least 2 points")
     states, steps, nrej, n_explicit = _integrate(
         f, spec.t0, spec.x0, T, tol, h_min, h_max, grid, M=Acl,
         diag_mu=lambda t: lognorm(Acl(t), k),
         nonlinear=omega is not None and spec.omega.state_dependent)
-    grid = np.asarray(grid, dtype=float)
     norms = vector_norm(states, k)
     x0n = vector_norm(spec.x0, k)
-    if len(grid) >= 2:
-        levels = []  # the first level's even nodes are the grid
+    levels = []  # the first level's even nodes are the grid
 
-        def mu_pair(t):
-            levels.append(lognorm_pair(Acl(t), k))
-            return levels[-1]
-        (J_up, J_low), _, _, _ = cumulative_integral(mu_pair, grid,
-                                                     _BOUNDS_TOL)
-        mu_vals = levels[0][0][0::2]
-    else:
-        mu_vals = lognorm(Acl(grid), k)
-        J_up = J_low = np.zeros(len(grid))
+    def mu_pair(t):
+        levels.append(lognorm_pair(Acl(t), k))
+        return levels[-1]
+    (J_up, J_low), _, _, _ = cumulative_integral(mu_pair, grid, _BOUNDS_TOL)
+    mu_vals = levels[0][0][0::2]
     with np.errstate(over="ignore"):
         upper = x0n * np.exp(J_up)
         lower = x0n * np.exp(-J_low)
@@ -929,8 +923,5 @@ def write_trace_csv(trace: Trace, path) -> None:
     row = ",".join(["%.17g"] * len(header)) + "\r\n"
     text = ",".join(header) + "\r\n" + "".join(
         [row % tuple(r) for r in cols.tolist()])
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
+    with open(path, "w", newline="") as fh:
+        fh.write(text)

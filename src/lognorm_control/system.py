@@ -23,8 +23,7 @@ from .expr import (
     collect_vars,
     state_vars,
 )
-from .linalg import LinalgError, as_matrix, as_vector
-from .tolerances import MAX_DIM, MIN_DIM
+from .linalg import MAX_DIM, MIN_DIM, LinalgError, as_matrix, as_vector
 
 __all__ = [
     "SystemSpec",

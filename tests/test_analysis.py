@@ -344,6 +344,17 @@ def test_a1_inconclusive_for_growing_integral():
     assert "not settled" in e.note
 
 
+def test_a1_inconclusive_where_the_uncertainty_is_undefined():
+    # sqrt(5-t) has no value past t = 5, inside the A1 horizon
+    s = make_spec(Delta=parse_matrix([["sqrt(5-t)", "0"], ["0", "0"]],
+                                     ("t",)))
+    e = check_A1(s, 10.0)
+    assert e.verdict == "inconclusive"
+    assert e.measured == {}
+    assert e.note.startswith("could not evaluate the uncertainty: "
+                             "entry (1,1)")
+
+
 def test_a2_a4_supported_on_example(example):
     spec, ctrl = example
     a2, a4 = check_A2_A4(spec, ctrl, 10.0)
@@ -384,6 +395,15 @@ def test_a2_a4_open_loop_example_diverges(example):
     a2, a4 = check_A2_A4(spec, None, 10.0)
     assert a2.verdict == "refuted"
     assert a4.verdict == "refuted"
+
+
+def test_a2_inconclusive_where_mu_changes_sign_on_the_window():
+    # mu = max(sin(t), -1) takes both signs on the window [8, 10]
+    s = make_spec(A=parse_matrix([["sin(t)", "0"], ["0", "-1"]], ("t",)))
+    a2, _ = check_A2_A4(s, None, 10.0)
+    assert a2.verdict == "inconclusive"
+    assert a2.note == "mu changes sign on the trailing window"
+    assert a2.measured["sup_mu_window"] > 0.0 > a2.measured["inf_mu_window"]
 
 
 def test_a3_supported_on_example(example):
@@ -468,6 +488,18 @@ def test_classify_skew_rotation_is_us():
     assert rep.entries["US"].measured["sup_mu"] == 0.0
     assert rep.entries["AS"].verdict == "refuted"
     assert rep.entries["UNSTABLE"].verdict == "refuted"
+
+
+def test_classify_as_without_a_uniform_rate():
+    # mu = -t/(1+t): int mu -> -inf, but sup mu = mu(t0) = 0
+    s = make_spec(A=parse_matrix([["-t/(1+t)", "0"], ["0", "-1"]], ("t",)))
+    rep = classify_stability(s, None, T=10.0)
+    assert rep.strongest == "AS"
+    assert rep.entries["AS"].verdict == "supported"
+    uas = rep.entries["UAS"]
+    assert uas.verdict == "inconclusive"
+    assert uas.note == "no uniform negative bound for mu on the sampled grid"
+    assert uas.measured["alpha"] == 0.0
 
 
 def test_classify_constant_hurwitz_alpha():

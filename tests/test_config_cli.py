@@ -27,6 +27,8 @@ from lognorm_control.config import (
     serialize_config,
 )
 from lognorm_control.presets import example_config
+from lognorm_control.report import dumps
+from lognorm_control.sim import simulate
 from lognorm_control.synthesis import (
     AutoGamma,
     ExplicitGamma,
@@ -84,6 +86,23 @@ def test_config_round_trip(cfg):
     for t in (0.0, 0.7, 3.0):
         assert np.array_equal(lc2.spec.A(t), lc.spec.A(t))
         assert np.array_equal(lc2.spec.Delta(t), lc.spec.Delta(t))
+
+
+@pytest.mark.parametrize("request_, written", [
+    ({"gamma": "auto", "margin": 2.5}, {"gamma": "auto", "margin": 2.5}),
+    ({"lambda": [-1.0, -2.0]}, {"lambda": [-1.0, -2.0], "gamma": "auto"}),
+    ({"lambda": [-1.0, -1.0], "gamma": ["-t", "-2.5"]},
+     {"lambda": [-1.0, -1.0], "gamma": ["-t", "-2.5"]})])
+def test_config_round_trip_of_a_controller_request(cfg, request_, written):
+    # an unsynthesized request serializes as the request, not as a gain
+    cfg["controller"] = request_
+    lc = load_config(cfg)
+    doc = serialize_config(lc.spec, lc.controller)
+    assert doc["controller"] == written
+    back = load_config(doc).controller
+    assert back.rule == lc.controller.rule
+    assert (back.lam is None and lc.controller.lam is None
+            or np.array_equal(back.lam, lc.controller.lam))
 
 
 def test_schema_rejects_unknown_key(cfg):
@@ -344,6 +363,40 @@ def test_cli_synthesize_exit_one_when_refuted(capsys, tmp_path):
     assert d["c2"]["verdict"] == "refuted"
 
 
+def test_cli_synthesize_requires_a_controller(capsys, plant_file):
+    rc, out, err = run_cli(capsys, "synthesize", "--config", str(plant_file))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: no controller requested")
+
+
+def test_cli_lambda_flag_keeps_the_config_gamma_rule(capsys, cfg_file):
+    _, plain, _ = run_cli(capsys, "synthesize", "--config", str(cfg_file))
+    rc, out, _ = run_cli(capsys, "synthesize", "--config", str(cfg_file),
+                         "--lambda=-2,-3")
+    d = json.loads(out)
+    assert rc == 0
+    assert d["lambda"] == [-2.0, -3.0] != json.loads(plain)["lambda"]
+    assert d["gamma"] == json.loads(plain)["gamma"]
+
+
+def test_cli_reports_are_strict_json(capsys, cfg, tmp_path):
+    # with omega = 0 and an envelope undefined past t = 400, C2's ratio_end
+    # is inf; a non-finite number prints as null, not as Infinity or NaN
+    cfg.update(omega=["0", "0"], omega_bound="sqrt(400-t)")
+    p = tmp_path / "envelope.json"
+    p.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, "synthesize", "--config", str(p))
+    assert rc == 0
+
+    def reject(name):
+        raise AssertionError(f"{name} is not JSON")
+    d = json.loads(out, parse_constant=reject)
+    assert d["c2"]["verdict"] == "inconclusive"
+    assert d["c2"]["measured"]["ratio_end"] is None
+    assert dumps({"v": [float("nan"), 1.5, (float("-inf"),)]}) == json.dumps(
+        {"v": [None, 1.5, [None]]}, indent=2)
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--gamma", "auto", "--margin=0"], "margin must be a positive"),
     (["--margin=0"], "margin must be a positive"),
@@ -406,6 +459,20 @@ def test_cli_simulate_writes_csv(capsys, cfg_file, tmp_path):
     lines = out_csv.read_text().splitlines()
     assert lines[0] == "t,x_1,x_2,norm_x,mu_cl,bound_upper,bound_lower"
     assert len(lines) == 12
+
+
+def test_cli_simulate_tol_reaches_simulate(capsys, cfg, cfg_file):
+    rc, out, _ = run_cli(capsys, "simulate", "--config", str(cfg_file),
+                         "--points", "11", "--tol", "1e-5")
+    assert rc == 0
+    lc = load_config(cfg)
+    ctrl = lc.controller.build(lc.spec)
+    want = simulate(lc.spec, ctrl, T=lc.horizon, tol=1e-5, n_out=11)
+    assert want.n_rejected != simulate(lc.spec, ctrl, T=lc.horizon,
+                                       n_out=11).n_rejected
+    d = json.loads(out)
+    assert (d["steps"], d["rejected"]) == (len(want.step_sizes),
+                                          want.n_rejected)
 
 
 def test_cli_simulate_stiffness_exits_three(capsys, tmp_path):
@@ -476,6 +543,14 @@ def test_cli_verify_requires_controller(capsys, plant_file):
     rc, _, err = run_cli(capsys, "verify", "--config", str(plant_file))
     assert rc == 2
     assert "requires a controller" in err
+
+
+def test_cli_verify_has_no_tol_flag(capsys, cfg_file):
+    # Phi is always built to PHI_TOL; --tol sets only the simulate tolerance
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(cfg_file), "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
 def test_cli_verify_names_the_time_the_loop_fails(capsys, tmp_path):

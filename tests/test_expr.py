@@ -20,7 +20,6 @@ from lognorm_control.expr import (
     VectorFunction,
     collect_vars,
     eval_expr,
-    eval_matrix,
     format_expr,
     parse,
     parse_matrix,
@@ -448,5 +447,5 @@ def test_matrix_function_equality_and_formatting():
 
 def test_eval_matrix_function_of_t_and_state():
     K = parse_matrix([["x1", "t"], ["0", "x2"]], ("t", "x1", "x2"))
-    got = eval_matrix(K, 2.0, np.array([3.0, 4.0]))
+    got = K(2.0, np.array([3.0, 4.0]))
     assert np.allclose(got, [[3.0, 2.0], [0.0, 4.0]], atol=0.0)
