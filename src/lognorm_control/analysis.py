@@ -278,11 +278,6 @@ def tail_grid(t0: float, T: float) -> np.ndarray:
     return np.linspace(start, T, 65)
 
 
-def window_grid(t0: float, T: float) -> np.ndarray:
-    start = T - WINDOW_FRAC * (T - t0)
-    return np.linspace(start, T, WINDOW_POINTS)
-
-
 @dataclass(frozen=True)
 class Evidence(Report):
     """One checked condition: what was measured and what it suggests.
@@ -304,8 +299,7 @@ def _downgrade(ev: Evidence, reason: str) -> Evidence:
                     (ev.note + "; " if ev.note else "") + reason)
 
 
-def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
-             norm=None) -> Evidence:
+def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8) -> Evidence:
     """Absolute integrability of the uncertainty's logarithmic norm:
     ``int_{t0}^{inf} |mu[Delta(s)]| ds < inf``.
 
@@ -317,7 +311,6 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
     trivially supported with integral zero.  Never refuted: a heavy tail
     on a finite horizon proves nothing either way.
     """
-    k = norm if norm is not None else spec.norm
     if spec.Delta is None:
         return Evidence("A1", "supported", {"I": 0.0},
                         "no uncertainty declared; integral is zero")
@@ -329,7 +322,7 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8,
     grid = np.array(sorted({spec.t0, tm, T, *nodes[nodes < T].tolist()}))
     try:
         vals, err, _, ok = cumulative_integral(
-            lambda s: np.abs(lognorm(D(s), k)), grid,
+            lambda s: np.abs(lognorm(D(s), spec.norm)), grid,
             quad_tol / (len(grid) - 1))
     except EvalError as exc:
         return Evidence("A1", "inconclusive", {},
@@ -413,8 +406,8 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
     """
     cl = closed_loop_function(spec, ctrl)
     mu = lambda t: lognorm(cl(t), spec.norm)
+    window = np.linspace(T - WINDOW_FRAC * (T - spec.t0), T, WINDOW_POINTS)
     try:
-        window = window_grid(spec.t0, T)
         vals = mu(window)
     except EvalError as exc:
         a2 = Evidence("A2", "inconclusive", {}, f"could not evaluate: {exc}")
@@ -514,8 +507,8 @@ class EvidenceReport(Report):
 
 
 def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
-                       T: float | None = None, quad_tol: float = 1e-8,
-                       norm=None) -> EvidenceReport:
+                       T: float | None = None,
+                       quad_tol: float = 1e-8) -> EvidenceReport:
     """Assess the taxonomy for ``x' = [A + Delta] x + B K x``.
 
     The four stability members are judged from ``J(t) = int mu[A + B K]``
@@ -525,13 +518,13 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     every solution of the perturbed system to grow.  Deterministic: no
     randomness anywhere, so two runs produce identical reports.
     """
-    k = norm if norm is not None else spec.norm
+    k = spec.norm
     if T is None:
         T = spec.t0 + 10.0
     if not (T > spec.t0):
         raise ValueError(f"horizon T={T} must exceed t0={spec.t0}")
 
-    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol, norm=k)
+    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol)
 
     cl_up = closed_loop_function(spec, ctrl)
     cl_dn = closed_loop_function(spec, ctrl, include_delta=True)

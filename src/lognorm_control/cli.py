@@ -31,7 +31,8 @@ from .analysis import (
     classify_stability,
     cumulative_integral,
 )
-from .config import ConfigError, gamma_rule, load_config
+from .config import (CONFIG_SCHEMA, ConfigError, _fits, gamma_rule,
+                     load_config)
 from .expr import EvalError, SourceError, format_expr
 from .linalg import (
     INF,
@@ -49,7 +50,7 @@ from .report import dumps
 from .sim import (
     NumericalError,
     StiffnessError,
-    _phi_values,
+    _stack,
     convergence_report,
     fundamental_matrix,
     simulate,
@@ -62,10 +63,6 @@ from .system import closed_loop_function
 RATIO_MIN_HORIZON = 1e3  # ratio-limit checks need a long tail
 PHI_LOG_CAP = 12.0       # keep transition-norm noise below the slack
 PHI_TOL = 1e-10          # local tolerance for the Phi integration
-
-
-def _print_json(doc) -> None:
-    print(dumps(doc))
 
 
 def _load(args, cfg=None):
@@ -96,6 +93,15 @@ def _controller(cfg, args):
         rule = gamma_rule(flags, cfg.spec.n, "--")
     if getattr(args, "controller", None):
         doc = json.loads(Path(args.controller).read_text())
+        # checked as a config's controller section; other keys (such as
+        # the rest of synthesize's output) are ignored
+        keys = CONFIG_SCHEMA["properties"]["controller"]["properties"]
+        if not isinstance(doc, dict):
+            raise ConfigError("--controller file must hold a JSON object")
+        for key in keys:
+            if key in doc and not _fits(doc[key], keys[key]):
+                raise ConfigError(f"--controller file: {key!r} is not a "
+                                  f"valid controller.{key}")
         if lam is None and "lambda" in doc:
             lam = np.asarray(doc["lambda"], dtype=float)
         if rule is None and ("gamma" in doc or "margin" in doc):
@@ -140,11 +146,12 @@ def cmd_lognorm(args) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load(args)
+    if args.norm:
+        cfg.spec.norm = args.norm
     ctrl = _controller(cfg, args)
-    k = args.norm or cfg.spec.norm
     report = classify_stability(cfg.spec, ctrl, T=cfg.horizon,
-                                quad_tol=args.quad_tol, norm=k)
-    _print_json(report.to_dict())
+                                quad_tol=args.quad_tol)
+    print(dumps(report.to_dict()))
     return 0 if report.strongest in ("AS", "UAS") else 1
 
 
@@ -171,7 +178,7 @@ def cmd_synthesize(args) -> int:
         "c2": c2.to_dict(),
         "c3": c3.to_dict(),
     }
-    _print_json(doc)
+    print(dumps(doc))
     return 1 if "refuted" in (c2.verdict, c3.verdict) else 0
 
 
@@ -190,7 +197,7 @@ def _print_trace(trace, cfg, args, **extra) -> int:
         write_trace_csv(trace, args.out)
     doc = convergence_report(trace).to_dict()
     doc.update(T=cfg.horizon, norm=trace.norm_kind, csv=args.out, **extra)
-    _print_json(doc)
+    print(dumps(doc))
     return 0
 
 
@@ -203,10 +210,10 @@ def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     """
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     grid = np.linspace(t0, T, 33)
-    # both signs in one quadrature; _phi_values names the earliest time
-    # where the loop fails
+    # both signs in one quadrature; _stack names the earliest time where
+    # the loop fails
     J, _, _, _ = cumulative_integral(
-        lambda ts: lognorm_pair(_phi_values(cl, cl, ts), spec.norm),
+        lambda ts: lognorm_pair(_stack(cl, ts), spec.norm),
         grid, 1e-6)
     mag = np.abs(J).max(axis=0)
     exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
@@ -246,7 +253,7 @@ def cmd_verify(args) -> int:
         "A1": a1.to_dict(), "A2": a2.to_dict(), "A3": a3.to_dict(),
         "A4": a4.to_dict(), "C3": c3.to_dict(),
     }
-    _print_json(doc)
+    print(dumps(doc))
     all_supported = all(ev.verdict == "supported"
                         for ev in (a1, a2, a3, a4, c3))
     return 0 if (sandwich.passed and all_supported) else 1

@@ -190,7 +190,7 @@ def load_config(source) -> LoadedConfig:
             where = exc.json_path if hasattr(exc, "json_path") else "$"
             raise ConfigError(f"config invalid at {where}: {exc.message}")
 
-    n = doc["n"]
+    n = int(doc["n"])  # JSON Schema's integer admits 2.0
     t0 = float(doc["t0"])
     x0 = doc["x0"]
     if len(x0) != n:

@@ -130,53 +130,34 @@ def state_vars(n: int) -> tuple:
     return tuple(f"x{i + 1}" for i in range(n))
 
 
-_NUM_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# one match per token: a number, an identifier, an operator, or any other
+# non-space character, which no token starts with
+_TOKEN_RE = re.compile(r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
+                       r"|([A-Za-z_][A-Za-z_0-9]*)|([-+*/^(),])|(\S)")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.tokens = []
-        self._scan()
-
-    def _byte_offset(self, i: int) -> int:
-        return len(self.text[:i].encode("utf-8"))
-
-    def _scan(self):
-        text = self.text
-        n = len(text)
-        i = 0
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            m = _NUM_RE.match(text, i)
-            if m:
-                self.tokens.append(("num", m.group(), self._byte_offset(i)))
-                i = m.end()
-                continue
-            m = _IDENT_RE.match(text, i)
-            if m:
-                self.tokens.append(("ident", m.group(), self._byte_offset(i)))
-                i = m.end()
-                continue
-            if ch in "+-*/^(),":
-                self.tokens.append(("op", ch, self._byte_offset(i)))
-                i += 1
-                continue
-            raise SourceError(f"unexpected character {ch!r}", text,
-                              self._byte_offset(i))
-        self.tokens.append(("end", "", self._byte_offset(n)))
+def _tokens(text: str) -> list:
+    """``(kind, text, byte offset)`` of each token, then ``("end", "",
+    len)``: kind is "num", "ident" or "op"; any other non-space character
+    raises SourceError."""
+    def offset(i):
+        return len(text[:i].encode("utf-8"))
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex == 4:
+            raise SourceError(f"unexpected character {m.group()!r}", text,
+                              offset(m.start()))
+        tokens.append((("num", "ident", "op")[m.lastindex - 1], m.group(),
+                       offset(m.start())))
+    tokens.append(("end", "", offset(len(text))))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str, allowed: frozenset):
         self.text = text
         self.allowed = allowed
-        self.toks = _Tokenizer(text).tokens
+        self.toks = _tokens(text)
         self.i = 0
         self.depth = 0
 
@@ -212,27 +193,19 @@ class _Parser:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
             self.fail("expression too deeply nested")
-        e = self.term()
-        while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "+-":
-                self.next()
-                e = Bin(text, e, self.term(), pos=e.pos)
-            else:
-                break
+        e = self.chain("+-", lambda: self.chain("*/", self.unary))
         self.depth -= 1
         return e
 
-    def term(self) -> Expr:
-        e = self.unary()
+    def chain(self, ops: str, operand: Callable[[], Expr]) -> Expr:
+        """``operand (op operand)*``, left associative, ``op`` in ``ops``."""
+        e = operand()
         while True:
-            kind, text, off = self.peek()
-            if kind == "op" and text in "*/":
-                self.next()
-                e = Bin(text, e, self.unary(), pos=e.pos)
-            else:
-                break
-        return e
+            kind, text, _ = self.peek()
+            if kind != "op" or text not in ops:
+                return e
+            self.next()
+            e = Bin(text, e, operand(), pos=e.pos)
 
     def unary(self) -> Expr:
         kind, text, off = self.peek()
@@ -363,38 +336,17 @@ def _pow(a: float, b: float, pos: int) -> float:
 
 
 def _call(fn: str, args: list, pos: int) -> float:
+    if fn == "pow":
+        return _pow(args[0], args[1], pos)
+    if fn == "log" and args[0] <= 0.0:
+        raise EvalError(f"log of non-positive value {args[0]:g}", pos)
+    if fn == "sqrt" and args[0] < 0.0:
+        raise EvalError(f"sqrt of negative value {args[0]:g}", pos)
     try:
-        if fn == "sin":
-            v = math.sin(args[0])
-        elif fn == "cos":
-            v = math.cos(args[0])
-        elif fn == "tan":
-            v = math.tan(args[0])
-        elif fn == "exp":
-            v = math.exp(args[0])
-        elif fn == "log":
-            if args[0] <= 0.0:
-                raise EvalError(f"log of non-positive value {args[0]:g}", pos)
-            v = math.log(args[0])
-        elif fn == "sqrt":
-            if args[0] < 0.0:
-                raise EvalError(f"sqrt of negative value {args[0]:g}", pos)
-            v = math.sqrt(args[0])
-        elif fn == "abs":
-            v = abs(args[0])
-        elif fn == "pow":
-            return _pow(args[0], args[1], pos)
-        elif fn == "min":
-            v = min(args[0], args[1])
-        elif fn == "max":
-            v = max(args[0], args[1])
-        else:
-            raise TypeError(f"unknown function {fn!r}")
+        v = _GEN_GLOBALS[fn](*args)  # the generated code's functions
     except OverflowError:
         raise EvalError(f"overflow in {fn}", pos) from None
-    except ValueError as exc:
-        if isinstance(exc, EvalError):
-            raise
+    except ValueError:
         raise EvalError(f"domain error in {fn}", pos) from None
     return _check_finite(v, fn, pos)
 
@@ -675,7 +627,7 @@ def _evaluator(code: _Code, checked: Callable, shape: tuple) -> Callable:
             pass
         return checked(t, x)
 
-    fn.exact_batches = True  # see sim._batched
+    fn.exact_batches = True  # see sim._stack
     return fn
 
 

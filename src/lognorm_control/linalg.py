@@ -225,8 +225,7 @@ def lognorm(M, kind=TWO):
     the stacked matrices' log norms, equal bit for bit to calling this
     function on each matrix in turn.
     """
-    mu = _lognorms(M, kind, pair=False)[0]
-    return float(mu) if mu.ndim == 0 else mu
+    return lognorm_pair(M, kind)[0]
 
 
 def lognorm_pair(M, kind=TWO) -> tuple:
@@ -237,23 +236,19 @@ def lognorm_pair(M, kind=TWO) -> tuple:
     :func:`lognorm` calls; two and Weighted take ``lambda_max / 2`` and
     ``-lambda_min / 2`` of one ``eigvalsh``, the second within rounding
     of ``lognorm(-M)``."""
-    up, low = _lognorms(M, kind, pair=True)
-    return (float(up), float(low)) if up.ndim == 0 else (up, low)
-
-
-def _lognorms(M, kind, pair: bool) -> tuple:
-    """``(mu[M], mu[-M] if pair else None)``, numpy scalars or arrays."""
     A = _as_matrices(M)
     kind = _check_kind(kind, A.shape[-1])
     if kind == ONE or kind == INF:
         d = np.diagonal(A, axis1=-2, axis2=-1)
         s = np.abs(A).sum(axis=-2 if kind == ONE else -1) - np.abs(d)
-        return (s + d).max(axis=-1), (s - d).max(axis=-1) if pair else None
-    if isinstance(kind, Weighted):
-        A = kind.L @ A @ kind.L_inv
-    # M + M^T is exactly symmetric, so no symmetry check is needed
-    lam = np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))
-    return 0.5 * lam[..., -1], -0.5 * lam[..., 0] if pair else None
+        up, low = (s + d).max(axis=-1), (s - d).max(axis=-1)
+    else:
+        if isinstance(kind, Weighted):
+            A = kind.L @ A @ kind.L_inv
+        # M + M^T is exactly symmetric, so no symmetry check is needed
+        lam = np.linalg.eigvalsh(A + np.swapaxes(A, -1, -2))
+        up, low = 0.5 * lam[..., -1], -0.5 * lam[..., 0]
+    return (float(up), float(low)) if up.ndim == 0 else (up, low)
 
 
 def lognorm_limit(M, kind=TWO, h: float = 1e-7) -> float:

@@ -293,8 +293,6 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     sides and error vectors in rows allocated once per run; every
     accepted state and every array returned is new.
     """
-    if not (t0 < T < math.inf):
-        raise ValueError(f"horizon T={T} must exceed t0={t0} and be finite")
     if not (tol > 0.0) or not np.isfinite(tol):
         raise ValueError("tol must be a positive finite number")
     if not (0.0 < h_min <= h_max):
@@ -581,19 +579,24 @@ class TransitionTrace:
     tol: float
 
 
-def _exact_batches(F: Callable) -> bool:
-    return getattr(inspect.unwrap(F), "exact_batches", False)
-
-
-def _batched(F: Callable) -> Callable[[np.ndarray], np.ndarray]:
-    """``F`` itself if it is a compiled grid, which batches by
-    construction (its ``exact_batches``, read through ``__wrapped__``),
-    else a loop stacking its scalar calls, which passes a single time
-    straight to ``F``."""
-    if _exact_batches(F):
-        return F
-    return lambda ts: (F(ts) if np.ndim(ts) == 0
-                       else np.array([F(t) for t in ts]))
+def _stack(F: Callable, ts: np.ndarray) -> np.ndarray:
+    """``F`` on the ascending times ``ts``, stacked: one call if ``F`` is a
+    compiled grid (its ``exact_batches``, read through ``__wrapped__``),
+    which batches by construction, else its scalar calls; the bits are the
+    same.  If that raises, NumericalError names the earliest time at which
+    ``F`` raises an EvalError; else the error is re-raised."""
+    try:
+        if getattr(inspect.unwrap(F), "exact_batches", False):
+            return np.asarray(F(ts), dtype=float)
+        return np.array([F(t) for t in ts])
+    except Exception:
+        for t in ts.tolist():
+            try:
+                F(t)
+            except EvalError as exc:
+                raise NumericalError("expression evaluation failed at "
+                                     f"t={t:.6g}: {exc}") from exc
+        raise
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
@@ -639,22 +642,6 @@ def _magnus(Fs: np.ndarray, h: np.ndarray):
     return O6, np.abs(O6 - O4).sum(axis=-2).max(axis=-1)
 
 
-def _phi_values(M, F, ts):
-    """``M`` on the ascending times ``ts``.  If that raises, the earliest
-    time at which ``F`` raises an EvalError is reported, else the batch's
-    own error."""
-    try:
-        return np.asarray(M(ts), dtype=float)
-    except Exception:
-        for t in ts.tolist():
-            try:
-                F(t)
-            except EvalError as exc:
-                raise NumericalError("expression evaluation failed at "
-                                     f"t={t:.6g}: {exc}") from exc
-        raise
-
-
 def _split(a, b, k):
     """Cut each ``[a_i, b_i]`` into ``k_i`` equal pieces: their starts, ends
     and ``i``, in order.  A piece ends where the next starts, bit for bit,
@@ -679,11 +666,11 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
     the 2 to 32 pieces its estimate, read as ``O(h^5)``, predicts will
     pass (``n_rejected`` counts the cuts).  A refinement level evaluates
     ``F`` on all its node times, ascending, ``_PHI_CHUNK`` times a call:
-    as one batch if ``F`` is a compiled grid (see :func:`_batched`), else
+    as one batch if ``F`` is a compiled grid (see :func:`_stack`), else
     as stacked scalar calls; Phi has the same bits either way.
 
-    A failing batch is redone time by time, so NumericalError names the
-    earliest time where ``F`` fails; a non-finite generator or Phi raises
+    Where ``F`` fails, NumericalError names the earliest time at which it
+    does (see :func:`_stack`); a non-finite generator or Phi raises
     it too.  A failing sub-step that cannot be halved above
     ``_PHI_H_MIN``, or more than ``_PHI_ENTRIES / n^2`` sub-steps, raise
     StiffnessError.
@@ -695,8 +682,7 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
     if n_out < 2:
         raise ValueError("n_out must be at least 2")
     grid = np.linspace(t0, T, n_out)
-    n = np.asarray(F(grid[:1]) if _exact_batches(F) else F(t0)).shape[-1]
-    M = _batched(F)
+    n = _stack(F, grid[:1]).shape[-1]
     # cells a rounding error above _PHI_H_MAX stay whole
     parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).astype(int)
     a, b, cell = _split(grid[:-1], grid[1:], parts)
@@ -708,7 +694,7 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
         O6, err = np.empty((len(a), n, n)), np.empty(len(a))
         for c in (slice(i, i + chunk) for i in range(0, len(a), chunk)):
             ts = (a[c, None] + h[c, None] * _MAGNUS_C).ravel()
-            Fs = _phi_values(M, F, ts)
+            Fs = _stack(F, ts)
             with np.errstate(over="ignore", invalid="ignore"):  # raised below
                 O6[c], err[c] = _magnus(Fs.reshape(-1, 5, n, n), h[c])
         if not np.isfinite(err).all():
@@ -803,16 +789,16 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
     ``F`` follows the contract of :func:`fundamental_matrix`: scalar
     calls are required.  ``int mu[F]`` and ``int mu[-F]`` come from one
     quadrature of both signs, which evaluates ``F`` once per refinement
-    level, as a batch if ``F`` is a compiled grid (see :func:`_batched`),
-    else as stacked scalar calls.
+    level, as a batch if ``F`` is a compiled grid (see :func:`_stack`),
+    else as stacked scalar calls.  Where ``F`` fails, NumericalError
+    names the earliest time at which it does.
     """
     times = tt.times
     m = len(times)
     n = tt.phis.shape[1]
     # the quadrature asks for a level of nodes at a time
-    Fb = _batched(F)
     (J_up, J_low), (e_up, e_low), _, _ = cumulative_integral(
-        lambda ts: lognorm_pair(Fb(ts), kind), times, _QUAD_TOL)
+        lambda ts: lognorm_pair(_stack(F, ts), kind), times, _QUAD_TOL)
     base_slack = _BASE_SLACK + 4.0 * (float(e_up) + float(e_low))
 
     def pair_slack(i: int, j: int) -> float:

@@ -196,20 +196,16 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
 
     sym, skew = decompose_sym_skew(spec.A)
 
-    # K = B^{-1} inner, inner(t) = -A_sym(t) + diag(lam) + diag(gamma(t));
     # A + B K = A_skew + diag(rates + 0 A_ii): 0 A_ii makes the loop fail
     # where A_ii does, and its domain, A, makes the error A's
     adaptive = [[Neg(e) for e in row] for row in sym.entries]
-    inner = [list(row) for row in adaptive]
     closed = [list(row) for row in skew.entries]
     rates = [Bin("+", Lit(float(lam[i])), gamma[i]) for i in range(n)]
     for i in range(n):
         adaptive[i][i] = Bin("+", adaptive[i][i], Lit(float(lam[i])))
-        inner[i][i] = Bin("+", adaptive[i][i], gamma[i])
         closed[i][i] = Bin("+", rates[i], Bin("*", Lit(0.0), spec.A.entries[i][i]))
 
     return ControllerSpec(lam=lam, gamma=gamma,
-                          inner=tuple(tuple(row) for row in inner),
                           adaptive_part=MatrixFunction(adaptive, ("t",)),
                           B_inv=B_inv, system=spec,
                           closed_loop=MatrixFunction(closed, ("t",),
@@ -218,8 +214,13 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
 
 
 def expand_gain(ctrl: ControllerSpec) -> MatrixFunction:
-    """``K = B^{-1} inner`` as a grid in t, spot-checked at sample times."""
-    n, inner = ctrl.n, ctrl.inner
+    """``K = B^{-1} inner`` as a grid in t, spot-checked at sample times:
+    ``inner(t) = -A_sym(t) + diag(lam) + diag(gamma(t))`` is the adaptive
+    part with gamma added on its diagonal."""
+    n = ctrl.n
+    inner = [list(row) for row in ctrl.adaptive_part.entries]
+    for i in range(n):
+        inner[i][i] = Bin("+", inner[i][i], ctrl.gamma[i])
     K = MatrixFunction([[_dot_row(ctrl.B_inv[i], [row[j] for row in inner])
                          for j in range(n)] for i in range(n)], ("t",))
     _spot_check_gain(ctrl, K)

@@ -116,7 +116,6 @@ class ControllerSpec:
 
     lam: np.ndarray
     gamma: tuple  # tuple[Expr] diagonal entries of the robust part
-    inner: tuple  # rows of Expr: -A_sym(t) + diag(lam) + diag(gamma(t))
     adaptive_part: MatrixFunction  # -A_sym(t) + diag(lam)
     B_inv: np.ndarray
     system: SystemSpec

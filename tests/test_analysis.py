@@ -429,6 +429,19 @@ def test_a3_refuted_for_growing_ratio():
     assert e.measured["ratio_end"] > e.measured["ratio_start"]
 
 
+def test_a3_samples_a_tail_through_zero_uniformly():
+    # the tail [-72.5, 10] of [-100, 10] crosses zero, so it has no
+    # geometric grid: 65 equal steps instead
+    assert analysis.tail_grid(-100.0, 10.0).tolist() == \
+        np.linspace(-72.5, 10.0, 65).tolist()
+    s = make_spec(A=parse_matrix([["0-1", "0"], ["0", "0-1"]], ("t",)),
+                  t0=-100.0, omega_bound=parse("1/(t+200)"))
+    e = check_A3(s, None, 10.0)  # |mu| = 1, so the ratio is the envelope
+    assert e.verdict == "supported"
+    assert e.measured["ratio_start"] == 1.0 / 127.5
+    assert e.measured["ratio_end"] == 1.0 / 210.0
+
+
 def test_a3_inconclusive_where_mu_vanishes():
     s = make_spec(A=parse_matrix(ZERO_A, ("t",)),
                   omega=parse_vector(["1", "1"], ("t",)),
@@ -523,8 +536,8 @@ def test_classify_weighted_norm_recovers_decay():
                                None, T=10.0)
     assert plain.strongest is None
     H = lyapunov_solve(A)
-    rep = classify_stability(make_spec(A=parse_matrix(rows, ("t",))),
-                             None, T=10.0, norm=Weighted(H))
+    rep = classify_stability(make_spec(A=parse_matrix(rows, ("t",)),
+                                       norm=Weighted(H)), None, T=10.0)
     assert rep.strongest == "UAS"
     assert rep.norm == "weighted"
     want = 1.0 / symmetric_eigen_max(H)

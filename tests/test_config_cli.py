@@ -4,6 +4,7 @@ import copy
 import importlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -126,6 +127,21 @@ def test_schema_checks_norm_enum(cfg):
 def test_dimension_mismatch_is_reported(cfg):
     cfg["x0"] = [1.0, 2.0, 3.0]
     with pytest.raises(ConfigError, match="x0 must have 2 entries, got 3"):
+        load_config(cfg)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("A", [["t", "1"]], "A must be 2x2 to match n=2"),
+    ("Delta", [["1", "0"], ["0"]], "Delta must be 2x2 to match n=2"),
+    ("B", np.eye(3).tolist(), "B must be 2x2 to match n=2, got (3, 3)"),
+    ("omega", ["1"], "omega must have 2 entries, got 1"),
+    ("controller", {"lambda": [-1.0]}, "controller.lambda must have 2 "
+                                       "entries, got 1"),
+    ("controller", {"gamma": ["-1", "-1", "-1"]},
+     "controller.gamma must have 2 entries, got 3")])
+def test_shape_mismatch_is_reported(cfg, key, value, message):
+    cfg[key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
         load_config(cfg)
 
 
@@ -437,6 +453,21 @@ def test_cli_controller_file_margin_requires_auto_gamma(capsys, plant_file,
     assert "margin only applies" in err
 
 
+@pytest.mark.parametrize("doc, what", [
+    (None, "JSON object"), (5, "JSON object"), ("lambda", "JSON object"),
+    ([], "JSON object"), ({"lambda": {"a": 1}}, "'lambda'"),
+    ({"margin": "2"}, "'margin'"), ({"margin": True}, "'margin'"),
+    ({"gamma": "fast"}, "'gamma'")])
+def test_cli_controller_file_is_checked_as_a_controller_section(
+        capsys, cfg_file, tmp_path, doc, what):
+    ctl = tmp_path / "ctl.json"
+    ctl.write_text(json.dumps(doc))
+    rc, out, err = run_cli(capsys, "synthesize", "--config", str(cfg_file),
+                           "--controller", str(ctl))
+    assert (rc, out) == (2, "")
+    assert err.startswith("error: --controller file") and what in err
+
+
 def test_cli_controller_file_round_trip(capsys, plant_file, tmp_path):
     rc, out, _ = run_cli(capsys, "synthesize", "--config", str(plant_file),
                          "--gamma", "auto")
@@ -602,6 +633,43 @@ def test_cli_synthesize_reports_c3_where_gamma_is_undefined(capsys, cfg,
     assert "c2" in d and rc == (1 if d["c2"]["verdict"] == "refuted" else 0)
     assert d["c3"]["verdict"] == "inconclusive"
     assert "entry 1: sqrt of negative" in d["c3"]["note"]
+
+
+@pytest.mark.parametrize("command", ["synthesize", "classify"])
+def test_cli_reads_an_integral_float_n_as_the_integer(capsys, cfg, tmp_path,
+                                                      command):
+    outs = []
+    for n in (2, 2.0):
+        cfg["n"] = n
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        outs.append(run_cli(capsys, command, "--config", str(path)))
+    assert outs[0] == outs[1]
+    assert outs[0][0] == 0
+
+
+def test_cli_runs_as_a_process(cfg, tmp_path):
+    # ``python -m lognorm_control.cli`` on the source tree, no install
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "lognorm_control.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120)
+    done = run("lognorm", "[[0,1],[1,0]]")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[0] == "mu_1=1 mu_2=1 mu_inf=1"
+    cfg["n"] = 2.0
+    path, ctl = tmp_path / "cfg.json", tmp_path / "ctl.json"
+    path.write_text(json.dumps(cfg))
+    ctl.write_text("null")
+    done = run("synthesize", "--config", str(path))
+    assert done.returncode == 0 and "Traceback" not in done.stderr
+    done = run("synthesize", "--config", str(path), "--controller", str(ctl))
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
 
 
 def test_commands_leave_numpy_random_unloaded(cfg_file):

@@ -15,7 +15,7 @@ import pytest
 import oracles
 from lognorm_control import cli, sim
 from lognorm_control.analysis import integrate
-from lognorm_control.expr import parse_matrix, parse_vector
+from lognorm_control.expr import EvalError, parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
 from lognorm_control.sim import (
     NumericalError,
@@ -110,6 +110,12 @@ def test_simulate_validations():
         simulate(s, None, T=1.0, h_min=0.5, h_max=0.1)
     with pytest.raises(ValueError, match="strictly increasing"):
         simulate(s, None, grid=[0.0, 1.0, 0.5])
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, math.inf, math.nan])
+def test_simulate_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    with pytest.raises(ValueError, match="tol must be"):
+        simulate(make_spec(DECAY), None, T=1.0, tol=tol)
 
 
 def test_simulate_rejects_a_grid_of_fewer_than_two_points():
@@ -356,6 +362,26 @@ def test_sandwich_short_trace_returns(n_out, pairs):
     assert done[0].passed
     assert done[0].n_pairs == pairs
     assert len({(p["tau"], p["t"]) for p in done[0].pairs}) == pairs
+
+
+@pytest.mark.parametrize("T, tol, n_out, match", [
+    (0.0, 1e-8, 201, "must exceed t0"), (math.inf, 1e-8, 201, "be finite"),
+    (1.0, 0.0, 201, "tol must be"), (1.0, math.inf, 201, "tol must be"),
+    (1.0, 1e-8, 1, "n_out")])
+def test_fundamental_matrix_validations(T, tol, n_out, match):
+    F = parse_matrix(DECAY, ("t",)).compiled()
+    with pytest.raises(ValueError, match=match):
+        fundamental_matrix(F, 0.0, T, tol=tol, n_out=n_out)
+
+
+def test_sandwich_notes_a_numerically_singular_phi():
+    # exp(-400 t) underflows, so Phi(tau) cannot be inverted from there
+    F = parse_matrix([["0-400", "0"], ["0", "0-1"]], ("t",)).compiled()
+    rep = verify_sandwich(fundamental_matrix(F, 0.0, 5.0), F, "two")
+    assert not rep.passed
+    assert rep.notes[0] == ("Phi(1.925) is numerically singular; the "
+                            "transition norm could not be formed (horizon "
+                            "too long for float64)")
 
 
 def test_sandwich_pair_records(rng):
@@ -643,8 +669,10 @@ def test_batching_F_matches_scalar_only_F(request, name):
     spec, ctrl = request.getfixturevalue(name)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
     G = scalar_only(cl)
-    assert sim._batched(cl) is cl
-    assert sim._batched(G) is not G
+    ts = np.linspace(spec.t0, 2.0, 7)
+    stacked = np.array([cl(t) for t in ts])
+    assert sim._stack(cl, ts).tobytes() == stacked.tobytes()
+    assert sim._stack(G, ts).tobytes() == stacked.tobytes()
     tt = fundamental_matrix(cl, spec.t0, 2.0, tol=1e-9)
     ref = fundamental_matrix(G, spec.t0, 2.0, tol=1e-9)
     assert tt.phis.tobytes() == ref.phis.tobytes()
@@ -772,6 +800,21 @@ def test_domain_error_matches_stage_by_stage():
     for msg, _ in got:
         t = float(msg.split("failed at t=")[1].split(":")[0])
         assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
+
+
+def test_sandwich_names_the_time_the_loop_fails():
+    # Phi of a loop defined on [0, 2], checked against one undefined past
+    # t = 1; and a loop defined nowhere fails at t0, not at its probe
+    tt = fundamental_matrix(parse_matrix(DECAY, ("t",)).compiled(), 0.0, 2.0)
+    F = make_spec(SQRT_A).A.compiled()
+    msg, cause = _failure(lambda: verify_sandwich(tt, F, "two"))
+    t = float(msg.split("failed at t=")[1].split(":")[0])
+    assert 1.0 <= t < 1.1 and "entry (1,1): sqrt of negative" in msg
+    assert cause is EvalError
+    nowhere = parse_matrix([["sqrt(0-1-t)", "0"], ["0", "0"]],
+                           ("t",)).compiled()
+    msg, _ = _failure(lambda: fundamental_matrix(nowhere, 0.0, 1.0))
+    assert msg.startswith("expression evaluation failed at t=0: ")
 
 
 @pytest.mark.parametrize("a22, omega, entry", [

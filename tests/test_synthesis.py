@@ -15,6 +15,7 @@ from lognorm_control.expr import (
     EvalError,
     Lit,
     MatrixFunction,
+    Neg,
     VectorFunction,
     eval_expr,
     format_expr,
@@ -181,6 +182,18 @@ def test_synthesize_scaling_through_b(example):
     c2 = synthesize(halved, rule=ExplicitGamma(GAMMA_X))
     for t in (0.0, 0.7, 3.0):
         assert np.allclose(c2.K(t), 0.5 * c1.K(t), atol=1e-12)
+
+
+def test_gain_negates_a_row_of_a_minus_one_coefficient():
+    # B^-1 = diag(-1, 1): the gain's first row is that of the gain for
+    # B = I, negated term by term rather than multiplied by -1
+    flip = synthesize(make_spec(B=np.diag([-1.0, 1.0])),
+                      rule=ExplicitGamma(GAMMA_X))
+    plain = synthesize(make_spec(), rule=ExplicitGamma(GAMMA_X))
+    assert all(type(e) is Neg for e in flip.K.entries[0])
+    for t in (0.0, 0.7, 3.0):
+        K = plain.K(t)
+        assert flip.K(t).tolist() == [(-K[0]).tolist(), K[1].tolist()]
 
 
 def test_synthesize_default_lambda_is_minus_one():
