@@ -30,16 +30,12 @@ __all__ = [
     "integrate",
     "integrate_mu",
     "cumulative_integral",
-    "doubling_test",
-    "doubling_evidence",
     "Evidence",
     "EvidenceReport",
     "check_A1",
     "check_A2_A4",
     "check_A3",
     "classify_stability",
-    "VERDICT_ORDER",
-    "norm_name",
 ]
 
 # taxonomy, strongest first
@@ -47,6 +43,7 @@ VERDICT_ORDER = ("UAS", "AS", "US", "S", "UNSTABLE")
 
 A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
 A1_GRID = np.geomspace(1e-7, 1.0, 64)  # A1's grid, in fractions of the span
+MAX_DEPTH = 40  # adaptive Simpson splits a panel at most this often
 
 # Thresholds of the sampled limit heuristics.  A Cauchy tail ``I(T) -
 # I(mid)`` below ``max(TAIL_ABS, TAIL_REL * I(T))`` counts as converged; a
@@ -105,14 +102,14 @@ def _values(f, x: np.ndarray, lead=None) -> np.ndarray:
     return v
 
 
-def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
+def _simpson(f, grid: np.ndarray, tol: float):
     """Adaptive Simpson on every cell of ``grid``, one level at a time.
 
     Each level evaluates the two new nodes of every pending panel in one
     call ``f(nodes)`` (nodes ascending).  Acceptance follows the
     recursive rule panel by panel: Richardson ``|delta| <= 15 tol``, the
     tolerance halved per split, a panel below its rounding noise accepted
-    too, and forced acceptance (unconverged) at ``max_depth``; a panel of
+    too, and forced acceptance (unconverged) at ``MAX_DEPTH``; a panel of
     c components passes when each does.  Values and errors are summed in
     the recursion's order, so the result equals the per-cell recursion
     bit for bit.  An estimate that overflows raises ValueError.  Returns
@@ -147,7 +144,7 @@ def _simpson(f, grid: np.ndarray, tol: float, max_depth: int = 40):
             bad = np.atleast_2d(~np.isfinite(delta)).any(0)
             raise ValueError("quadrature overflows on the panel from "
                              f"{float(a[bad][0])!r}")
-        if depth >= max_depth:
+        if depth >= MAX_DEPTH:
             done = np.ones(len(a), dtype=bool)
             converged = False
         else:
@@ -292,6 +289,15 @@ class Evidence(Report):
     note: str = ""
 
 
+def _judge(id_: str, measured: dict, supported, refuted,
+           notes: dict) -> Evidence:
+    """Evidence ``id_``: 'supported' if ``supported``, else 'refuted' if
+    ``refuted``, else 'inconclusive', with the note ``notes[verdict]``."""
+    verdict = ("supported" if supported else "refuted" if refuted
+               else "inconclusive")
+    return Evidence(id_, verdict, measured, notes[verdict])
+
+
 def _downgrade(ev: Evidence, reason: str) -> Evidence:
     if ev.verdict == "inconclusive":
         return ev
@@ -334,11 +340,11 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8) -> Evidence:
     if not ok:
         return Evidence("A1", "inconclusive", measured,
                         "quadrature did not converge")
-    if tail <= max(TAIL_ABS, TAIL_REL * abs(I)):
-        return Evidence("A1", "supported", measured,
-                        f"tail beyond the midpoint is {tail:.3g}")
-    return Evidence("A1", "inconclusive", measured,
-                    f"tail {tail:.3g} has not settled by T={T:g}")
+    return _judge("A1", measured, tail <= max(TAIL_ABS, TAIL_REL * abs(I)),
+                  False, {
+                      "supported": f"tail beyond the midpoint is {tail:.3g}",
+                      "inconclusive": f"tail {tail:.3g} has not settled by "
+                                      f"T={T:g}"})
 
 
 def doubling_test(id_: str, measured: dict, J_half: float, J: float,
@@ -351,13 +357,8 @@ def doubling_test(id_: str, measured: dict, J_half: float, J: float,
     if not converged:
         return Evidence(id_, "inconclusive", measured,
                         "quadrature did not converge")
-    if J_half < 0.0 and J <= 2.0 * J_half + slack:
-        verdict = "supported"
-    elif J_half >= 0.0 and J >= J_half - slack:
-        verdict = "refuted"
-    else:
-        verdict = "inconclusive"
-    return Evidence(id_, verdict, measured, notes[verdict])
+    return _judge(id_, measured, J_half < 0.0 and J <= 2.0 * J_half + slack,
+                  J_half >= 0.0 and J >= J_half - slack, notes)
 
 
 def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
@@ -415,15 +416,10 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
         measured = {"sup_mu_window": float(vals.max()),
                     "inf_mu_window": float(vals.min()),
                     "window_start": float(window[0]), "T": T}
-        if vals.max() < 0.0:
-            a2 = Evidence("A2", "supported", measured,
-                          "mu is negative on the trailing window")
-        elif vals.min() > 0.0:
-            a2 = Evidence("A2", "refuted", measured,
-                          "mu is positive on the whole trailing window")
-        else:
-            a2 = Evidence("A2", "inconclusive", measured,
-                          "mu changes sign on the trailing window")
+        a2 = _judge("A2", measured, vals.max() < 0.0, vals.min() > 0.0, {
+            "supported": "mu is negative on the trailing window",
+            "refuted": "mu is positive on the whole trailing window",
+            "inconclusive": "mu changes sign on the trailing window"})
     a4 = doubling_evidence("A4", mu, spec.t0, T, quad_tol,
                            _decay_notes("int mu of the closed loop"))
     return a2, a4
@@ -550,15 +546,12 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     growth = float(J[widx:].max() - J[:widx + 1].max())
     m = {"J_end": float(J[-1]), "sup_J": float(J.max()),
          "window_growth": growth}
-    if growth <= max(TAIL_ABS, TAIL_REL * abs(J[-1])) + slack:
-        entries["S"] = Evidence("S", "supported", m,
-                                "sup of int mu stopped growing")
-    elif growth >= 1.0:
-        entries["S"] = Evidence("S", "refuted", m,
-                                "int mu is still growing at the horizon")
-    else:
-        entries["S"] = Evidence("S", "inconclusive", m,
-                                "sup of int mu has not settled")
+    entries["S"] = _judge(
+        "S", m, growth <= max(TAIL_ABS, TAIL_REL * abs(J[-1])) + slack,
+        growth >= 1.0,
+        {"supported": "sup of int mu stopped growing",
+         "refuted": "int mu is still growing at the horizon",
+         "inconclusive": "sup of int mu has not settled"})
 
     # US: mu <= 0 at every sampled time (sufficient for J(t) - J(tau)
     # bounded over all pairs).  A steadily growing drawup of J refutes.
@@ -567,16 +560,12 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     dgrowth = float(drawup[widx:].max() - drawup[:widx + 1].max())
     m = {"sup_mu": sup_mu, "max_drawup": float(drawup.max()),
          "drawup_window_growth": dgrowth}
-    if sup_mu <= 1e-12:
-        entries["US"] = Evidence("US", "supported", m,
-                                 "mu is nonpositive at every sampled time")
-    elif dgrowth >= 1.0:
-        entries["US"] = Evidence("US", "refuted", m,
-                                 "pairwise growth of int mu keeps increasing")
-    else:
-        entries["US"] = Evidence("US", "inconclusive", m,
-                                 "mu is positive somewhere; pairwise growth "
-                                 "has not clearly diverged either")
+    entries["US"] = _judge(
+        "US", m, sup_mu <= 1e-12, dgrowth >= 1.0,
+        {"supported": "mu is nonpositive at every sampled time",
+         "refuted": "pairwise growth of int mu keeps increasing",
+         "inconclusive": "mu is positive somewhere; pairwise growth has not "
+                         "clearly diverged either"})
 
     # AS: J -> -inf (doubling test on the already-computed cumulative J)
     midx = int(np.searchsorted(grid, spec.t0 + 0.5 * span))
@@ -593,16 +582,12 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     # that pins a uniform exponential rate, so report alpha = -sup mu
     alpha = -sup_mu
     m = {"alpha": float(alpha), "sup_mu": sup_mu}
-    if alpha > 0.0:
-        entries["UAS"] = Evidence("UAS", "supported", m,
-                                  f"uniform decay rate alpha = {alpha:.6g}")
-    elif entries["AS"].verdict == "refuted":
-        entries["UAS"] = Evidence("UAS", "refuted", m,
-                                  "int mu is not even decreasing")
-    else:
-        entries["UAS"] = Evidence("UAS", "inconclusive", m,
-                                  "no uniform negative bound for mu on "
-                                  "the sampled grid")
+    entries["UAS"] = _judge(
+        "UAS", m, alpha > 0.0, entries["AS"].verdict == "refuted",
+        {"supported": f"uniform decay rate alpha = {alpha:.6g}",
+         "refuted": "int mu is not even decreasing",
+         "inconclusive": "no uniform negative bound for mu on the sampled "
+                         "grid"})
 
     # UNSTABLE: int mu[-(A + Delta + B K)] -> -inf
     entries["UNSTABLE"] = doubling_evidence(
@@ -616,9 +601,6 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         entries = {key: _downgrade(ev, "A1 not supported")
                    for key, ev in entries.items()}
 
-    strongest = None
-    for key in VERDICT_ORDER:
-        if entries[key].verdict == "supported":
-            strongest = key
-            break
+    strongest = next((key for key in VERDICT_ORDER
+                      if entries[key].verdict == "supported"), None)
     return EvidenceReport(norm_name(k), float(T), a1, entries, strongest, note)

@@ -7,9 +7,8 @@ CSV), ``verify`` (transition-matrix sandwich plus all integral
 assumptions) and ``repro-example`` (the bundled scenario end to end).
 
 Exit codes: 0 success / analysis positive, 1 analysis negative, 2 bad
-input or config, 3 numerical failure.  The environment variable
-``LOGNORM_CONTROL_SEED`` is reserved for future use and currently
-ignored; all sampling in reports is deterministically seeded.
+input or config, 3 numerical failure.  All sampling in reports is
+deterministically seeded.
 """
 
 from __future__ import annotations
@@ -219,10 +218,11 @@ def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
     if len(exceed) == 0:
         return T
-    i = int(exceed[0])  # interpolate the crossing; mag[0] = 0, so i >= 1
+    # interpolate the crossing: mag[0] = 0, so i >= 1, and m_hi > cap >= m_lo
+    i = int(exceed[0])
     t_lo, t_hi = float(grid[i - 1]), float(grid[i])
     m_lo, m_hi = float(mag[i - 1]), float(mag[i])
-    t_cap = t_lo + (PHI_LOG_CAP - m_lo) * (t_hi - t_lo) / max(m_hi - m_lo, 1e-300)
+    t_cap = t_lo + (PHI_LOG_CAP - m_lo) * (t_hi - t_lo) / (m_hi - m_lo)
     return max(t_cap, t0 + (T - t0) / 100.0)
 
 
@@ -287,21 +287,20 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--norm", choices=["one", "two", "inf"])
     q.set_defaults(func=cmd_lognorm)
 
-    def common(sp, controller=True):
+    def common(sp):
         sp.add_argument("--config", required=True, help="problem JSON file")
         sp.add_argument("--horizon", type=float,
                         help="analysis/simulation horizon (overrides config)")
-        if controller:
-            sp.add_argument("--lambda", dest="lam",
-                            help="comma-separated negative rates, e.g. '-1,-2'")
-            sp.add_argument("--gamma", action="append",
-                            help="'auto' or one expression per component "
-                                 "(repeat the flag)")
-            sp.add_argument("--margin", type=float,
-                            help="margin for --gamma auto")
-            sp.add_argument("--controller",
-                            help="JSON file with 'lambda' and 'gamma' "
-                                 "(e.g. the output of synthesize)")
+        sp.add_argument("--lambda", dest="lam",
+                        help="comma-separated negative rates, e.g. '-1,-2'")
+        sp.add_argument("--gamma", action="append",
+                        help="'auto' or one expression per component "
+                             "(repeat the flag)")
+        sp.add_argument("--margin", type=float,
+                        help="margin for --gamma auto")
+        sp.add_argument("--controller",
+                        help="JSON file with 'lambda' and 'gamma' "
+                             "(e.g. the output of synthesize)")
 
     q = sub.add_parser("classify", help="stability taxonomy with evidence")
     common(q)

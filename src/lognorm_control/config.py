@@ -29,8 +29,7 @@ from .linalg import MAX_DIM, MIN_DIM, TWO, LinalgError, Weighted
 from .synthesis import AutoGamma, ExplicitGamma, synthesize
 from .system import ControllerSpec, SystemSpec
 
-__all__ = ["ConfigError", "ControllerConfig", "LoadedConfig", "CONFIG_SCHEMA",
-           "gamma_rule", "load_config", "serialize_config"]
+__all__ = ["ConfigError", "load_config", "serialize_config"]
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -200,6 +199,8 @@ def load_config(source) -> LoadedConfig:
     Delta = (_parse_square(doc["Delta"], n, ("t",), "Delta")
              if "Delta" in doc else None)
 
+    if len({len(row) for row in doc["B"]}) > 1:  # ragged: no shape
+        raise ConfigError(f"B must be {n}x{n} to match n={n}")
     B = np.asarray(doc["B"], dtype=float)
     if B.shape != (n, n):
         raise ConfigError(f"B must be {n}x{n} to match n={n}, got {B.shape}")
@@ -270,23 +271,20 @@ def serialize_config(spec: SystemSpec, controller=None,
         doc["omega"] = spec.omega.formatted()
     if spec.omega_bound is not None:
         doc["omega_bound"] = format_expr(spec.omega_bound)
+    if isinstance(controller, ControllerSpec):  # synthesized
+        controller = ControllerConfig(controller.lam,
+                                      ExplicitGamma(controller.gamma))
     if controller is not None:
-        if isinstance(controller, ControllerConfig):
-            c = {}
-            if controller.lam is not None:
-                c["lambda"] = [float(v) for v in controller.lam]
-            if isinstance(controller.rule, AutoGamma):
-                c["gamma"] = "auto"
-                if controller.rule.margin != 1.0:
-                    c["margin"] = controller.rule.margin
-            else:
-                c["gamma"] = [format_expr(g) for g in controller.rule.entries]
-            doc["controller"] = c
-        else:  # a synthesized ControllerSpec
-            doc["controller"] = {
-                "lambda": [float(v) for v in controller.lam],
-                "gamma": [format_expr(g) for g in controller.gamma],
-            }
+        c = {}
+        if controller.lam is not None:
+            c["lambda"] = [float(v) for v in controller.lam]
+        if isinstance(controller.rule, AutoGamma):
+            c["gamma"] = "auto"
+            if controller.rule.margin != 1.0:
+                c["margin"] = controller.rule.margin
+        else:
+            c["gamma"] = [format_expr(g) for g in controller.rule.entries]
+        doc["controller"] = c
     if horizon is not None:
         doc["horizon"] = float(horizon)
     if tol is not None:

@@ -42,7 +42,6 @@ __all__ = [
     "Neg",
     "Bin",
     "Call",
-    "FUNCTIONS",
     "parse",
     "parse_matrix",
     "parse_vector",
@@ -51,7 +50,6 @@ __all__ = [
     "collect_vars",
     "MatrixFunction",
     "VectorFunction",
-    "state_vars",
 ]
 
 FUNCTIONS = {
@@ -59,7 +57,7 @@ FUNCTIONS = {
     "pow": 2, "min": 2, "max": 2,
 }
 
-_MAX_DEPTH = 200
+_MAX_DEPTH = 100  # operands nested by parentheses, calls, "-" and "^"
 
 
 class SourceError(ValueError):
@@ -169,9 +167,10 @@ class _Parser:
         self.i += 1
         return tok
 
-    def fail(self, message: str, tok=None):
-        tok = tok or self.peek()
-        raise SourceError(message, self.text, tok[2])
+    def fail(self, message: str, off: int | None = None):
+        """Raise SourceError at ``off``, or at the next token if None."""
+        raise SourceError(message, self.text,
+                          self.peek()[2] if off is None else off)
 
     def expect_op(self, ch: str):
         kind, text, off = self.peek()
@@ -190,12 +189,7 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        self.depth += 1
-        if self.depth > _MAX_DEPTH:
-            self.fail("expression too deeply nested")
-        e = self.chain("+-", lambda: self.chain("*/", self.unary))
-        self.depth -= 1
-        return e
+        return self.chain("+-", lambda: self.chain("*/", self.unary))
 
     def chain(self, ops: str, operand: Callable[[], Expr]) -> Expr:
         """``operand (op operand)*``, left associative, ``op`` in ``ops``."""
@@ -208,15 +202,21 @@ class _Parser:
             e = Bin(text, e, operand(), pos=e.pos)
 
     def unary(self) -> Expr:
+        # every nesting passes through here, so one count bounds recursion
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            self.fail("expression too deeply nested")
         kind, text, off = self.peek()
         if kind == "op" and text == "-":
             self.next()
-            inner = self.unary()
-            if isinstance(inner, Lit):
-                # fold a negated literal so that "-2" is a single node
-                return Lit(-inner.value, pos=off)
-            return Neg(inner, pos=off)
-        return self.power()
+            e = self.unary()
+            # fold a negated literal so that "-2" is a single node
+            e = (Lit(-e.value, pos=off) if isinstance(e, Lit)
+                 else Neg(e, pos=off))
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -236,7 +236,7 @@ class _Parser:
             nkind, ntext, _ = self.peek()
             if nkind == "op" and ntext == "(":
                 if text not in FUNCTIONS:
-                    raise SourceError(f"unknown function {text!r}", self.text, off)
+                    self.fail(f"unknown function {text!r}", off)
                 self.next()
                 args = [self.expr()]
                 while True:
@@ -249,27 +249,21 @@ class _Parser:
                 self.expect_op(")")
                 arity = FUNCTIONS[text]
                 if len(args) != arity:
-                    raise SourceError(
-                        f"{text} takes {arity} argument{'s' if arity > 1 else ''}, "
-                        f"got {len(args)}", self.text, off)
+                    self.fail(f"{text} takes {arity} argument"
+                              f"{'s' if arity > 1 else ''}, got {len(args)}",
+                              off)
                 return Call(text, tuple(args), pos=off)
             if text in FUNCTIONS:
-                raise SourceError(
-                    f"{text} is a function and needs arguments", self.text, off)
+                self.fail(f"{text} is a function and needs arguments", off)
             if text not in self.allowed:
-                raise SourceError(f"unknown identifier {text!r}", self.text, off)
+                self.fail(f"unknown identifier {text!r}", off)
             return Var(text, pos=off)
         if kind == "op" and text == "(":
-            self.depth += 1
-            if self.depth > _MAX_DEPTH:
-                raise SourceError("expression too deeply nested", self.text, off)
             e = self.expr()
             self.expect_op(")")
-            self.depth -= 1
             return e
-        if kind == "end":
-            raise SourceError("unexpected end of input", self.text, off)
-        raise SourceError(f"unexpected {text!r}", self.text, off)
+        self.fail("unexpected end of input" if kind == "end"
+                  else f"unexpected {text!r}", off)
 
 
 def parse(text: str, allowed_vars: Iterable[str] = ("t",)) -> Expr:
@@ -687,7 +681,12 @@ class _Grid:
     def __init__(self, entries, allowed_vars, shape, domain=None):
         self.entries = entries
         self.shape = shape
+        self.n = shape[0]
         self.domain = domain
+        kind = "matrix" if len(shape) == 2 else "vector"
+        for e in self._flat():
+            if not isinstance(e, Expr):
+                raise SourceError(f"{kind} entry {e!r} is not an expression")
         self.allowed = frozenset(allowed_vars)
         for v in self.allowed:
             if v != "t" and not re.fullmatch(r"x\d+", v):
@@ -769,11 +768,6 @@ class MatrixFunction(_Grid):
         n = len(entries)
         if n == 0 or any(len(row) != n for row in entries):
             raise SourceError("matrix of expressions must be square")
-        for row in entries:
-            for e in row:
-                if not isinstance(e, Expr):
-                    raise SourceError(f"matrix entry {e!r} is not an expression")
-        self.n = n
         self._sum = None
         super().__init__(entries, allowed_vars, (n, n), domain)
 
@@ -810,11 +804,7 @@ class VectorFunction(_Grid):
         entries = tuple(entries)
         if not entries:
             raise SourceError("vector of expressions must not be empty")
-        for e in entries:
-            if not isinstance(e, Expr):
-                raise SourceError(f"vector entry {e!r} is not an expression")
-        self.n = len(entries)
-        super().__init__(entries, allowed_vars, (self.n,))
+        super().__init__(entries, allowed_vars, (len(entries),))
 
     def _flat(self):
         return list(self.entries)

@@ -34,8 +34,6 @@ __all__ = [
     "NotDefiniteError",
     "NotHurwitzError",
     "ConvergenceError",
-    "as_matrix",
-    "as_vector",
     "vector_norm",
     "induced_norm",
     "lognorm",
@@ -45,7 +43,6 @@ __all__ = [
     "symmetric_eigen_max",
     "invert",
     "lyapunov_solve",
-    "frobenius",
 ]
 
 ONE = "one"
@@ -85,10 +82,13 @@ class ConvergenceError(LinalgError):
 def as_matrix(M, name: str = "matrix") -> np.ndarray:
     """Validate and return ``M`` as a float64 square array.
 
-    Rejects non-square shapes, non-finite entries and dimensions outside
-    the supported range 2..16.
+    Rejects ragged or non-square shapes, entries that are not finite
+    numbers and dimensions outside the supported range 2..16.
     """
-    A = np.asarray(M, dtype=float)
+    try:
+        A = np.asarray(M, dtype=float)
+    except (TypeError, ValueError):
+        raise LinalgError(f"{name} must be a square array of numbers") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise LinalgError(f"{name} must be square, got shape {A.shape}")
     return _check_entries(A, name)

@@ -55,7 +55,6 @@ __all__ = [
     "ExplicitGamma",
     "auto_gamma",
     "decompose_sym_skew",
-    "expand_gain",
     "synthesize",
     "verify_c2",
     "verify_c3",

@@ -355,6 +355,22 @@ def test_a1_inconclusive_where_the_uncertainty_is_undefined():
                              "entry (1,1)")
 
 
+# a step from 0 to 1 at t = 1.1: no panel across it meets its error share
+JUMP = "min(1, max(0, 1e300*(t-1.1)))"
+
+
+def test_a1_and_a4_inconclusive_where_the_quadrature_does_not_converge():
+    a1 = check_A1(make_spec(Delta=parse_matrix([[JUMP, "0"], ["0", "0"]],
+                                               ("t",))), 10.0)
+    _, a4 = check_A2_A4(make_spec(A=parse_matrix(
+        [[f"-1+0.5*{JUMP}", "0"], ["0", "-2"]], ("t",))), None, 10.0)
+    for ev in (a1, a4):
+        assert ev.verdict == "inconclusive"
+        assert ev.note == "quadrature did not converge"
+    assert a1.measured["I"] == pytest.approx(8.9, rel=1e-12)
+    assert a4.measured["J"] == pytest.approx(-5.55, rel=1e-12)
+
+
 def test_a2_a4_supported_on_example(example):
     spec, ctrl = example
     a2, a4 = check_A2_A4(spec, ctrl, 10.0)
@@ -440,6 +456,12 @@ def test_a3_samples_a_tail_through_zero_uniformly():
     assert e.verdict == "supported"
     assert e.measured["ratio_start"] == 1.0 / 127.5
     assert e.measured["ratio_end"] == 1.0 / 210.0
+
+
+def test_a3_needs_a_horizon_past_t0(example):
+    spec, ctrl = example
+    with pytest.raises(ValueError, match="horizon too short"):
+        check_A3(spec, ctrl, spec.t0)
 
 
 def test_a3_inconclusive_where_mu_vanishes():
@@ -553,6 +575,18 @@ def test_classify_gate_downgrades_without_a1():
     assert rep.strongest is None
     assert all(e.verdict == "inconclusive" for e in rep.entries.values())
     assert "downgraded" in rep.note
+
+
+def test_classify_gate_keeps_an_inconclusive_entry_as_it_is():
+    # as test_classify_as_without_a_uniform_rate, with A1 not supported
+    s = make_spec(A=parse_matrix([["-t/(1+t)", "0"], ["0", "-1"]], ("t",)),
+                  Delta=parse_matrix([["1", "0"], ["0", "0"]], ("t",)))
+    rep = classify_stability(s, None, T=10.0)
+    assert rep.entries["UAS"].note == ("no uniform negative bound for mu on "
+                                       "the sampled grid")
+    assert rep.entries["AS"].note == ("int mu diverges to -inf (doubling "
+                                      "test); A1 not supported")
+    assert all(e.verdict == "inconclusive" for e in rep.entries.values())
 
 
 def test_classify_default_horizon(example):

@@ -134,6 +134,7 @@ def test_dimension_mismatch_is_reported(cfg):
     ("A", [["t", "1"]], "A must be 2x2 to match n=2"),
     ("Delta", [["1", "0"], ["0"]], "Delta must be 2x2 to match n=2"),
     ("B", np.eye(3).tolist(), "B must be 2x2 to match n=2, got (3, 3)"),
+    ("B", [[1.0, 0.0], [0.0]], "B must be 2x2 to match n=2"),
     ("omega", ["1"], "omega must have 2 entries, got 1"),
     ("controller", {"lambda": [-1.0]}, "controller.lambda must have 2 "
                                        "entries, got 1"),
@@ -302,6 +303,24 @@ def test_cli_lognorm_rejects_nonsquare(capsys):
     rc, _, err = run_cli(capsys, "lognorm", "[[1,2,3],[4,5,6]]")
     assert rc == 2
     assert "square" in err
+
+
+@pytest.mark.parametrize("matrix", ["[[1,2],[3]]", '[[1,2],[3,"a"]]',
+                                    "[[1,2],[3,{}]]"])
+def test_cli_lognorm_rejects_ragged_or_non_numeric_matrices(capsys, matrix):
+    rc, _, err = run_cli(capsys, "lognorm", matrix)
+    assert rc == 2
+    assert err == "error: matrix must be a square array of numbers\n"
+
+
+def test_cli_deep_nesting_is_an_input_error(capsys, cfg, tmp_path):
+    cfg["A"][0][0] = "-" * 3000 + "t"
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps(cfg))
+    rc, _, err = run_cli(capsys, "classify", "--config", str(p))
+    assert rc == 2
+    assert err.startswith("error: A[1][1]: expression too deeply nested at "
+                          "offset 100")
 
 
 def test_cli_lognorm_rejects_bad_json(capsys):
@@ -696,6 +715,19 @@ def test_cli_seed_env_is_inert(capsys, cfg_file, monkeypatch):
     monkeypatch.setenv("LOGNORM_CONTROL_SEED", "12345")
     rc2, again, _ = run_cli(capsys, "classify", "--config", str(cfg_file))
     assert (rc, base) == (rc2, again)
+
+
+def test_package_republishes_each_module_all():
+    # the package imports each module's __all__ with *, where a name listed
+    # twice would be shadowed silently
+    owner = {}
+    for name in ("linalg", "expr", "system", "synthesis", "analysis", "sim",
+                 "config", "presets"):
+        module = importlib.import_module(f"lognorm_control.{name}")
+        for n in module.__all__:
+            assert n not in owner, f"{n} is in {owner.get(n)} and {name}"
+            owner[n] = name
+            assert getattr(lognorm_control, n) is getattr(module, n)
 
 
 def test_declared_entry_point_without_install(capsys, monkeypatch):

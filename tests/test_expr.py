@@ -105,6 +105,26 @@ def test_deeply_nested_input_rejected():
         parse(text, ("t",))
 
 
+@pytest.mark.parametrize("text", [
+    "-" * 986 + "t",
+    "^".join(["t"] * 494),
+    "sin(" * 141 + "t" + ")" * 141,
+], ids=["minus", "power", "call"])
+def test_every_kind_of_nesting_counts_toward_the_limit(text):
+    # a count that skipped minus signs, exponents or calls would let each
+    # of these exhaust the stack (RecursionError) first
+    with pytest.raises(SourceError, match="expression too deeply nested"):
+        parse(text, ("t",))
+
+
+def test_nesting_limit():
+    with pytest.raises(SourceError) as ei:
+        parse("(" * 300 + "t" + ")" * 300, ("t",))
+    assert ei.value.offset == 100
+    e = parse("sin(" * 99 + "t" + ")" * 99, ("t",))
+    assert eval_expr(e, 0.5) == pytest.approx(0.1634013076, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # evaluation errors carry the subexpression offset
 
