@@ -134,12 +134,12 @@ def test_dimension_mismatch_is_reported(cfg):
     ("A", [["t", "1"]], "A must be 2x2 to match n=2"),
     ("Delta", [["1", "0"], ["0"]], "Delta must be 2x2 to match n=2"),
     ("B", np.eye(3).tolist(), "B must be 2x2 to match n=2, got (3, 3)"),
-    ("B", [[1.0, 0.0], [0.0]], "B must be 2x2 to match n=2"),
     ("omega", ["1"], "omega must have 2 entries, got 1"),
     ("controller", {"lambda": [-1.0]}, "controller.lambda must have 2 "
                                        "entries, got 1"),
     ("controller", {"gamma": ["-1", "-1", "-1"]},
-     "controller.gamma must have 2 entries, got 3")])
+     "controller.gamma must have 2 entries, got 3"),
+    ("B", [[1.0, 0.0], [0.0]], "B must be 2x2 to match n=2")])
 def test_shape_mismatch_is_reported(cfg, key, value, message):
     cfg[key] = value
     with pytest.raises(ConfigError, match=re.escape(message)):
