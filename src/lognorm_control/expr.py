@@ -57,7 +57,7 @@ FUNCTIONS = {
     "pow": 2, "min": 2, "max": 2,
 }
 
-_MAX_DEPTH = 100  # operands nested by parentheses, calls, "-" and "^"
+_MAX_DEPTH = 100  # levels an operand nests, plus one (see _Parser.node)
 
 
 class SourceError(ValueError):
@@ -158,6 +158,7 @@ class _Parser:
         self.toks = _tokens(text)
         self.i = 0
         self.depth = 0
+        self.height = {} if len(self.toks) > _MAX_DEPTH else None  # see node
 
     def peek(self):
         return self.toks[self.i]
@@ -173,17 +174,15 @@ class _Parser:
                           self.peek()[2] if off is None else off)
 
     def expect_op(self, ch: str):
-        kind, text, off = self.peek()
-        if kind != "op" or text != ch:
+        if (tok := self.peek())[0] != "op" or tok[1] != ch:
             self.fail(f"expected {ch!r}")
         return self.next()
 
     def parse(self) -> Expr:
-        kind, _, _ = self.peek()
-        if kind == "end":
+        if self.peek()[0] == "end":
             self.fail("empty expression")
         e = self.expr()
-        kind, text, off = self.peek()
+        kind, text, _ = self.peek()
         if kind != "end":
             self.fail(f"unexpected trailing input {text!r}")
         return e
@@ -194,12 +193,24 @@ class _Parser:
     def chain(self, ops: str, operand: Callable[[], Expr]) -> Expr:
         """``operand (op operand)*``, left associative, ``op`` in ``ops``."""
         e = operand()
-        while True:
-            kind, text, _ = self.peek()
-            if kind != "op" or text not in ops:
-                return e
-            self.next()
-            e = Bin(text, e, operand(), pos=e.pos)
+        while (tok := self.peek())[0] == "op" and tok[1] in ops:
+            e = self.node(Bin(self.next()[1], e, operand(), pos=e.pos), 1)
+        return e
+
+    def node(self, e: Expr, link: int = 0) -> Expr:
+        """The new operator node ``e``, its height recorded, unless that
+        plus the depth it is read at passes the limit: ``a+b+c`` is
+        ``(a+b)+c``, so ``a`` sinks under each later ``link`` of a chain.
+        Each level takes a token, so none is kept for _MAX_DEPTH or fewer."""
+        if self.height is None:
+            return e
+        kids = (e.left, e.right) if type(e) is Bin else \
+            e.args if type(e) is Call else (e.operand,)
+        h = self.height[id(e)] = 1 + max(self.height.get(id(k), 0)
+                                         for k in kids)
+        if self.depth + link + h > _MAX_DEPTH:
+            self.fail("expression too deeply nested", kids[-1].pos)
+        return e
 
     def unary(self) -> Expr:
         # every nesting passes through here, so one count bounds recursion
@@ -212,7 +223,7 @@ class _Parser:
             e = self.unary()
             # fold a negated literal so that "-2" is a single node
             e = (Lit(-e.value, pos=off) if isinstance(e, Lit)
-                 else Neg(e, pos=off))
+                 else self.node(Neg(e, pos=off)))
         else:
             e = self.power()
         self.depth -= 1
@@ -220,11 +231,10 @@ class _Parser:
 
     def power(self) -> Expr:
         base = self.atom()
-        kind, text, off = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            return Bin("^", base, self.unary(), pos=base.pos)
-        return base
+        if (tok := self.peek())[0] != "op" or tok[1] != "^":
+            return base
+        self.next()
+        return self.node(Bin("^", base, self.unary(), pos=base.pos))
 
     def atom(self) -> Expr:
         kind, text, off = self.next()
@@ -233,26 +243,21 @@ class _Parser:
         if kind == "ident":
             if text == "pi":
                 return Lit(math.pi, pos=off)
-            nkind, ntext, _ = self.peek()
-            if nkind == "op" and ntext == "(":
+            if (tok := self.peek())[0] == "op" and tok[1] == "(":
                 if text not in FUNCTIONS:
                     self.fail(f"unknown function {text!r}", off)
                 self.next()
                 args = [self.expr()]
-                while True:
-                    pkind, ptext, _ = self.peek()
-                    if pkind == "op" and ptext == ",":
-                        self.next()
-                        args.append(self.expr())
-                    else:
-                        break
+                while (tok := self.peek())[0] == "op" and tok[1] == ",":
+                    self.next()
+                    args.append(self.expr())
                 self.expect_op(")")
                 arity = FUNCTIONS[text]
                 if len(args) != arity:
                     self.fail(f"{text} takes {arity} argument"
                               f"{'s' if arity > 1 else ''}, got {len(args)}",
                               off)
-                return Call(text, tuple(args), pos=off)
+                return self.node(Call(text, tuple(args), pos=off))
             if text in FUNCTIONS:
                 self.fail(f"{text} is a function and needs arguments", off)
             if text not in self.allowed:
@@ -482,7 +487,8 @@ def _gen(dag: tuple, array: bool) -> str:
     """The body of the scalar or the array function of the entries ``dag``
     (see :meth:`_Grid.compiled`); it matches _eval but leaves the domain
     checks to the caller's fallback path, and computes each node used
-    more than once a single time per call, into a temporary."""
+    more than once a single time per call, into a temporary, as it does
+    one whose source is longer than _LONG characters."""
     nodes, roots = dag
     code, temps = [], []
 
@@ -491,7 +497,7 @@ def _gen(dag: tuple, array: bool) -> str:
 
     for k, (e, kids, uses) in enumerate(nodes):
         src, vec, const = _emit(e, [operand(c) for c in kids], array)
-        if uses > 1:
+        if uses > 1 or len(src) > _LONG:
             temps.append(f"(_{k} := {src})")
             src = f"_{k}"
         code.append((e, src, vec, const))
@@ -578,6 +584,9 @@ _GEN_GLOBALS = {
 }
 
 _ARRAY_MIN = 48  # a batch of fewer times loops the scalar form
+# a source nests at most half its length deep; _emit, _finite and _gen add
+# at most 3 + 2 levels: within the 200 nested brackets CPython parses
+_LONG = 390
 
 
 def _lambda(params: str, body: str) -> Callable:
@@ -609,6 +618,7 @@ class _Code:
 def _evaluator(code: _Code, checked: Callable, shape: tuple) -> Callable:
     """:meth:`_Grid.compiled`'s evaluator; nothing it holds refers to it."""
     ndarray, array, isfinite = np.ndarray, np.array, math.isfinite
+    flat = len(shape) == 1  # the list already has a vector's shape
 
     def fn(t, x=None):
         if type(t) is ndarray and t.ndim:
@@ -616,7 +626,7 @@ def _evaluator(code: _Code, checked: Callable, shape: tuple) -> Callable:
         try:
             v = (code.raw or code.scalar())(t, x)
             if isfinite(sum(v)):
-                return array(v).reshape(shape)
+                return array(v) if flat else array(v).reshape(shape)
         except Exception:
             pass
         return checked(t, x)

@@ -289,9 +289,10 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     differences of ``f(t, ., 0)``, to ``M(t)``.
 
     At n = 2 a numpy call costs more than its arithmetic, so the steppers
-    make one ``f`` call per stage and build stage arguments, right-hand
-    sides and error vectors in rows allocated once per run; every
-    accepted state and every array returned is new.
+    make one ``f`` call per stage, at a float time, and build its argument,
+    right-hand side and error vector in rows allocated once per run, by
+    ``ndarray.dot`` (``np.dot`` without its dispatch; ``@`` is another
+    routine); every accepted state and every array returned is new.
     """
     if not (tol > 0.0) or not np.isfinite(tol):
         raise ValueError("tol must be a positive finite number")
@@ -332,7 +333,7 @@ def _dp5(f, M, run, t, y, fy, h):
     # sum and the error vector
     ts, rho = np.empty(len(_C_BATCH)), np.empty((2, len(y)))
     yi, tmp, err_vec = (np.empty(len(y)) for _ in range(3))
-    dot, mul, add = np.dot, np.multiply, np.add
+    mul, add = np.multiply, np.add
     facold = 1e-4
     stiff = 0
     while t < T:
@@ -344,12 +345,12 @@ def _dp5(f, M, run, t, y, fy, h):
         h_attempt = h
 
         add(t, mul(_C_BATCH, h, out=ts), out=ts)
-        Ms = _batch(M, ts)
+        Ms, tl = _batch(M, ts), ts.tolist()
         for ki, a, before, j in stages:  # y + h * (a @ before)
-            add(y, mul(dot(a, before, out=tmp), h, out=tmp), out=yi)
-            f(ts[j], yi, Ms[j], ki)
-        y_new = y + mul(dot(_B5, k, out=tmp), h, out=tmp)
-        mul(dot(_E, k, out=err_vec), h, out=err_vec)
+            add(y, mul(a.dot(before, out=tmp), h, out=tmp), out=yi)
+            f(tl[j], yi, Ms[j], ki)
+        y_new = y + mul(_B5.dot(k, out=tmp), h, out=tmp)
+        mul(_E.dot(k, out=err_vec), h, out=err_vec)
         finite, err = _error(tol, y, y_new, err_vec)
         at_floor = not end_clamped and h_attempt <= run.floor
         if err <= 1.0:
@@ -361,7 +362,7 @@ def _dp5(f, M, run, t, y, fy, h):
                 run.fill(t, h, lambda th: y + th * (
                     ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5))))
             accepted.append(h)
-            dk, dy = dot(_RHO, k, out=rho).tolist()
+            dk, dy = _RHO.dot(k, out=rho).tolist()
             stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
                 else 0
             t = t + h
@@ -415,7 +416,7 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
     # a weighted sum, and _jacobian_g's zero matrix and perturbed state
     tb, (ft, yi, fi, tmp, yj) = np.empty(len(_RT)), np.empty((5, n))
     Z, eye = np.zeros((n, n)), np.eye(n)
-    dot, mul, add = np.dot, np.multiply, np.add
+    mul, add = np.multiply, np.add
     h_acc = err_acc = None
     rejected = False
     while t < T:
@@ -427,32 +428,31 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
 
         add(t, mul(_RT, h, out=tb), out=tb)
         tb[1] = t + math.sqrt(1e-16 * max(1e-5, abs(t)))  # rodas.f's dt
-        dt = tb[1] - t
-        Ms = _batch(M, tb)
+        Ms, tl = _batch(M, tb), tb.tolist()
         # M(t) was evaluated before, as the previous step's end
         J = M(t) if Ms[0] is None else Ms[0]
-        f(tb[1], y, Ms[1], ft)
-        np.divide(np.subtract(ft, fy, out=ft), dt, out=ft)
+        f(tl[1], y, Ms[1], ft)
+        np.divide(np.subtract(ft, fy, out=ft), tl[1] - t, out=ft)
         if nonlinear:
             J = J + _jacobian_g(f, t, y, Z, yj)
         E_inv = np.linalg.inv(eye / (h * _GAMMA) - J)
         add(fy, mul(ft, h * _RD[0], out=tmp), out=fi)
-        dot(E_inv, fi, out=U[0])
+        E_inv.dot(fi, out=U[0])
         for i in range(1, 6):
-            add(y, dot(_RA[i], U[:i], out=tmp), out=yi)
+            Ui = U[:i]
+            add(y, _RA[i].dot(Ui, out=tmp), out=yi)
             j = _RJ[i]
-            f(tb[j], yi, Ms[j], fi)
+            f(tl[j], yi, Ms[j], fi)
             # fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft
-            add(fi, np.divide(dot(_RG[i], U[:i], out=tmp), h, out=tmp),
-                out=fi)
+            add(fi, np.divide(_RG[i].dot(Ui, out=tmp), h, out=tmp), out=fi)
             add(fi, mul(ft, h * _RD[i], out=tmp), out=fi)
-            dot(E_inv, fi, out=U[i])
+            E_inv.dot(fi, out=U[i])
         y_new = yi + U[5]
         finite, err = _error(tol, y, y_new, U[5])
         at_floor = not end_clamped and h <= run.floor
         fac = min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
         if err <= 1.0:
-            f_new = f(tb[5], y_new, Ms[5])
+            f_new = f(tl[5], y_new, Ms[5])
             if run.next_out <= t + h:
                 dy = y_new - y
                 run.fill(t, h, lambda th: y + th * dy + th * (th - 1.0) * (
@@ -530,7 +530,7 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 
     def f(t, y, M=None, out=None):
         try:
-            dy = np.dot(Acl(t) if M is None else M, y, out=out)
+            dy = (Acl(t) if M is None else M).dot(y, out=out)
             if omega is not None:
                 dy += omega(t, y)
         except EvalError as exc:

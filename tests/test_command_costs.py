@@ -261,6 +261,33 @@ def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
     assert got == counts
 
 
+@pytest.mark.parametrize("workload, counts", [
+    ("bundled", (614, 7, 390, 4623)),
+    ("oscillator", (3598, 0, 3598, 21589)),
+])
+def test_steps_per_simulate(configs, monkeypatch, workload, counts):
+    # simulate's accepted and rejected steps, the accepted ones DP5 took
+    # before the switch to RODAS4, and the right-hand-side calls the
+    # stepper makes, counted through sim._integrate as the benchmark's
+    # tracer counts them.  A change that moves a step shows here
+    sim = lognorm_control.sim
+    original = sim._integrate
+    got = []
+
+    def counting(f, *args, **kwargs):
+        calls = [0]
+
+        def rhs(*a, **k):
+            calls[0] += 1
+            return f(*a, **k)
+        _, steps, rejected, explicit = out = original(rhs, *args, **kwargs)
+        got.append((len(steps), rejected, explicit, calls[0]))
+        return out
+    monkeypatch.setattr(sim, "_integrate", counting)
+    assert _run("simulate", configs[workload]) == 0
+    assert got == [counts]
+
+
 @pytest.mark.parametrize("workload", ["bundled", "oscillator"])
 def test_one_quadrature_per_log_norm_pair(configs, monkeypatch, workload):
     # simulate's envelopes, the sandwich and the Phi horizon each integrate

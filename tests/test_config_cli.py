@@ -323,6 +323,18 @@ def test_cli_deep_nesting_is_an_input_error(capsys, cfg, tmp_path):
                           "offset 100")
 
 
+def test_cli_long_chain_is_an_input_error(capsys, cfg, tmp_path):
+    # a + b + c is (a + b) + c, so a flat chain nests as deep as it is
+    # long; 1,000 terms used to exhaust the stack (RecursionError)
+    cfg["A"][0][0] = "+".join(["t"] * 1000)
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps(cfg))
+    rc, _, err = run_cli(capsys, "classify", "--config", str(p))
+    assert rc == 2
+    assert err.startswith("error: A[1][1]: expression too deeply nested at "
+                          "offset 200")
+
+
 def test_cli_lognorm_rejects_bad_json(capsys):
     rc, _, err = run_cli(capsys, "lognorm", "[[1,2")
     assert rc == 2

@@ -125,6 +125,69 @@ def test_nesting_limit():
     assert eval_expr(e, 0.5) == pytest.approx(0.1634013076, rel=1e-9)
 
 
+def _paren_chains(levels, terms):
+    # each pair of parentheses holds a chain whose first operand is the
+    # pair inside it, so every chain sinks all the chains within it
+    text = "t"
+    for _ in range(levels):
+        text = "(" + text + "+t" * terms + ")"
+    return text
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("+".join(["t"] * 1000), 200),
+    ("*".join(["t"] * 1000), 200),
+    ("t*" * 60 + "t" + "+t" * 60, 200),
+    (_paren_chains(50, 10), 165),
+], ids=["sum", "product", "sum-of-product", "chains-in-parentheses"])
+def test_a_chain_counts_toward_the_limit(text, offset):
+    # a + b + c is (a + b) + c: a chain's first operand sinks a level under
+    # each later operator, so a flat chain nests as deep as its length, and
+    # chains in parentheses add up.  Counted only on the way down, these
+    # nest hundreds of levels deep and exhaust the stack of the recursive
+    # tree walkers (RecursionError) or of CPython's parser
+    with pytest.raises(SourceError, match="expression too deeply nested") \
+            as ei:
+        parse(text, ("t",))
+    assert ei.value.offset == offset
+
+
+def _limit_cases():
+    # the deepest accepted expressions of each kind, next to one level more
+    return [
+        ("+".join(["t"] * 100), "+".join(["t"] * 101)),
+        ("t*" * 60 + "t" + "+t" * 39, "t*" * 60 + "t" + "+t" * 40),
+        (_paren_chains(9, 10) + "+t" * 9, _paren_chains(9, 10) + "+t" * 10),
+        ("min(t, " * 99 + "t" + ")" * 99, "min(t, " * 100 + "t" + ")" * 100),
+        ("1/(" * 99 + "t" + ")" * 99, "1/(" * 100 + "t" + ")" * 100),
+        ("-exp(" * 49 + "t" + ")" * 49, "-exp(" * 50 + "t" + ")" * 50),
+        ("t^" * 99 + "t", "t^" * 100 + "t"),
+    ]
+
+
+@pytest.mark.parametrize("text, deeper", _limit_cases(),
+                         ids=["sum", "sum-of-product", "chains-in-parentheses",
+                              "min", "division", "exp", "power"])
+def test_expressions_at_the_limit_run_their_generated_code(monkeypatch, text,
+                                                           deeper):
+    # every expression the parser accepts compiles: the generator moves
+    # a subtree that would nest past CPython's 200 parentheses into a
+    # temporary, so no call takes the checked path, scalar or batched
+    with pytest.raises(SourceError, match="expression too deeply nested"):
+        parse(deeper, ("t",))
+    e = parse(text, ("t",))
+    ts = np.linspace(0.25, 0.75, expr._ARRAY_MIN)
+    want = [eval_expr(e, t) for t in ts.tolist()]
+
+    def checked(*args):
+        raise AssertionError("the checked evaluator ran")
+    monkeypatch.setattr(expr, "_checked", checked)
+    F = MatrixFunction([[e]]).compiled()
+    assert F(0.25).tobytes() == np.array([[want[0]]]).tobytes()
+    assert F(ts[:3]).tobytes() == np.array(want[:3]).tobytes()
+    assert F(ts).tobytes() == np.array(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # evaluation errors carry the subexpression offset
 
@@ -322,6 +385,42 @@ def test_entries_whose_sum_overflows_are_not_an_error():
     want = np.array([[1e308, 1e308], [0.0, 3.0]])
     assert F.compiled()(3.0).tobytes() == want.tobytes()
     assert F.compiled()(np.array([3.0, 3.0])).tobytes() == \
+        np.array([want, want]).tobytes()
+
+
+def test_a_vector_evaluates_to_a_new_float64_array():
+    # the compiled vector's list of values is already its shape: a new
+    # float64 array of shape (n,), the bits of the checked evaluator's
+    vf = VectorFunction([parse(s, ("t", "x1", "x2")) for s in
+                         ("t^(11/4)*cos(x1)", "1", "x2/3")],
+                        ("t", "x1", "x2"))
+    f = vf.compiled()
+    x = np.array([0.3, -0.7])
+    got = f(1.5, x)
+    assert got.dtype == np.float64 and got.shape == (3,)
+    assert got.tobytes() == vf(1.5, x).tobytes()
+    again = f(1.5, x)
+    assert again is not got and not np.shares_memory(again, got)
+    got[:] = 0.0
+    assert again.tobytes() == vf(1.5, x).tobytes()
+
+
+def test_vector_entries_whose_sum_overflows_are_not_an_error(monkeypatch):
+    # the vector counterpart of the matrix case above: every entry is
+    # finite, their sum is not, so the call takes the checked path, which
+    # gives the bits
+    checked = []
+    original = expr._checked
+
+    def counting(*args):
+        checked.append(args[-2])
+        return original(*args)
+    monkeypatch.setattr(expr, "_checked", counting)
+    f = VectorFunction([Lit(1e308), Lit(1e308), Var("t")]).compiled()
+    want = np.array([1e308, 1e308, 3.0])
+    assert f(3.0).tobytes() == want.tobytes()
+    assert checked == [3.0]
+    assert f(np.array([3.0, 3.0])).tobytes() == \
         np.array([want, want]).tobytes()
 
 
