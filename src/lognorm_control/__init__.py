@@ -6,16 +6,31 @@ conditions on the logarithmic norm of the closed-loop matrix, synthesizes
 a robust adaptive state-feedback gain that cancels the symmetric part of
 the plant, and simulates the closed loop to check the resulting bounds.
 
-The public names are each module's ``__all__``, republished here.
+Each module's ``__all__`` is republished on use (PEP 562), uncached; in
+``_MODULES``, config precedes sim, so loading a config never imports sim.
 """
 
-from .linalg import *  # noqa: F401,F403
-from .expr import *  # noqa: F401,F403
-from .system import *  # noqa: F401,F403
-from .synthesis import *  # noqa: F401,F403
-from .analysis import *  # noqa: F401,F403
-from .sim import *  # noqa: F401,F403
-from .config import *  # noqa: F401,F403
-from .presets import *  # noqa: F401,F403
+import importlib
 
 __version__ = "0.1.0"
+
+_MODULES = ("linalg", "expr", "system", "synthesis", "analysis", "config",
+            "presets", "sim")
+
+
+def __getattr__(name):
+    names = [*_MODULES, "report"]  # what ``import *`` binds
+    if name in names:  # a submodule not imported yet
+        return importlib.import_module(f".{name}", __name__)
+    for m in _MODULES:
+        module = importlib.import_module(f".{m}", __name__)
+        if name in module.__all__:
+            return getattr(module, name)
+        names += module.__all__
+    if name == "__all__":
+        return names
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

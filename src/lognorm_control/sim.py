@@ -32,6 +32,7 @@ propagators, a whole refinement level of sub-steps per batch of ``F``
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 import random
@@ -201,16 +202,18 @@ def _batch(M, ts):
 
 
 class _Run:
-    """What both steppers of one integration share: the output grid and
-    its dense-output cursor (``next_out`` is the next point's time), the
-    accepted step sizes, the rejections and the run of consecutive
-    attempts at h_min."""
+    """What both steppers of one integration share: the output grid, its
+    cursor (``next_out`` is the next point's time), each point's step
+    (``ts``, ``hs``, interpolant data in ``dense``), the accepted step
+    sizes, the rejections and the run of consecutive attempts at h_min."""
 
     def __init__(self, grid, ndim, T, tol, h_min, h_max, diag_mu):
-        self.grid = grid
+        self.grid, self.times = grid, [*grid.tolist(), math.inf]
         self.out = np.empty((len(grid), ndim))
+        self.dense = np.empty((len(grid), 5, ndim))
+        self.ts, self.hs = np.empty((2, len(grid)))
         self.gi = 0
-        self.next_out = grid[0]
+        self.next_out = self.times[0]
         self.T, self.tol, self.h_min, self.h_max = T, tol, h_min, h_max
         self.floor = h_min * (1.0 + 1e-9)
         self.diag_mu = diag_mu
@@ -218,22 +221,27 @@ class _Run:
         self.n_rejected = 0
         self.pinned = 0
 
-    def _advance(self):
-        self.gi += 1
-        self.next_out = self.grid[self.gi] if self.gi < len(self.grid) \
-            else math.inf
+    def _pass(self, upto):
+        """Pass the output points up to ``upto``; returns their slice."""
+        part = slice(self.gi, bisect.bisect_right(self.times, upto, self.gi))
+        self.gi, self.next_out = part.stop, self.times[part.stop]
+        return part
 
     def hold(self, y, upto):
         """Output points up to ``upto`` get the state ``y``."""
-        while self.next_out <= upto:
-            self.out[self.gi] = y
-            self._advance()
+        self.out[self._pass(upto)] = y
 
-    def fill(self, t, h, interp):
-        """Output points in (t, t + h] from ``interp(theta)``."""
-        while self.next_out <= t + h:
-            self.out[self.gi] = interp((self.next_out - t) / h)
-            self._advance()
+    def record(self, t, h, *data):
+        """Output points in (t, t + h] get the step's t, h and ``data``."""
+        part = self._pass(t + h)
+        self.ts[part], self.hs[part] = t, h
+        self.dense[part, :len(data)] = data
+
+    def interpolate(self, part, interp):
+        """The points of ``part`` by ``interp(theta, h, *data)`` at once."""
+        h = self.hs[part, None]
+        theta = (self.grid[part, None] - self.ts[part, None]) / h
+        self.out[part] = interp(theta, h, *self.dense[part].transpose(1, 0, 2))
 
     def reject(self, t, finite, at_floor):
         self.n_rejected += 1
@@ -292,7 +300,9 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     make one ``f`` call per stage, at a float time, and build its argument,
     right-hand side and error vector in rows allocated once per run, by
     ``ndarray.dot`` (``np.dot`` without its dispatch; ``@`` is another
-    routine); every accepted state and every array returned is new.
+    routine); every accepted state and every array returned is new.  So
+    too, dense output is recorded per step and each interpolant evaluated
+    once per run on all its points, bit for bit as point by point.
     """
     if not (tol > 0.0) or not np.isfinite(tol):
         raise ValueError("tol must be a positive finite number")
@@ -307,14 +317,33 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     y = np.asarray(y0, dtype=float).copy()
     run = _Run(grid, len(y), T, tol, h_min, h_max, diag_mu)
     run.hold(y, t0)
+    first = run.gi
     fy = f(t0, y)
     h = _initial_step(fy, y, h_min, h_max)
     t, y, fy, h, stiff = _dp5(f, M, run, t0, y, fy, h)
-    n_explicit = len(run.accepted)
+    n_explicit, switch = len(run.accepted), run.gi
     if stiff:
         y = _rodas(f, M, run, t, y, fy, h, nonlinear)
+    run.interpolate(slice(first, switch), _dp5_dense)
+    run.interpolate(slice(switch, run.gi), _rodas_dense)
     run.hold(y, T)  # grid points at exactly T
     return run.out, np.array(run.accepted), run.n_rejected, n_explicit
+
+
+def _dp5_dense(th, h, y, y_new, k1, k7, dk):
+    """DP5's quartic interpolant, ``dk = _D @ k``; th, h floats or columns."""
+    ydiff = y_new - y
+    bspl = h * k1 - ydiff
+    r4 = ydiff - h * k7 - bspl
+    return y + th * (ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * (
+        h * dk))))
+
+
+def _rodas_dense(th, h, y, y_new, fy, f_new, _):
+    """RODAS4's cubic Hermite interpolant, as :func:`_dp5_dense`."""
+    dy = y_new - y
+    return y + th * dy + th * (th - 1.0) * (
+        (1.0 - 2.0 * th) * dy + (th - 1.0) * h * fy + th * h * f_new)
 
 
 def _dp5(f, M, run, t, y, fy, h):
@@ -355,12 +384,7 @@ def _dp5(f, M, run, t, y, fy, h):
         at_floor = not end_clamped and h_attempt <= run.floor
         if err <= 1.0:
             if run.next_out <= t + h:  # dense output over (t, t + h]
-                ydiff = y_new - y
-                bspl = h * k[0] - ydiff
-                r4 = ydiff - h * k[6] - bspl
-                r5 = h * (_D @ k)
-                run.fill(t, h, lambda th: y + th * (
-                    ydiff + (1.0 - th) * (bspl + th * (r4 + (1.0 - th) * r5))))
+                run.record(t, h, y, y_new, k[0], k[6], _D @ k)
             accepted.append(h)
             dk, dy = _RHO.dot(k, out=rho).tolist()
             stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
@@ -385,16 +409,15 @@ def _dp5(f, M, run, t, y, fy, h):
     return t, y, k[0], h, False
 
 
-def _jacobian_g(f, t, y, Z, yj):
-    """Forward differences of ``g = f(t, ., Z)``, ``Z`` the zero matrix,
+def _jacobian_g(f, t, y, Z, yj, G):
+    """Forward differences of ``g = f(t, ., Z)`` (``Z`` zero) into ``G``,
     with rodas.f's increments; ``yj`` is a row for the perturbed state."""
     g0 = f(t, y, Z)
-    cols = []
     for j in range(len(y)):
         yj[:] = y
         yj[j] += math.sqrt(1e-16 * max(1e-5, abs(y[j])))
-        cols.append((f(t, yj, Z) - g0) / (yj[j] - y[j]))
-    return np.column_stack(cols)
+        G[:, j] = (f(t, yj, Z) - g0) / (yj[j] - y[j])
+    return G
 
 
 def _rodas(f, M, run, t, y, fy, h, nonlinear):
@@ -413,9 +436,9 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
     n = len(y)
     U = np.empty((6, n))
     # scratch: stage times, f_t, a stage's argument and right-hand side,
-    # a weighted sum, and _jacobian_g's zero matrix and perturbed state
+    # a weighted sum, and _jacobian_g's zero matrix, state row and result
     tb, (ft, yi, fi, tmp, yj) = np.empty(len(_RT)), np.empty((5, n))
-    Z, eye = np.zeros((n, n)), np.eye(n)
+    Z, eye, G = np.zeros((n, n)), np.eye(n), np.empty((n, n))
     mul, add = np.multiply, np.add
     h_acc = err_acc = None
     rejected = False
@@ -434,7 +457,7 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         f(tl[1], y, Ms[1], ft)
         np.divide(np.subtract(ft, fy, out=ft), tl[1] - t, out=ft)
         if nonlinear:
-            J = J + _jacobian_g(f, t, y, Z, yj)
+            J = J + _jacobian_g(f, t, y, Z, yj, G)
         E_inv = np.linalg.inv(eye / (h * _GAMMA) - J)
         add(fy, mul(ft, h * _RD[0], out=tmp), out=fi)
         E_inv.dot(fi, out=U[0])
@@ -454,10 +477,7 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         if err <= 1.0:
             f_new = f(tl[5], y_new, Ms[5])
             if run.next_out <= t + h:
-                dy = y_new - y
-                run.fill(t, h, lambda th: y + th * dy + th * (th - 1.0) * (
-                    (1.0 - 2.0 * th) * dy + (th - 1.0) * h * fy
-                    + th * h * f_new))
+                run.record(t, h, y, y_new, fy, f_new)
             run.accepted.append(h)
             if h_acc is not None:  # Gustafsson
                 gus = (h_acc / h) * (err * err / err_acc) ** 0.25 / _SAFETY

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -75,4 +79,18 @@ def plant8():
     """plant8_config() with its synthesized controller."""
     from lognorm_control.config import load_config
     cfg = load_config(plant8_config())
+    return cfg.spec, cfg.controller.build(cfg.spec)
+
+
+@pytest.fixture(scope="session")
+def osc1_0():
+    """Config 0 of ``bench/workloads.py``'s oscillator workload, seed 1
+    (osc1-0), with its synthesized controller; its horizon is 20."""
+    from lognorm_control.config import load_config
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # its dataclasses look their module up
+    spec.loader.exec_module(mod)
+    cfg = load_config(mod.oscillator_problems(1)[0].config)
     return cfg.spec, cfg.controller.build(cfg.spec)

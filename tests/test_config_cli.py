@@ -742,6 +742,35 @@ def test_package_republishes_each_module_all():
             assert getattr(lognorm_control, n) is getattr(module, n)
 
 
+def test_star_import_binds_the_modules_and_their_names():
+    ns = {}
+    exec("from lognorm_control import *", ns)
+    del ns["__builtins__"]
+    modules = ("linalg", "expr", "system", "synthesis", "analysis", "sim",
+               "config", "presets", "report")
+    names = {n for m in modules[:-1] for n in
+             importlib.import_module(f"lognorm_control.{m}").__all__}
+    assert set(ns) == set(modules) | names
+    assert len(ns) == 81
+    assert all(getattr(lognorm_control, n) is v for n, v in ns.items())
+
+
+def test_loading_a_config_leaves_the_simulator_unloaded(cfg_file):
+    # the package resolves a name on use, importing modules only up to the
+    # one that holds it, so the set-up of a controller never loads sim
+    code = ("import sys, lognorm_control\n"
+            "cfg = lognorm_control.load_config(sys.argv[1])\n"
+            "cfg.controller.build(cfg.spec)\n"
+            "print('lognorm_control.sim' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_file)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
 def test_declared_entry_point_without_install(capsys, monkeypatch):
     tomllib = pytest.importorskip("tomllib")
     with open(ROOT / "pyproject.toml", "rb") as fh:

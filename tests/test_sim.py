@@ -3,6 +3,7 @@
 import contextlib
 import csv
 import importlib.util
+import itertools
 import math
 import sys
 import threading
@@ -96,6 +97,50 @@ def test_output_grid_is_honoured():
     # a grid that skips the start is allowed; states still line up
     tr2 = simulate(make_spec(DECAY), None, grid=[0.5, 1.0], tol=1e-10)
     assert tr2.states[0][0] == pytest.approx(math.exp(-0.5), abs=1e-9)
+
+
+@pytest.mark.parametrize("name, T", [("example", 10.0), ("osc1_0", 20.0)])
+def test_output_rows_do_not_depend_on_the_grid(request, name, T):
+    # the grid only selects where the dense output is evaluated: a row is
+    # the same bits however many other points its step, or the run, has.
+    # The example hands over to RODAS4 at t ~ 4.32, osc1-0 stays on DP5
+    spec, ctrl = request.getfixturevalue(name)
+    G = np.linspace(spec.t0, T, 1001)
+    full = simulate(spec, ctrl, T, grid=G)
+    # five points inside the longest step of each stepper, and their
+    # middle ones alone
+    ends = list(itertools.accumulate(full.step_sizes.tolist(),
+                                     initial=spec.t0))
+    h = full.step_sizes
+    steps = [int(np.argmax(part)) + start for part, start in (
+        (h[:full.n_explicit], 0), (h[full.n_explicit:], full.n_explicit))
+        if len(part)]
+    assert len(steps) == (2 if name == "example" else 1)
+    inner = np.array([[ends[i] + (ends[i + 1] - ends[i]) * frac
+                       for frac in (0.1, 0.3, 0.5, 0.7, 0.9)] for i in steps])
+    grids = [G, G[::7], G[::100], np.union1d(G[::100], inner),
+             np.union1d(G[::100], inner[:, 2])]
+    runs = [full] + [simulate(spec, ctrl, T, grid=g) for g in grids[1:]]
+    for g, tr in zip(grids, runs):
+        assert tr.step_sizes.tobytes() == full.step_sizes.tobytes()
+        for g2, tr2 in zip(grids, runs):
+            _, i, j = np.intersect1d(g, g2, return_indices=True)
+            assert tr.states[i].tobytes() == tr2.states[j].tobytes()
+    assert len(np.intersect1d(grids[3], grids[4])) == 11 + len(steps)
+
+
+@pytest.mark.parametrize("interp", [sim._dp5_dense, sim._rodas_dense])
+def test_interpolants_round_columns_as_floats(rng, interp):
+    # a run evaluates each interpolant once, theta and h as columns; each
+    # row must be the bits of the call with floats, point by point
+    m, n = 64, 3
+    th, h = rng.uniform(0.0, 1.0, m), rng.uniform(1e-4, 0.5, m)
+    scale = 10.0 ** rng.integers(-8, 8, (m, 1))
+    data = rng.standard_normal((5, m, n)) * scale
+    columns = interp(th[:, None], h[:, None], *data)
+    for i in range(m):
+        row = interp(float(th[i]), float(h[i]), *data[:, i])
+        assert columns[i].tobytes() == row.tobytes()
 
 
 def test_simulate_validations():

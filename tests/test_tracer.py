@@ -78,3 +78,25 @@ def test_traced_simulate_counts_every_rhs_call(example):
     assert rhs == 4623
     assert traced.states.tobytes() == plain.states.tobytes()
     assert traced.step_sizes.tobytes() == plain.step_sizes.tobytes()
+
+
+def test_package_names_follow_their_modules_through_restore():
+    # the package resolves a name on use: while the tracer is installed it
+    # gives the module's wrapper, and after restore the original again.  A
+    # name the package kept from the installed state would stay wrapped
+    import lognorm_control
+    modules = [sys.modules[f"lognorm_control.{m}"]
+               for m in lognorm_control._MODULES]
+    original = lognorm_control.lognorm
+    restore = _load_tracer().Tracer().install()
+    try:
+        assert lognorm_control.lognorm is not original
+        for module in modules:
+            for name in module.__all__:
+                assert getattr(lognorm_control, name) is getattr(module, name)
+    finally:
+        restore()
+    assert lognorm_control.lognorm is original
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(lognorm_control, name) is getattr(module, name)
