@@ -44,6 +44,8 @@ VERDICT_ORDER = ("UAS", "AS", "US", "S", "UNSTABLE")
 A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
 A1_GRID = np.geomspace(1e-7, 1.0, 64)  # A1's grid, in fractions of the span
 MAX_DEPTH = 40  # adaptive Simpson splits a panel at most this often
+_FLOAT_PANELS = 4  # from this few pending panels on, a quadrature uses floats
+_OVERFLOW = "quadrature overflows on the panel from {!r}"
 
 # Thresholds of the sampled limit heuristics.  A Cauchy tail ``I(T) -
 # I(mid)`` below ``max(TAIL_ABS, TAIL_REL * I(T))`` counts as converged; a
@@ -112,8 +114,10 @@ def _simpson(f, grid: np.ndarray, tol: float):
     too, and forced acceptance (unconverged) at ``MAX_DEPTH``; a panel of
     c components passes when each does.  Values and errors are summed in
     the recursion's order, so the result equals the per-cell recursion
-    bit for bit.  An estimate that overflows raises ValueError.  Returns
-    ``(cell_values, est_error, evals, converged)``.
+    bit for bit.  Once at most ``_FLOAT_PANELS`` panels are pending, the
+    levels run on Python floats (:func:`_float_levels`).  An estimate
+    that overflows raises ValueError.  Returns ``(cell_values,
+    est_error, evals, converged)``.
     """
     ncell = len(grid) - 1
     x = np.empty(2 * ncell + 1)    # grid nodes and cell midpoints
@@ -127,12 +131,10 @@ def _simpson(f, grid: np.ndarray, tol: float):
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     cell = np.arange(ncell)
     levels = []                    # (split panels, value) per level
-    leaf_a, leaf_cell, leaf_err = [], [], []
-    converged = True
-    depth = 0
-    while len(a):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
+    leaves = []                    # (left ends, cells, errors) per level
+    depth = 0                      # past MAX_DEPTH: forced acceptance
+    while len(a) > _FLOAT_PANELS:
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         fnew = _values(f, _pair(lm, rm), lead)
         evals += 2 * len(a)
         flm, frm = fnew[..., 0::2], fnew[..., 1::2]
@@ -142,11 +144,9 @@ def _simpson(f, grid: np.ndarray, tol: float):
         abs_delta = np.abs(delta)
         if not math.isfinite(abs_delta.max()):  # overflowed: none can pass
             bad = np.atleast_2d(~np.isfinite(delta)).any(0)
-            raise ValueError("quadrature overflows on the panel from "
-                             f"{float(a[bad][0])!r}")
+            raise ValueError(_OVERFLOW.format(float(a[bad][0])))
         if depth >= MAX_DEPTH:
             done = np.ones(len(a), dtype=bool)
-            converged = False
         else:
             # Richardson: the refined estimate is in error by about
             # delta / 15.  Below the rounding noise of the panel values no
@@ -159,9 +159,7 @@ def _simpson(f, grid: np.ndarray, tol: float):
         # a component axis is indexed through; plain masks index faster
         ix, iy = ((..., done), (..., s)) if lead else (done, s)
         levels.append((iy, left + right + delta / 15.0))
-        leaf_a.append(a[done])
-        leaf_cell.append(cell[done])
-        leaf_err.append(abs_delta[ix] / 15.0)
+        leaves.append((a[done], cell[done], abs_delta[ix] / 15.0))
         # split panels become their left and right halves, in order
         a, m, b = _pair(a[s], m[s]), _pair(lm[s], rm[s]), _pair(m[s], b[s])
         fa, fm, fb = (_pair(fa[iy], fm[iy]), _pair(flm[iy], frm[iy]),
@@ -170,20 +168,73 @@ def _simpson(f, grid: np.ndarray, tol: float):
         cell = np.repeat(cell[s], 2)
         tol = 0.5 * tol
         depth += 1
-    # a split panel's value is the sum of its two children's, bottom up
     value = np.empty(lead + (0,))
+    if len(a):  # a handful of panels: quicker on floats
+        value, evals, depth, tail = _float_levels(
+            f, lead, list(zip(a.tolist(), m.tolist(), b.tolist(), *(
+                zip(*np.atleast_2d(v).tolist()) for v in (fa, fm, fb, whole)),
+                cell.tolist())), tol, depth, evals)
+        leaves.append(tail)
+    # a split panel's value is the sum of its two children's, bottom up
     for split, leaf_value in reversed(levels):
         leaf_value[split] = value[..., 0::2] + value[..., 1::2]
         value = leaf_value
     # errors accumulate leaf by leaf from the left, first within each cell
     # and then over the cells; leaves tile the grid, so sorting by left
     # end restores that order
+    leaf_a, leaf_cell, leaf_err = zip(*leaves)
     order = np.argsort(np.concatenate(leaf_a), kind="stable")
     cell_err = np.zeros(lead + (ncell,))
     np.add.at(cell_err, (..., np.concatenate(leaf_cell)[order]),
               np.concatenate(leaf_err, axis=-1)[..., order])
     err = np.cumsum(cell_err, axis=-1)[..., -1]  # adds in order, as above
-    return value, err if lead else float(err), evals, converged
+    return value, err if lead else float(err), evals, depth <= MAX_DEPTH
+
+
+def _float_levels(f, lead, panels, tol, depth, evals):
+    """:func:`_simpson`'s levels from the ``panels`` ``(a, m, b, fa, fm,
+    fb, whole, cell)`` on, the values tuples over the components: the
+    array levels' nodes, operations and order, on floats, whose ``+ - *
+    /`` and ``abs`` round as numpy's do.  Returns the panels' values, the
+    evals and depth reached and the leaves' ``a``, ``cell`` and errors."""
+    levels, leaves = [], []
+    while panels:
+        nodes = [x for a, m, b, *_ in panels
+                 for x in (0.5 * (a + m), 0.5 * (m + b))]
+        fnew = zip(*np.atleast_2d(_values(f, np.array(nodes), lead)).tolist())
+        evals += len(nodes)
+        level, split = [], []
+        for lm, rm, (a, m, b, fa, fm, fb, whole, cell) in zip(
+                nodes[0::2], nodes[1::2], panels):
+            flm, frm = next(fnew), next(fnew)
+            left = [(m - a) / 6.0 * (u + 4.0 * v + w)
+                    for u, v, w in zip(fa, flm, fm)]
+            right = [(b - m) / 6.0 * (u + 4.0 * v + w)
+                     for u, v, w in zip(fm, frm, fb)]
+            delta = [u + v - w for u, v, w in zip(left, right, whole)]
+            if not all(map(math.isfinite, delta)):
+                raise ValueError(_OVERFLOW.format(a))
+            if depth >= MAX_DEPTH or all(
+                    abs(d) <= max(15.0 * tol, 1e-15 * (abs(u) + abs(v)))
+                    for d, u, v in zip(delta, left, right)):
+                level.append([u + v + d / 15.0
+                              for u, v, d in zip(left, right, delta)])
+                leaves.append((a, cell, [abs(d) / 15.0 for d in delta]))
+            else:
+                level.append(None)
+                split += [(a, lm, m, fa, flm, fm, left, cell),
+                          (m, rm, b, fm, frm, fb, right, cell)]
+        levels.append(level)
+        panels, tol, depth = split, 0.5 * tol, depth + 1
+    value = []  # a split panel's value is the sum of its children's
+    for level in reversed(levels):
+        kids = iter(value)
+        value = [v or [u + w for u, w in zip(next(kids), next(kids))]
+                 for v in level]
+    a, cell, errs = zip(*leaves)
+    columns = lambda rows: np.array(rows).T.reshape(lead + (-1,))
+    return columns(value), evals, depth, (np.array(a), np.array(cell),
+                                          columns(errs))
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -364,27 +415,53 @@ def doubling_test(id_: str, measured: dict, J_half: float, J: float,
 def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
                       t0: float, T: float, quad_tol: float, notes: Callable,
                       measured: dict | None = None,
-                      failure: str = "could not evaluate") -> Evidence:
+                      failure: str = "could not evaluate",
+                      share: dict | None = None) -> Evidence:
     """:func:`doubling_test` on ``J(t) = int_{t0}^{t} f`` at ``T`` and at
     the midpoint, from one cumulative quadrature over 128 equal cells to
     ``quad_tol / 128`` each, with the slack ``4 err + 1e-12 (1 + |J|)``.
     ``notes(J_half, J)`` maps each verdict to its note; ``measured``
     holds entries reported beside the integrals; an EvalError gives an
-    inconclusive verdict whose note starts with ``failure``."""
+    inconclusive verdict whose note starts with ``failure``.  In
+    ``share``, a dict one command holds, the first call keeps its nodes,
+    values and quadrature; a later one on the same grid and tolerance
+    takes that quadrature if its ``f`` has those bits at those nodes."""
     extra = measured or {}
     # integrate cell by cell so endpoint singularities (sqrt-type plant
     # entries at t0) cannot exhaust the recursion depth of a single panel
     grid = np.linspace(t0, T, 129)
+    key, log = (t0, T, quad_tol), []
+
+    def keep(x):  # f, with its nodes and values logged for share
+        log.append((x, np.asarray(f(x), dtype=float)))
+        return log[-1][1]
     try:
-        J_vals, err, _, ok = cumulative_integral(f, grid, quad_tol / 128.0)
+        if share and key in share and _same_bits(f, *share[key][:2]):
+            quad = share[key][2]
+        else:
+            quad = cumulative_integral(f if share is None or key in share
+                                       else keep, grid, quad_tol / 128.0)
     except EvalError as exc:
         return Evidence(id_, "inconclusive", extra, f"{failure}: {exc}")
+    if log:
+        share[key] = (np.concatenate([x for x, _ in log]),
+                      np.concatenate([v for _, v in log], axis=-1), quad)
+    J_vals, err, _, ok = quad
     J_half, J = float(J_vals[64]), float(J_vals[-1])
     measured = {"J_half": J_half, "J": J, "t_mid": float(grid[64]),
                 "quad_error": err, **extra}
     return doubling_test(id_, measured, J_half, J,
                          4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
                          notes(J_half, J))
+
+
+def _same_bits(f, nodes: np.ndarray, values: np.ndarray) -> bool:
+    """Whether one call ``f(nodes)`` gives ``values`` bit for bit."""
+    try:
+        mine = np.asarray(f(nodes), dtype=float)
+    except EvalError:
+        return False
+    return mine.shape == values.shape and mine.tobytes() == values.tobytes()
 
 
 def _decay_notes(description: str) -> Callable:
@@ -398,12 +475,12 @@ def _decay_notes(description: str) -> Callable:
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-                quad_tol: float = 1e-8):
+                quad_tol: float = 1e-8, *, _share: dict | None = None):
     """The closed-loop decay assumptions.
 
     A2: ``mu[A + B K](t)`` is eventually negative; checked on a trailing
     window.  A4: ``int mu[A + B K] -> -inf``; checked by the doubling
-    test.  Returns ``(a2, a4)``.
+    test, its quadrature kept in ``_share``.  Returns ``(a2, a4)``.
     """
     cl = closed_loop_function(spec, ctrl)
     mu = lambda t: lognorm(cl(t), spec.norm)
@@ -421,7 +498,8 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
             "refuted": "mu is positive on the whole trailing window",
             "inconclusive": "mu changes sign on the trailing window"})
     a4 = doubling_evidence("A4", mu, spec.t0, T, quad_tol,
-                           _decay_notes("int mu of the closed loop"))
+                           _decay_notes("int mu of the closed loop"),
+                           share=_share)
     return a2, a4
 
 

@@ -243,9 +243,10 @@ def cmd_verify(args) -> int:
     sandwich = verify_sandwich(tt, cl, spec.norm)
 
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), args.quad_tol)
-    a2, a4 = check_A2_A4(spec, ctrl, T, args.quad_tol)
+    share = {}  # A4's quadrature, which C3 takes where Gamma has its bits
+    a2, a4 = check_A2_A4(spec, ctrl, T, args.quad_tol, _share=share)
     a3 = check_A3(spec, ctrl, max(T, spec.t0 + RATIO_MIN_HORIZON))
-    c3 = verify_c3(ctrl, T, args.quad_tol)
+    c3 = verify_c3(ctrl, T, args.quad_tol, _share=share)
 
     doc = {
         "phi_horizon": T_phi,

@@ -703,8 +703,8 @@ def fundamental_matrix(F: Callable[[float], np.ndarray], t0: float, T: float,
         raise ValueError("n_out must be at least 2")
     grid = np.linspace(t0, T, n_out)
     n = _stack(F, grid[:1]).shape[-1]
-    # cells a rounding error above _PHI_H_MAX stay whole
-    parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).astype(int)
+    # cells a rounding error above _PHI_H_MAX stay whole, any cell is one
+    parts = np.ceil(np.diff(grid) / _PHI_H_MAX - 1e-9).clip(1).astype(int)
     a, b, cell = _split(grid[:-1], grid[1:], parts)
     done = []  # (a, b, cell, Omega6) of the sub-steps each level accepts
     n_done = n_split = 0

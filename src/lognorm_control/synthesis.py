@@ -308,14 +308,15 @@ def verify_c2(ctrl: ControllerSpec, T: float) -> Evidence:
                     f"sampled on a tail grid up to T={T:g}")
 
 
-def verify_c3(ctrl: ControllerSpec, T: float,
-              quad_tol: float = 1e-8) -> Evidence:
+def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
+              _share: dict | None = None) -> Evidence:
     """Check that ``J(T) = int_{t0}^{T} Gamma`` is heading to -infinity.
 
     ``Gamma(t) = max_i(lam_i + gamma_i(t))`` equals the closed-loop
     ``mu_2`` identically; the identity itself is re-verified at sample
     times on ``A + B K`` through the printed gain.  The divergence evidence
-    is the doubling test ``J(T) <= 2 J(T_mid) < 0`` on converged quadratures.
+    is the doubling test ``J(T) <= 2 J(T_mid) < 0`` on converged
+    quadratures, taken from ``_share`` where A4's is the same.
     """
     spec = ctrl.system
     gamma_fn = ctrl.gamma_max()
@@ -353,4 +354,4 @@ def verify_c3(ctrl: ControllerSpec, T: float,
             "inconclusive": "integral decreasing but too slowly for the "
                             "doubling test"},
         measured={"identity_max_rel_err": id_err},
-        failure="could not evaluate Gamma")
+        failure="could not evaluate Gamma", share=_share)

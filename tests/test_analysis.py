@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from lognorm_control import analysis
@@ -216,6 +218,62 @@ def test_cumulative_integral_names_nonfinite_node():
     with pytest.raises(ValueError, match=r"non-finite value at 0\.375"):
         cumulative_integral(lambda t: np.where(t == 0.375, np.nan, t),
                             np.linspace(0, 1, 3))
+
+
+def _simpson_outcome(f, grid, tol, float_panels):
+    """Bits of ``_simpson``'s result, or its ValueError's text, and of the
+    nodes of each call of ``f``, with levels of at most ``float_panels``
+    panels run on Python floats."""
+    calls = []
+
+    def logged(t):
+        calls.append(t.tobytes())
+        return f(t)
+    saved, analysis._FLOAT_PANELS = analysis._FLOAT_PANELS, float_panels
+    try:
+        with np.errstate(all="ignore"):
+            value, err, evals, ok = analysis._simpson(logged, grid, tol)
+    except ValueError as exc:
+        return str(exc), calls
+    finally:
+        analysis._FLOAT_PANELS = saved
+    return value.tobytes(), np.asarray(err).tobytes(), evals, ok, calls
+
+
+@settings(max_examples=75)
+@given(lo=st.floats(-3.0, 3.0),
+       widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+       at_node=st.booleans(), where=st.floats(0.0, 1.0),
+       p=st.sampled_from([-0.3, 0.3, 0.5, 1.5, 2.5]),
+       offset=st.sampled_from([0.0, 1e9]),
+       spike=st.one_of(st.none(), st.floats(0.0, 1.0)),
+       two=st.booleans(), log_tol=st.floats(-9.0, -3.0))
+def test_float_levels_keep_the_array_levels_bits(lo, widths, at_node, where,
+                                                  p, offset, spike, two,
+                                                  log_tol):
+    # |t - c|^p singular at a grid node (the endpoint of a cell) or inside
+    # one reaches MAX_DEPTH there for a small tol (for any tol if p < 0);
+    # an offset of 1e9 makes the rounding-noise rule accept panels, a
+    # negative p at a node is a non-finite value, and a spike of 1e308
+    # overflows the panels whose nodes find it.  All-array levels,
+    # all-float levels from the first refinement on, and a hand-off in
+    # between call f on the same nodes and agree on every bit, count and
+    # error text.  ~1.5 s: the float levels cost ~5 us per panel (tol
+    # stays above 1e-9, or the panel counts grow past 1e4)
+    grid = lo + np.concatenate(([0.0], np.cumsum(widths)))
+    span = grid[-1] - grid[0]
+    c = (grid[round(where * (len(grid) - 1))] if at_node
+         else grid[0] + where * span)
+
+    def f(t):
+        v = offset + np.abs(t - c) ** p
+        if spike is not None:
+            v = v + np.where(np.abs(t - grid[0] - spike * span) < 0.01,
+                             1e308, 0.0)
+        return np.stack([v, np.cos(t) * v]) if two else v
+    outcomes = [_simpson_outcome(f, grid, 10.0 ** log_tol, n)
+                for n in (0, 3, 10 ** 9)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
 _OVERFLOWING_QUADRATURES = """

@@ -45,6 +45,8 @@ def configs(tmp_path_factory):
     out = tmp_path_factory.mktemp("configs")
     paths = {}
     for name, doc in (("bundled", example_config()),
+                      ("bundled-norm-one", {**example_config(),
+                                            "norm": "one"}),
                       ("oscillator", _oscillator_config())):
         paths[name] = out / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
@@ -232,18 +234,9 @@ def test_verify_batches_the_fused_loop(configs, monkeypatch):
     assert scalar == []
 
 
-@pytest.mark.parametrize("workload, counts", [
-    ("bundled", {"classify": [961, 1053, 2493],
-                 "verify": [349, 941, 961, 1141, 1141]}),
-    ("oscillator", {"classify": [537, 1025, 533],
-                    "verify": [133, 801, 537, 513, 513]}),
-])
-def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
-                                            counts):
-    # the integrand evaluations of every cumulative_integral a command
-    # runs, in call order: classify's A1, its J and its UNSTABLE doubling
-    # test; verify's Phi horizon, sandwich, A1, A4 and C3.  A quadrature
-    # that starts to refine more (or less) shows here without timing
+def _quadrature_evals(monkeypatch, command, config):
+    """The exit code of ``command`` and the integrand evaluations of every
+    cumulative_integral it runs, in call order."""
     evals = []
     original = lognorm_control.analysis.cumulative_integral
 
@@ -251,14 +244,54 @@ def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
         out = original(f, grid, tol)
         evals.append(out[2])
         return out
-    for m in (lognorm_control.analysis, cli, lognorm_control.sim):
-        monkeypatch.setattr(m, "cumulative_integral", counting)
+    with monkeypatch.context() as mp:
+        for m in (lognorm_control.analysis, cli, lognorm_control.sim):
+            mp.setattr(m, "cumulative_integral", counting)
+        return _run(command, config), evals
+
+
+@pytest.mark.parametrize("workload, counts", [
+    ("bundled", {"classify": [961, 1053, 2493],
+                 "verify": [349, 941, 961, 1141]}),
+    ("oscillator", {"classify": [537, 1025, 533],
+                    "verify": [133, 801, 537, 513]}),
+])
+def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
+                                            counts):
+    # the integrand evaluations of every cumulative_integral a command
+    # runs, in call order: classify's A1, its J and its UNSTABLE doubling
+    # test; verify's Phi horizon, sandwich, A1 and A4, whose quadrature
+    # C3 takes, as Gamma has the closed loop's mu_2 bits at its nodes.  A
+    # quadrature that starts to refine more (or less) shows here without
+    # timing
     got = {}
     for command in ("classify", "verify"):
-        evals.clear()
-        assert _run(command, configs[workload]) == 0
-        got[command] = list(evals)
+        rc, got[command] = _quadrature_evals(monkeypatch, command,
+                                             configs[workload])
+        assert rc == 0
     assert got == counts
+
+
+def test_verify_integrates_c3_under_another_norm(configs, monkeypatch):
+    # under mu_1 the closed loop's rate is not Gamma, so C3 runs its own
+    # quadrature after A4's: five in all (A1 stays inconclusive, exit 1)
+    rc, evals = _quadrature_evals(monkeypatch, "verify",
+                                  configs["bundled-norm-one"])
+    assert (rc, evals) == (1, [377, 981, 953, 1529, 1141])
+
+
+def test_commands_in_one_process_repeat_their_bytes(configs):
+    # the same inputs give the same bits: nothing a command leaves behind
+    # (such as a quadrature verify's C3 took from A4) reaches the next
+    def output(command, workload):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([command, "--config", str(configs[workload])])
+        return out.getvalue()
+    first = output("verify", "bundled")
+    output("synthesize", "bundled")
+    output("verify", "oscillator")
+    assert output("verify", "bundled") == first
 
 
 @pytest.mark.parametrize("workload, counts", [

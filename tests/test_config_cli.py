@@ -566,6 +566,16 @@ def test_cli_verify_example(capsys, cfg_file):
     assert d["phi_horizon"] == pytest.approx(2.148151, abs=1e-5)
 
 
+def test_cli_verify_on_a_horizon_below_one_sub_step(capsys, cfg_file):
+    # Phi's cells are 5e-12 long, far below its largest sub-step
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_file),
+                         "--horizon", "1e-9")
+    d = json.loads(out)
+    assert d["phi_horizon"] == 1e-9 and d["sandwich"]["passed"] is True
+    verdicts = {d[cid]["verdict"] for cid in ("A1", "A2", "A3", "A4", "C3")}
+    assert rc == (0 if verdicts == {"supported"} else 1)
+
+
 def test_cli_verify_quad_tol_reaches_c3(capsys, cfg, cfg_file):
     rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_file),
                          "--quad-tol", "1e-4")

@@ -333,6 +333,15 @@ def test_fundamental_matrix_rotation():
         assert abs(np.linalg.norm(P, 2) - 1.0) < 1e-8
 
 
+def test_fundamental_matrix_on_a_horizon_below_one_sub_step():
+    # 200 cells of 5e-12 each: every cell is still one Magnus sub-step
+    expm = pytest.importorskip("scipy.linalg").expm
+    F = np.array([[-1.0, 2.0], [-3.0, 0.5]])
+    tt = fundamental_matrix(lambda t: F, 0.0, 1e-9)
+    assert len(tt.step_sizes) == 200
+    assert np.abs(tt.phis[-1] - expm(F * 1e-9)).max() <= 1e-12
+
+
 def test_sandwich_constant_diagonal():
     F = lambda t: np.diag([-1.0, -2.0])
     rep = verify_sandwich(fundamental_matrix(F, 0.0, 2.0, tol=1e-10), F, "two")
