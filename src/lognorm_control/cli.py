@@ -30,7 +30,7 @@ from .analysis import (
     classify_stability,
     cumulative_integral,
 )
-from .config import (CONFIG_SCHEMA, ConfigError, _fits, gamma_rule,
+from .config import (CONFIG_SCHEMA, ConfigError, _schema_error, gamma_rule,
                      load_config)
 from .expr import EvalError, SourceError, format_expr
 from .linalg import (
@@ -98,7 +98,7 @@ def _controller(cfg, args):
         if not isinstance(doc, dict):
             raise ConfigError("--controller file must hold a JSON object")
         for key in keys:
-            if key in doc and not _fits(doc[key], keys[key]):
+            if key in doc and _schema_error(doc[key], keys[key]):
                 raise ConfigError(f"--controller file: {key!r} is not a "
                                   f"valid controller.{key}")
         if lam is None and "lambda" in doc:

@@ -11,7 +11,9 @@ reported with their entry position and byte offset.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from numbers import Number
 from pathlib import Path
 
 import numpy as np
@@ -67,38 +69,69 @@ CONFIG_SCHEMA = {
 }
 
 
-# jsonschema (~5 MB and ~35 ms to import) judges only the documents that
-# this walk of CONFIG_SCHEMA does not pass
-_TYPES = {"integer": (int,), "number": (int, float), "string": (str,),
-          "array": (list,), "object": (dict,)}  # bool is no JSON number
+_TYPES = dict(integer=int, number=Number, string=str, array=list, object=dict)
+_BOUNDS = {"minimum": (operator.lt, "less than the minimum"),
+           "maximum": (operator.gt, "greater than the maximum"),
+           "exclusiveMinimum": (operator.le,
+                                "less than or equal to the minimum")}
 
 
-def _fits(v, s: dict) -> bool:
-    """Whether the schema ``s`` plainly accepts ``v``, reading the
-    keywords CONFIG_SCHEMA uses; every object is closed to keys outside
-    its ``properties``, as the schema's are.  A bound is compared only
-    where its keyword is present, so NaN and +-inf pass where no bound
-    applies, as under jsonschema.  ``oneOf`` needs the walk to be exact
-    on each branch, as it is on the schema's two."""
-    if ("type" in s and type(v) not in _TYPES[s["type"]]
-            or "enum" in s and v not in s["enum"]
-            or "const" in s and v != s["const"]
-            or "oneOf" in s and sum(_fits(v, o) for o in s["oneOf"]) != 1
-            or "minimum" in s and not v >= s["minimum"]
-            or "maximum" in s and not v <= s["maximum"]
-            or "exclusiveMinimum" in s and not v > s["exclusiveMinimum"]):
-        return False
-    if type(v) is list and "items" in s:
-        return all(_fits(x, s["items"]) for x in v)
-    if type(v) is dict and "properties" in s:
-        props = s["properties"]
-        return set(s.get("required", ())) <= v.keys() and all(
-            k in props and _fits(x, props[k]) for k, x in v.items())
-    return True
+def _is(v, t: str) -> bool:  # 2.0 is an integer, a bool is no number
+    return not isinstance(v, bool) and (isinstance(v, _TYPES[t]) or (
+        t == "integer" and isinstance(v, float) and v.is_integer()))
+
+
+def _errors(v, s: dict):
+    """jsonschema's errors for ``v`` under ``s``, in its order and words:
+    (path below ``v``, keyword, type missed, message, errors of each oneOf
+    branch), for the keywords CONFIG_SCHEMA uses, with disjoint branches."""
+    miss = "type" not in s or not _is(v, s["type"])
+    for k, x in s.items():
+        bad = ctx = sub = ()
+        if k == "type":
+            bad = [f"{v!r} is not of type {x!r}"] if miss else ()
+        elif k == "items" and isinstance(v, list):
+            sub = [(i, _errors(y, x)) for i, y in enumerate(v)]
+        elif k == "properties" and isinstance(v, dict):
+            sub = [(p, _errors(v[p], x[p])) for p in x if p in v]
+        elif k == "enum" and v not in x:
+            bad = [f"{v!r} is not one of {x!r}"]
+        elif k == "const" and v != x:
+            bad = [f"{x!r} was expected"]
+        elif k == "oneOf" and all(ctx := [[*_errors(v, o)] for o in x]):
+            bad = [f"{v!r} is not valid under any of the given schemas"]
+        elif k in _BOUNDS and _is(v, "number") and _BOUNDS[k][0](v, x):
+            bad = [f"{v!r} is {_BOUNDS[k][1]} of {x!r}"]
+        elif k == "additionalProperties" and isinstance(v, dict) and (
+                keys := sorted(v.keys() - s["properties"], key=str)):
+            bad = [f"Additional properties are not allowed ({str(keys)[1:-1]} "
+                   f"{'was' if len(keys) == 1 else 'were'} unexpected)"]
+        elif k == "required" and isinstance(v, dict):
+            bad = [f"{p!r} is a required property" for p in x if p not in v]
+        for m in bad:
+            yield (), k, miss, m, ctx
+        for p, es in sub:  # plain loops take half the time of yield from
+            for q, *e in es:
+                yield ((p, *q), *e)
+
+
+def _schema_error(v, s: dict = CONFIG_SCHEMA):
+    """The JSON path and message of the error among ``v``'s under ``s``
+    that jsonschema's best_match (4.26) picks, or None if there is none."""
+    relevance = lambda e: (-len(e[0]), e[0], e[1] != "oneOf", e[2])
+    best = max(_errors(v, s), key=relevance, default=None)
+    path = best[0] if best else ()
+    while best and best[4]:  # a oneOf: its branches' likeliest error
+        first, *second = sorted(sum(best[4], []), key=relevance)[:2]
+        if second and relevance(first) == relevance(second[0]):
+            break  # unless two tie
+        best, path = first, path + first[0]
+    return best and ("$" + "".join(f"[{p}]" if isinstance(p, int) else
+                                   f".{p}" for p in path), best[3])
 
 
 def _plainly_valid(doc: dict) -> bool:
-    return _fits(doc, CONFIG_SCHEMA)
+    return _schema_error(doc) is None
 
 
 class ConfigError(ValueError):
@@ -131,6 +164,12 @@ def _parse_entry(text, allowed, where: str) -> Expr:
                           f"in {text!r}") from None
 
 
+def _entries(seq, n: int, name: str):
+    if len(seq) != n:
+        raise ConfigError(f"{name} must have {n} entries, got {len(seq)}")
+    return seq
+
+
 def _parse_square(rows, n: int, allowed, name: str) -> MatrixFunction:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ConfigError(f"{name} must be {n}x{n} to match n={n}")
@@ -151,12 +190,9 @@ def gamma_rule(c: dict, n: int, where: str = "controller."):
         raise ConfigError(f"{where}margin only applies to gamma='auto'")
     if not isinstance(gamma, list):
         raise ConfigError(f"{where}gamma must be 'auto' or a list")
-    if len(gamma) != n:
-        raise ConfigError(f"{where}gamma must have {n} entries, "
-                          f"got {len(gamma)}")
     return ExplicitGamma(tuple(
         _parse_entry(s, ("t",), f"{where}gamma[{i + 1}]")
-        for i, s in enumerate(gamma)))
+        for i, s in enumerate(_entries(gamma, n, f"{where}gamma"))))
 
 
 def load_config(source) -> LoadedConfig:
@@ -179,21 +215,12 @@ def load_config(source) -> LoadedConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    if not _plainly_valid(doc):
-        # the error jsonschema.validate would raise
-        import jsonschema
-        validator = jsonschema.validators.validator_for(CONFIG_SCHEMA)
-        exc = jsonschema.exceptions.best_match(
-            validator(CONFIG_SCHEMA).iter_errors(doc))
-        if exc is not None:
-            where = exc.json_path if hasattr(exc, "json_path") else "$"
-            raise ConfigError(f"config invalid at {where}: {exc.message}")
+    if error := _schema_error(doc):
+        raise ConfigError("config invalid at {}: {}".format(*error))
 
     n = int(doc["n"])  # JSON Schema's integer admits 2.0
     t0 = float(doc["t0"])
-    x0 = doc["x0"]
-    if len(x0) != n:
-        raise ConfigError(f"x0 must have {n} entries, got {len(x0)}")
+    x0 = _entries(doc["x0"], n, "x0")
 
     A = _parse_square(doc["A"], n, ("t",), "A")
     Delta = (_parse_square(doc["Delta"], n, ("t",), "Delta")
@@ -207,17 +234,14 @@ def load_config(source) -> LoadedConfig:
 
     omega = None
     if "omega" in doc:
-        if len(doc["omega"]) != n:
-            raise ConfigError(f"omega must have {n} entries, "
-                              f"got {len(doc['omega'])}")
         allowed = ("t",) + state_vars(n)
         omega = VectorFunction(
             [_parse_entry(s, allowed, f"omega[{i + 1}]")
-             for i, s in enumerate(doc["omega"])], allowed)
+             for i, s in enumerate(_entries(doc["omega"], n, "omega"))],
+            allowed)
 
-    omega_bound = None
-    if "omega_bound" in doc:
-        omega_bound = _parse_entry(doc["omega_bound"], ("t",), "omega_bound")
+    omega_bound = (_parse_entry(doc["omega_bound"], ("t",), "omega_bound")
+                   if "omega_bound" in doc else None)
 
     try:
         spec = SystemSpec(n=n, A=A, B=B, t0=t0, x0=np.asarray(x0, dtype=float),
@@ -229,12 +253,8 @@ def load_config(source) -> LoadedConfig:
     controller = None
     if "controller" in doc:
         c = doc["controller"]
-        lam = None
-        if "lambda" in c:
-            if len(c["lambda"]) != n:
-                raise ConfigError(f"controller.lambda must have {n} entries, "
-                                  f"got {len(c['lambda'])}")
-            lam = np.asarray(c["lambda"], dtype=float)
+        lam = (np.asarray(_entries(c["lambda"], n, "controller.lambda"),
+                          dtype=float) if "lambda" in c else None)
         controller = ControllerConfig(lam=lam, rule=gamma_rule(c, n))
 
     horizon = float(doc.get("horizon", t0 + 10.0))

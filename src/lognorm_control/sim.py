@@ -893,8 +893,8 @@ def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],
 @dataclass
 class ConvergenceReport(Report):
     """Tail behaviour of a trace: the final norm, a fitted exponential
-    rate over the second half, and whether the final quarter of the norm
-    curve is non-increasing (up to 1e-9 of its scale)."""
+    rate over the second half (at least two points), and whether the final
+    quarter of the norm curve is non-increasing (up to 1e-9 of its scale)."""
     final_norm: float
     fitted_rate: float
     tail_nonincreasing: bool
@@ -904,7 +904,7 @@ class ConvergenceReport(Report):
 
 def convergence_report(trace: Trace) -> ConvergenceReport:
     m = len(trace.times)
-    half = m // 2
+    half = min(m // 2, m - 2)
     norms = np.maximum(trace.norms, 1e-300)
     rate = float(np.polyfit(trace.times[half:], np.log(norms[half:]), 1)[0])
     quarter = (3 * m) // 4

@@ -13,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lognorm_control
@@ -255,6 +255,62 @@ def test_plain_check_accepts_only_what_the_schema_accepts(key, value):
         jsonschema.validate(doc, CONFIG_SCHEMA)
 
 
+# the keys of test_plain_check_accepts_only_what_the_schema_accepts, and a
+# second unknown key at each level, so that two can be unexpected at once
+_DOC_KEYS = (sorted(CONFIG_SCHEMA["properties"])
+             + ["controller.lambda", "controller.gamma", "controller.margin",
+                "controller.x", "x", "controller.y", "y"])
+_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
+
+def _best_match_text(doc):
+    """The text of jsonschema.validate's error for ``doc``, or None."""
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    return exc and f"config invalid at {exc.json_path}: {exc.message}"
+
+
+@settings(max_examples=500)
+@given(edits=st.lists(st.tuples(st.sampled_from(_DOC_KEYS),
+                                _json_values | st.just(KeyError)),
+                      min_size=1, max_size=3),
+       float_n=st.booleans())
+def test_schema_walk_words_the_error_jsonschema_picks(edits, float_n):
+    # jsonschema is the oracle: the walk accepts what it accepts and
+    # reports the error its best_match picks
+    doc = example_config()
+    if float_n:
+        doc["n"] = 2.0  # an integer to JSON Schema
+    for key, value in edits:
+        where, _, key = key.rpartition(".")
+        target = doc.get(where) if where else doc
+        if not isinstance(target, dict):  # the section was replaced
+            continue
+        if value is KeyError:
+            target.pop(key, None)
+        else:
+            target[key] = value
+    want = _best_match_text(doc)
+    assert config._plainly_valid(doc) == (want is None)
+    try:
+        load_config(doc)
+        got = None
+    except ConfigError as exc:
+        got = str(exc)
+    if want is None:
+        assert got is None or not got.startswith("config invalid at")
+    else:
+        assert got == want
+
+
+def test_schema_error_names_unexpected_keys_in_order(cfg):
+    cfg.update(zeta=1, alpha=2)
+    with pytest.raises(ConfigError) as got:
+        load_config(cfg)
+    assert str(got.value) == _best_match_text(cfg) == (
+        "config invalid at $: Additional properties are not allowed "
+        "('alpha', 'zeta' were unexpected)")
+
+
 def test_valid_configs_load_without_jsonschema():
     for doc in (example_config(), OSCILLATOR_CONFIG, plant8_config()):
         assert config._plainly_valid(doc)
@@ -265,6 +321,22 @@ def test_valid_configs_load_without_jsonschema():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "False", done.stderr
+
+
+def test_schema_errors_exit_without_importing_jsonschema(cfg, tmp_path):
+    cfg["controller"]["gamma"] = [1, "t"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    code = ("import sys; from lognorm_control.cli import main; "
+            "rc = main(['classify', '--config', sys.argv[1]]); "
+            "print(rc, 'jsonschema' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.split() == ["2", "False"], done.stderr
+    assert done.stderr == f"error: {_best_match_text(cfg)}\n" == (
+        "error: config invalid at $.controller.gamma[0]: "
+        "1 is not of type 'string'\n")
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +569,23 @@ def test_cli_controller_file_is_checked_as_a_controller_section(
                            "--controller", str(ctl))
     assert (rc, out) == (2, "")
     assert err.startswith("error: --controller file") and what in err
+
+
+def test_cli_controller_file_nan_margin_fails_as_in_a_config(
+        capsys, plant_file, tmp_path):
+    # NaN is a number that no bound excludes, so the schema passes it in a
+    # --controller file as in a config; the gain synthesis rejects it
+    ctl = tmp_path / "ctl.json"
+    ctl.write_text(json.dumps({"margin": float("nan")}))
+    cfg = json.loads(plant_file.read_text())
+    cfg["controller"] = {"margin": float("nan")}
+    cfg_file = tmp_path / "nan.json"
+    cfg_file.write_text(json.dumps(cfg))
+    for argv in (["--config", str(plant_file), "--controller", str(ctl)],
+                 ["--config", str(cfg_file)]):
+        rc, out, err = run_cli(capsys, "synthesize", *argv)
+        assert (rc, out, err) == (
+            2, "", "error: margin must be a positive finite number\n")
 
 
 def test_cli_controller_file_round_trip(capsys, plant_file, tmp_path):

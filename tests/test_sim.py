@@ -297,12 +297,16 @@ def test_rodas4_order_conditions():
 # convergence summaries
 
 def test_convergence_report_pure_decay():
-    tr = simulate(make_spec(DECAY), None, T=5.0, tol=1e-10)
-    cr = convergence_report(tr)
-    assert cr.fitted_rate == pytest.approx(-1.0, abs=0.05)
-    assert cr.tail_nonincreasing
-    assert cr.final_norm == pytest.approx(math.exp(-5.0), rel=1e-6)
-    assert cr.max_norm == 1.0
+    # on a 2-point grid the rate is fitted through both points, not one
+    for n_out in (1001, 2):
+        tr = simulate(make_spec(DECAY), None, T=5.0, tol=1e-10, n_out=n_out)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cr = convergence_report(tr)
+        assert cr.fitted_rate == pytest.approx(-1.0, abs=0.05)
+        assert cr.tail_nonincreasing
+        assert cr.final_norm == pytest.approx(math.exp(-5.0), rel=1e-6)
+        assert cr.max_norm == 1.0
 
 
 def test_convergence_report_constant_state():
