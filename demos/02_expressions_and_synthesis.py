@@ -40,9 +40,15 @@ for t in (0.0, 2.0, 5.0):
           f"(bound 1/(1+t) = {1.0 / (1.0 + t):.4f})")
 
 ctrl = synthesize(spec, lam=np.array([-1.0, -1.0]))
-print("\nsynthesized K(t):")
-for row in ctrl.K.formatted():
+print("\nsynthesized K(t) = B_inv (adaptive_part(t) + diag(gamma(t))):")
+print("B_inv =")
+print(ctrl.B_inv)
+print("adaptive_part(t) =")
+for row in ctrl.adaptive_part.formatted():
     print("  [" + ", ".join(row) + "]")
+print("gamma(t) = [" + ", ".join(format_expr(g) for g in ctrl.gamma) + "]")
+print("K(2) =")
+print(ctrl.K(2.0))
 
 print("\nclosed-loop mu_2 equals the diagonal rate max(lambda_i + gamma_i):")
 gmax = ctrl.gamma_max()

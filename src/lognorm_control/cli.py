@@ -30,8 +30,8 @@ from .analysis import (
     classify_stability,
     cumulative_integral,
 )
-from .config import (CONFIG_SCHEMA, ConfigError, _schema_error, gamma_rule,
-                     load_config)
+from .config import (CONFIG_SCHEMA, ConfigError, _entries, _schema_error,
+                     gamma_rule, load_config)
 from .expr import EvalError, SourceError, format_expr
 from .linalg import (
     INF,
@@ -83,7 +83,8 @@ def _controller(cfg, args):
     lam = None
     rule = None
     if getattr(args, "lam", None) is not None:
-        lam = np.array([float(v) for v in args.lam.split(",")])
+        lam = np.array([float(v) for v in _entries(args.lam.split(","),
+                                                   cfg.spec.n, "--lambda")])
     if args.gamma is not None or args.margin is not None:
         flags = {"gamma": "auto" if args.gamma in (None, ["auto"])
                  else args.gamma}
@@ -102,7 +103,8 @@ def _controller(cfg, args):
                 raise ConfigError(f"--controller file: {key!r} is not a "
                                   f"valid controller.{key}")
         if lam is None and "lambda" in doc:
-            lam = np.asarray(doc["lambda"], dtype=float)
+            lam = np.asarray(_entries(doc["lambda"], cfg.spec.n,
+                                      "controller.lambda"), dtype=float)
         if rule is None and ("gamma" in doc or "margin" in doc):
             rule = gamma_rule(doc, cfg.spec.n)
     if lam is None and rule is None:
@@ -168,7 +170,6 @@ def cmd_synthesize(args) -> int:
     doc = {
         "lambda": [float(v) for v in ctrl.lam],
         "gamma": [format_expr(g) for g in ctrl.gamma],
-        "K": ctrl.K.formatted(),
         "adaptive_part": ctrl.adaptive_part.formatted(),
         "B_inv": [[float(v) for v in row] for row in ctrl.B_inv],
         "c1": {"verdict": "supported", "residual": resid,

@@ -12,7 +12,9 @@ norm exactly
 
 because ``A + B K = A_skew(t) + diag(lam + gamma(t))`` and the skew part
 contributes nothing to ``mu_2``.  The analyses evaluate the loop in that
-form; the expanded ``K`` is the printed gain, which c3 checks.  With
+form.  The gain is kept factored, ``K(t) = B^{-1} inner(t)`` with
+``inner = -A_sym + diag(lam) + diag(gamma)``, and evaluated as that
+numeric product; c3 checks the identity through it.  With
 ``lam_i < 0`` and ``gamma_i <= 0`` the loop contracts at a prescribed,
 uncertainty-independent rate.  The conditions checked here:
 
@@ -59,9 +61,6 @@ __all__ = [
     "verify_c2",
     "verify_c3",
 ]
-
-GAIN_IDENTITY_TOL = 1e-10  # spot check of B K(t) = -A_sym + diag(lam + gamma(t))
-
 
 @dataclass(frozen=True)
 class AutoGamma:
@@ -173,9 +172,9 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
     rule : AutoGamma (default, margin 1) or ExplicitGamma.
 
     The returned ControllerSpec satisfies
-    ``mu_2[A(t) + B K(t)] = max_i(lam_i + gamma_i(t))`` identically; a
-    spot check of the defining identity at sample times guards the
-    expanded ``K`` when it is first read (:func:`expand_gain`).
+    ``mu_2[A(t) + B K(t)] = max_i(lam_i + gamma_i(t))`` identically, with
+    ``K(t) = B_inv @ (adaptive_part(t) + diag(gamma(t)))`` evaluated as
+    that product; :func:`verify_c3` checks the identity at sample times.
     """
     n = spec.n
     lam = np.full(n, -1.0) if lam is None else np.asarray(lam, dtype=float)
@@ -210,60 +209,6 @@ def synthesize(spec: SystemSpec, lam=None, rule=None) -> ControllerSpec:
                           closed_loop=MatrixFunction(closed, ("t",),
                                                      domain=spec.A),
                           rates=VectorFunction(rates))
-
-
-def expand_gain(ctrl: ControllerSpec) -> MatrixFunction:
-    """``K = B^{-1} inner`` as a grid in t, spot-checked at sample times:
-    ``inner(t) = -A_sym(t) + diag(lam) + diag(gamma(t))`` is the adaptive
-    part with gamma added on its diagonal."""
-    n = ctrl.n
-    inner = [list(row) for row in ctrl.adaptive_part.entries]
-    for i in range(n):
-        inner[i][i] = Bin("+", inner[i][i], ctrl.gamma[i])
-    K = MatrixFunction([[_dot_row(ctrl.B_inv[i], [row[j] for row in inner])
-                         for j in range(n)] for i in range(n)], ("t",))
-    _spot_check_gain(ctrl, K)
-    return K
-
-
-def _dot_row(coeffs, exprs) -> Expr:
-    """Compose ``sum_k c_k * e_k`` with literal coefficients pruned."""
-    acc = None
-    for c, e in zip(coeffs, exprs):
-        if c == 0.0:
-            continue
-        if c == 1.0:
-            term = e
-        elif c == -1.0:
-            term = Neg(e)
-        else:
-            term = Bin("*", Lit(float(c)), e)
-        acc = term if acc is None else Bin("+", acc, term)
-    return acc if acc is not None else Lit(0.0)
-
-
-def _spot_check_gain(ctrl: ControllerSpec, K: MatrixFunction):
-    # the printed gain against the form the closed loop is evaluated in
-    spec = ctrl.system
-    sym_c = decompose_sym_skew(spec.A)[0].compiled()
-    K_c = K.compiled()
-    rates = ctrl.rates.compiled()
-    checked = 0
-    for dt in (0.1, 0.37, 0.9, 1.7, 3.1, 6.4, 9.9):
-        t = spec.t0 + dt
-        try:
-            target = np.diag(rates(t)) - sym_c(t)
-            got = spec.B @ K_c(t)
-        except EvalError:
-            continue
-        scale = 1.0 + float(np.abs(target).max())
-        if np.abs(got - target).max() > GAIN_IDENTITY_TOL * scale:
-            raise AssertionError(
-                f"gain identity violated at t={t}: max error "
-                f"{np.abs(got - target).max():.3e}")
-        checked += 1
-    if checked == 0:
-        raise ValueError("could not evaluate the gain at any probe time")
 
 
 def verify_c2(ctrl: ControllerSpec, T: float) -> Evidence:
@@ -313,31 +258,25 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
     """Check that ``J(T) = int_{t0}^{T} Gamma`` is heading to -infinity.
 
     ``Gamma(t) = max_i(lam_i + gamma_i(t))`` equals the closed-loop
-    ``mu_2`` identically; the identity itself is re-verified at sample
-    times on ``A + B K`` through the printed gain.  The divergence evidence
-    is the doubling test ``J(T) <= 2 J(T_mid) < 0`` on converged
-    quadratures, taken from ``_share`` where A4's is the same.
+    ``mu_2`` identically; the identity itself is re-verified on ``A + B K``
+    through the gain, at 32 sample times evaluated as one batch.  Where
+    any of them cannot be evaluated, the verdict is inconclusive.  The
+    divergence evidence is the doubling test ``J(T) <= 2 J(T_mid) < 0``
+    on converged quadratures, taken from ``_share`` where A4's is the
+    same.
     """
     spec = ctrl.system
     gamma_fn = ctrl.gamma_max()
-
-    A, K = spec.A.compiled(), ctrl.K.compiled()
-
-    def rel_err(t):  # one time or a 1-d array of them
-        g = gamma_fn(t)
-        return abs(lognorm(A(t) + spec.B @ K(t), "two") - g) / (1.0 + abs(g))
     rng = random.Random(32)  # fixed seed: reports stay reproducible
-    ts = sorted(spec.t0 + (T - spec.t0) * rng.random() for _ in range(32))
+    ts = np.array(sorted(spec.t0 + (T - spec.t0) * rng.random()
+                         for _ in range(32)))
     try:
-        errs = list(rel_err(np.array(ts)))
-    except EvalError:  # skip only the samples that fail
-        errs = []
-        for t in ts:
-            try:
-                errs.append(rel_err(t))
-            except EvalError:
-                continue
-    id_err = float(max(errs, default=0.0))
+        g = gamma_fn(ts)
+        M = spec.A.compiled()(ts) + spec.B @ ctrl.K(ts)
+    except EvalError as exc:
+        return Evidence("C3", "inconclusive", {},
+                        f"could not evaluate the gain: {exc}")
+    id_err = float((abs(lognorm(M, "two") - g) / (1.0 + abs(g))).max())
     if id_err > 1e-9:
         return Evidence(id="C3", verdict="inconclusive",
                         measured={"identity_max_rel_err": id_err},

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .expr import (
+    Bin,
     Expr,
     MatrixFunction,
     VectorFunction,
@@ -111,7 +112,8 @@ class ControllerSpec:
     where an entry of ``A`` does: its diagonal is ``rate_i + 0 * A_ii``,
     and its ``domain`` is ``A``, so the error raised there is ``A``'s.
 
-    ``K`` is built and spot-checked on first read (synthesis.expand_gain).
+    The gain is ``K(t) = B_inv @ inner(t)`` with ``inner = adaptive_part +
+    diag(gamma)``, one grid compiled on first read of :attr:`K`.
     """
 
     lam: np.ndarray
@@ -127,10 +129,15 @@ class ControllerSpec:
         return len(self.lam)
 
     @cached_property
-    def K(self) -> MatrixFunction:
-        """The gain; a ValueError or AssertionError is the spot check's."""
-        from .synthesis import expand_gain  # synthesis imports this module
-        return expand_gain(self)
+    def K(self) -> Callable[[float], np.ndarray]:
+        """The gain evaluator ``t -> B_inv @ inner(t)``.  A 1-d array of m
+        times gives the (m, n, n) stack, equal bit for bit to stacking the
+        scalar results; it fails as ``inner``'s compiled grid does."""
+        rows = [list(row) for row in self.adaptive_part.entries]
+        for i, g in enumerate(self.gamma):
+            rows[i][i] = Bin("+", rows[i][i], g)
+        inner, B_inv = MatrixFunction(rows, ("t",)).compiled(), self.B_inv
+        return lambda t: B_inv @ inner(t)
 
     def gamma_max(self) -> Callable[[float], float]:
         """The pointwise closed-loop rate ``Gamma(t) = max_i(lam_i + gamma_i(t))``.

@@ -83,14 +83,20 @@ def plant8():
 
 
 @pytest.fixture(scope="session")
-def osc1_0():
-    """Config 0 of ``bench/workloads.py``'s oscillator workload, seed 1
-    (osc1-0), with its synthesized controller; its horizon is 20."""
-    from lognorm_control.config import load_config
+def workloads():
+    """The benchmark's problem generators, ``bench/workloads.py``."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclasses look their module up
     spec.loader.exec_module(mod)
-    cfg = load_config(mod.oscillator_problems(1)[0].config)
+    return mod
+
+
+@pytest.fixture(scope="session")
+def osc1_0(workloads):
+    """Config 0 of ``bench/workloads.py``'s oscillator workload, seed 1
+    (osc1-0), with its synthesized controller; its horizon is 20."""
+    from lognorm_control.config import load_config
+    cfg = load_config(workloads.oscillator_problems(1)[0].config)
     return cfg.spec, cfg.controller.build(cfg.spec)

@@ -15,7 +15,10 @@ Run from the repository root:
     python3 tests/snapshot_outputs.py --compare DIR   # exit 1 on a change
 
 ``--compare`` names each output that differs from the saved one (or is
-missing from it).
+missing from it).  Where both sides of a differing ``.txt`` output are an
+``exit N`` line and a JSON report, it also names the dotted paths that
+differ, such as ``exit`` or ``c3.measured.identity_max_rel_err``; a key on
+one side only is named too.
 """
 
 import argparse
@@ -86,6 +89,36 @@ def snapshot() -> dict:
     return outputs
 
 
+def _parsed(text: str):
+    """``{"exit": N, **report}`` of a command's output, or None if it is
+    not an ``exit N`` line followed by a JSON object."""
+    head, _, body = text.partition("\n")
+    if not head.startswith("exit "):
+        return None
+    try:
+        doc = json.loads(body)
+    except json.JSONDecodeError:
+        return None
+    return {"exit": head[5:], **doc} if isinstance(doc, dict) else None
+
+
+def _paths(old, new, prefix=""):
+    """The dotted paths at which two parsed JSON values differ."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for k in list(old) + [k for k in new if k not in old]:
+            if k in old and k in new:
+                out += _paths(old[k], new[k], f"{prefix}{k}.")
+            else:
+                out.append(prefix + k)
+        return out
+    if (isinstance(old, list) and isinstance(new, list)
+            and len(old) == len(new)):
+        return [p for i, (a, b) in enumerate(zip(old, new))
+                for p in _paths(a, b, f"{prefix}{i}.")]
+    return [] if old == new else [prefix.rstrip(".")]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
@@ -106,6 +139,12 @@ def main(argv=None) -> int:
               or (args.compare / name).read_text() != text]
     for name in differ:
         print(f"differs: {name}")
+        saved = args.compare / name
+        if name.endswith(".txt") and saved.is_file():
+            old, new = _parsed(saved.read_text()), _parsed(outputs[name])
+            if old is not None and new is not None:
+                for path in _paths(old, new):
+                    print(f"    {path}")
     print(f"{len(outputs) - len(differ)} of {len(outputs)} outputs "
           "byte-identical")
     return 1 if differ else 0

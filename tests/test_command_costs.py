@@ -7,6 +7,7 @@ code for) something it does not read shows without timing anything.
 """
 
 import contextlib
+import dataclasses
 import gc
 import importlib.util
 import io
@@ -21,9 +22,9 @@ import pytest
 import lognorm_control
 from lognorm_control import cli, expr, synthesis
 from lognorm_control.config import load_config
-from lognorm_control.expr import Bin, Lit
+from lognorm_control.expr import Bin, Lit, MatrixFunction
 from lognorm_control.presets import example_config
-from lognorm_control.system import closed_loop_function
+from lognorm_control.system import ControllerSpec, closed_loop_function
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
@@ -97,16 +98,17 @@ def test_commands_leave_no_cyclic_garbage(configs, workload, command):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("bundled", {"synthesize": 5, "classify": 6, "simulate": 3,
-                 "verify": 11}),
-    ("oscillator", {"synthesize": 5, "classify": 5, "simulate": 3,
-                    "verify": 11}),
+    ("bundled", {"synthesize": 4, "classify": 6, "simulate": 3,
+                 "verify": 10}),
+    ("oscillator", {"synthesize": 4, "classify": 5, "simulate": 3,
+                    "verify": 10}),
 ])
 def test_code_generated_per_command(configs, monkeypatch, workload, counts):
     # one compile per generated function a command runs: classify and
-    # simulate never build the gain K, so neither K's code nor the
-    # symmetric part's and the rates' scalar code its spot check runs
-    # is made.  A grid batched both below and from expr._ARRAY_MIN
+    # simulate never evaluate the gain K, so the code of its inner grid
+    # (adaptive part plus gamma) is not made; C3's 32 samples in
+    # synthesize and verify make it once, with A's and the rates' scalar
+    # code.  A grid batched both below and from expr._ARRAY_MIN
     # times compiles its scalar and its array function.  The checks
     # evaluate gamma and the envelope with the checked interpreter, so
     # none of these is compiled: bundled's explicit gamma entries in
@@ -147,45 +149,60 @@ def test_a_large_batch_runs_only_the_array_function(monkeypatch):
     assert got.tobytes() == np.array([F(t) for t in ts]).tobytes()
 
 
+class _GainRead(Exception):
+    pass
+
+
+def _raise_gain_read(ctrl):
+    raise _GainRead
+
+
 @pytest.mark.parametrize("workload", ["bundled", "oscillator"])
-def test_spot_check_runs_where_the_gain_is_read(configs, monkeypatch,
-                                               workload):
-    calls = []
-    original = synthesis._spot_check_gain
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-    monkeypatch.setattr(synthesis, "_spot_check_gain", counting)
-    got = {}
-    for command in COMMANDS:
-        calls.clear()
-        assert _run(command, configs[workload]) == 0
-        got[command] = len(calls)
-    assert got == {"synthesize": 1, "classify": 0, "simulate": 0,
-                   "verify": 1}
-
-
-def test_a_wrong_gain_fails_where_it_is_read(configs, monkeypatch):
-    # every entry of K off by 1e-3: synthesize prints K and verify's C3
-    # checks it, so both fail the spot check as before; classify and
-    # simulate evaluate the closed loop and never build K
-    original = synthesis._dot_row
-    monkeypatch.setattr(synthesis, "_dot_row", lambda c, e: Bin(
-        "+", original(c, e), Lit(1e-3)))
+def test_the_gain_is_evaluated_only_where_it_is_read(configs, monkeypatch,
+                                                     workload):
+    # a gain that raises when read: C3 in synthesize and verify reads it,
+    # while classify and simulate evaluate the closed loop and never K
+    monkeypatch.setattr(ControllerSpec, "K", property(_raise_gain_read))
     for command in ("synthesize", "verify"):
-        with pytest.raises(AssertionError,
-                           match=r"^gain identity violated at t=0\.1: "
-                                 r"max error 1\.\d+e-03$"):
-            _run(command, configs["bundled"])
+        with pytest.raises(_GainRead):
+            _run(command, configs[workload])
     for command in ("classify", "simulate"):
-        assert _run(command, configs["bundled"]) == 0
+        assert _run(command, configs[workload]) == 0
+
+
+def _off_by_1e3(ctrl, part):
+    """``ctrl`` with every entry of ``B_inv`` or of the adaptive part
+    1e-3 larger."""
+    if part == "B_inv":
+        return dataclasses.replace(ctrl, B_inv=ctrl.B_inv + 1e-3)
+    rows = [[Bin("+", e, Lit(1e-3)) for e in row]
+            for row in ctrl.adaptive_part.entries]
+    return dataclasses.replace(ctrl, adaptive_part=MatrixFunction(rows))
+
+
+def test_a_wrong_gain_fails_where_it_is_read(configs, monkeypatch, capsys):
+    # B_inv or the adaptive part off by 1e-3: synthesize prints them and
+    # verify's C3 checks K through them, so C3 asks to check the gain in
+    # both; classify and simulate evaluate the closed loop and never K
+    for part in ("B_inv", "adaptive_part"):
+        monkeypatch.setattr(
+            "lognorm_control.config.synthesize",
+            lambda *args: _off_by_1e3(synthesis.synthesize(*args), part))
+        for command, key, rc in (("synthesize", "c3", 0),
+                                 ("verify", "C3", 1)):
+            assert cli.main([command, "--config",
+                             str(configs["bundled"])]) == rc
+            c3 = json.loads(capsys.readouterr().out)[key]
+            assert c3["verdict"] == "inconclusive"
+            assert c3["note"].endswith("check the gain")
+        for command in ("classify", "simulate"):
+            assert _run(command, configs["bundled"]) == 0
 
 
 def test_an_unevaluable_gain_leaves_classify_and_simulate_to_the_loop(
         tmp_path, capsys):
-    # A, hence K, exists only on [0, 0.05], before the first probe time
-    # of the spot check: synthesize still fails it, while classify and
+    # A, hence K, exists only on [0, 0.05]: synthesize's C3 cannot
+    # evaluate the gain at its samples and says so, while classify and
     # simulate report the closed loop's own failure
     path = tmp_path / "short.json"
     path.write_text(json.dumps({
@@ -194,9 +211,11 @@ def test_an_unevaluable_gain_leaves_classify_and_simulate_to_the_loop(
         "B": [[1.0, 0.0], [0.0, 1.0]],
         "controller": {"lambda": [-1.0, -1.0], "gamma": "auto"},
         "horizon": 1.0, "tol": 1e-8}))
-    assert cli.main(["synthesize", "--config", str(path)]) == 2
-    assert capsys.readouterr().err == \
-        "error: could not evaluate the gain at any probe time\n"
+    assert cli.main(["synthesize", "--config", str(path)]) == 0
+    c3 = json.loads(capsys.readouterr().out)["c3"]
+    assert c3["verdict"] == "inconclusive"
+    assert c3["note"].startswith(
+        "could not evaluate the gain: entry (1,1): sqrt of negative value")
     assert cli.main(["classify", "--config", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["entries"]["AS"]["note"].startswith(

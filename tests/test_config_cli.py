@@ -461,11 +461,11 @@ def test_cli_synthesize_reports_conditions(capsys, plant_file):
                          "--gamma", "auto")
     d = json.loads(out)
     assert rc == 0
-    assert sorted(d.keys()) == ["B_inv", "K", "adaptive_part", "c1", "c2",
-                                "c3", "gamma", "lambda"]
+    assert sorted(d.keys()) == ["B_inv", "adaptive_part", "c1", "c2", "c3",
+                                "gamma", "lambda"]
     for cid in ("c1", "c2", "c3"):
         assert d[cid]["verdict"] == "supported"
-    assert len(d["K"]) == 2 and len(d["gamma"]) == 2
+    assert len(d["B_inv"]) == len(d["adaptive_part"]) == len(d["gamma"]) == 2
 
 
 def test_cli_synthesize_exit_one_when_refuted(capsys, tmp_path):
@@ -586,6 +586,19 @@ def test_cli_controller_file_nan_margin_fails_as_in_a_config(
         rc, out, err = run_cli(capsys, "synthesize", *argv)
         assert (rc, out, err) == (
             2, "", "error: margin must be a positive finite number\n")
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--controller", "controller.lambda must have 2 entries, got 1"),
+    ("--lambda", "--lambda must have 2 entries, got 1")])
+def test_cli_lambda_length_is_worded_as_in_a_config(capsys, plant_file,
+                                                    tmp_path, flag, message):
+    ctl = tmp_path / "ctl.json"
+    ctl.write_text(json.dumps({"lambda": [-1.0]}))
+    value = str(ctl) if flag == "--controller" else "-1"
+    rc, out, err = run_cli(capsys, "synthesize", "--config", str(plant_file),
+                           f"{flag}={value}")
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_cli_controller_file_round_trip(capsys, plant_file, tmp_path):
