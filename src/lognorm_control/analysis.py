@@ -9,7 +9,8 @@ finite horizon, so every check here returns an :class:`Evidence` value
 with verdict ``supported``, ``refuted`` or ``inconclusive`` together with
 the measured quantities that led to it.  The heuristics (tail tests,
 doubling tests, ratio grids, window checks) are deliberately simple and
-their thresholds are the module constants below.
+their thresholds are the module constants below.  One rule with one
+quadrature and slack, :func:`doubling_evidence`, judges every ``J -> -inf``.
 """
 
 from __future__ import annotations
@@ -398,18 +399,9 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8) -> Evidence:
                                       f"T={T:g}"})
 
 
-def doubling_test(id_: str, measured: dict, J_half: float, J: float,
-                  slack: float, converged: bool, notes: dict) -> Evidence:
-    """The doubling test for ``J(t) -> -inf`` from ``J`` at the horizon
-    and ``J_half`` at its midpoint: supported when ``J_half < 0`` and
-    ``J <= 2 J_half + slack``, refuted when ``J_half >= 0`` and ``J >=
-    J_half - slack``, else (and when the quadrature did not converge)
-    inconclusive.  ``notes`` maps each verdict to the caller's note."""
-    if not converged:
-        return Evidence(id_, "inconclusive", measured,
-                        "quadrature did not converge")
-    return _judge(id_, measured, J_half < 0.0 and J <= 2.0 * J_half + slack,
-                  J_half >= 0.0 and J >= J_half - slack, notes)
+def _slack(err: float, J: float) -> float:
+    """A decay test's allowance for the error ``err`` and rounding."""
+    return 4.0 * err + 1e-12 * (1.0 + abs(J))
 
 
 def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
@@ -417,15 +409,18 @@ def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
                       measured: dict | None = None,
                       failure: str = "could not evaluate",
                       share: dict | None = None) -> Evidence:
-    """:func:`doubling_test` on ``J(t) = int_{t0}^{t} f`` at ``T`` and at
-    the midpoint, from one cumulative quadrature over 128 equal cells to
-    ``quad_tol / 128`` each, with the slack ``4 err + 1e-12 (1 + |J|)``.
+    """The doubling test for ``J(t) = int_{t0}^{t} f -> -inf``, from one
+    quadrature over 128 equal cells to ``quad_tol / 128`` each: with the
+    slack ``4 err + 1e-12 (1 + |J|)``, supported when ``J_half < 0`` and
+    ``J <= 2 J_half + slack``, refuted when ``J_half >= 0`` and ``J >=
+    J_half - slack``, else (and unconverged) inconclusive.
     ``notes(J_half, J)`` maps each verdict to its note; ``measured``
     holds entries reported beside the integrals; an EvalError gives an
     inconclusive verdict whose note starts with ``failure``.  In
-    ``share``, a dict one command holds, the first call keeps its nodes,
-    values and quadrature; a later one on the same grid and tolerance
-    takes that quadrature if its ``f`` has those bits at those nodes."""
+    ``share``, a dict one command holds, the first call keeps its nodes
+    (the first 257 are the grid and midpoints), values and quadrature; a
+    later one on the same grid and tolerance takes that quadrature if its
+    ``f`` has those bits at those nodes."""
     extra = measured or {}
     # integrate cell by cell so endpoint singularities (sqrt-type plant
     # entries at t0) cannot exhaust the recursion depth of a single panel
@@ -450,9 +445,12 @@ def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
     J_half, J = float(J_vals[64]), float(J_vals[-1])
     measured = {"J_half": J_half, "J": J, "t_mid": float(grid[64]),
                 "quad_error": err, **extra}
-    return doubling_test(id_, measured, J_half, J,
-                         4.0 * err + 1e-12 * (1.0 + abs(J)), ok,
-                         notes(J_half, J))
+    if not ok:
+        return Evidence(id_, "inconclusive", measured,
+                        "quadrature did not converge")
+    slack = _slack(err, J)
+    return _judge(id_, measured, J_half < 0.0 and J <= 2.0 * J_half + slack,
+                  J_half >= 0.0 and J >= J_half - slack, notes(J_half, J))
 
 
 def _same_bits(f, nodes: np.ndarray, values: np.ndarray) -> bool:
@@ -587,10 +585,12 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
 
     The four stability members are judged from ``J(t) = int mu[A + B K]``
     (the uncertainty enters only through the A1 gate, since
-    ``int mu[A + Delta + B K] <= J + int |mu[Delta]|``); the UNSTABLE
-    member integrates ``mu[-(A + Delta + B K)]``, whose divergence forces
-    every solution of the perturbed system to grow.  Deterministic: no
-    randomness anywhere, so two runs produce identical reports.
+    ``int mu[A + Delta + B K] <= J + int |mu[Delta]|``), integrated once:
+    AS is ``verify``'s A4, and S, US and UAS read its ``J``, error and
+    first-level ``mu``.  The UNSTABLE member integrates ``mu[-(A + Delta
+    + B K)]``, whose divergence forces every solution of the perturbed
+    system to grow.  Deterministic: no randomness anywhere, so two runs
+    produce identical reports.
     """
     k = spec.norm
     if T is None:
@@ -601,39 +601,40 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol)
 
     cl_up = closed_loop_function(spec, ctrl)
-    cl_dn = closed_loop_function(spec, ctrl, include_delta=True)
-    mu_dn = lambda t: lognorm(-cl_dn(t), k)
-    levels = []  # the first level's even nodes are the grid
-    mu_up = lambda t: levels.append(lognorm(cl_up(t), k)) or levels[-1]
+    share = {}  # AS's quadrature record, which S, US and UAS read
 
-    grid = np.linspace(spec.t0, T, 257)
-    entries = {}
-    try:
-        J, J_err, _, J_ok = cumulative_integral(mu_up, grid, quad_tol)
-    except EvalError as exc:
-        note = f"could not evaluate the closed loop: {exc}"
-        for key in VERDICT_ORDER:
-            entries[key] = Evidence(key, "inconclusive", {}, note)
+    # AS: J -> -inf, by A4's doubling test
+    entries = {"AS": doubling_evidence(
+        "AS", lambda t: lognorm(cl_up(t), k), spec.t0, T, quad_tol,
+        lambda J_half, J: {
+            "supported": "int mu diverges to -inf (doubling test)",
+            "refuted": "int mu is not decreasing",
+            "inconclusive": "int mu decreasing, but too slowly for the "
+                            "doubling test"},
+        failure="could not evaluate the closed loop", share=share)}
+    if not share:
+        note = entries["AS"].note
+        entries = {key: Evidence(key, "inconclusive", {}, note)
+                   for key in VERDICT_ORDER}
         return EvidenceReport(norm_name(k), T, a1, entries, None, note)
-
-    span = T - spec.t0
-    widx = int(np.searchsorted(grid, T - WINDOW_FRAC * span))
-    slack = max(4.0 * J_err, TAIL_ABS)
+    nodes, mu, (J, J_err, _, _) = share[spec.t0, T, quad_tol]
+    nodes, mu = nodes[:257], mu[:257]  # the first level: grid, midpoints
+    widx = int(np.searchsorted(nodes[0::2], T - WINDOW_FRAC * (T - spec.t0)))
 
     # S: J bounded above.  Window growth of the running sup.
     growth = float(J[widx:].max() - J[:widx + 1].max())
     m = {"J_end": float(J[-1]), "sup_J": float(J.max()),
          "window_growth": growth}
     entries["S"] = _judge(
-        "S", m, growth <= max(TAIL_ABS, TAIL_REL * abs(J[-1])) + slack,
-        growth >= 1.0,
+        "S", m, growth <= max(TAIL_ABS, TAIL_REL * abs(J[-1]))
+        + _slack(J_err, float(J[-1])), growth >= 1.0,
         {"supported": "sup of int mu stopped growing",
          "refuted": "int mu is still growing at the horizon",
          "inconclusive": "sup of int mu has not settled"})
 
     # US: mu <= 0 at every sampled time (sufficient for J(t) - J(tau)
     # bounded over all pairs).  A steadily growing drawup of J refutes.
-    sup_mu = float(levels[0][0::2].max())
+    sup_mu = float(mu.max())
     drawup = J - np.minimum.accumulate(J)
     dgrowth = float(drawup[widx:].max() - drawup[:widx + 1].max())
     m = {"sup_mu": sup_mu, "max_drawup": float(drawup.max()),
@@ -644,17 +645,6 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
          "refuted": "pairwise growth of int mu keeps increasing",
          "inconclusive": "mu is positive somewhere; pairwise growth has not "
                          "clearly diverged either"})
-
-    # AS: J -> -inf (doubling test on the already-computed cumulative J)
-    midx = int(np.searchsorted(grid, spec.t0 + 0.5 * span))
-    J_half, J_end = float(J[midx]), float(J[-1])
-    m = {"J_half": J_half, "J": J_end, "t_mid": float(grid[midx])}
-    entries["AS"] = doubling_test(
-        "AS", m, J_half, J_end, slack, J_ok,
-        {"supported": "int mu diverges to -inf (doubling test)",
-         "refuted": "int mu is not decreasing",
-         "inconclusive": "int mu decreasing, but too slowly for the "
-                         "doubling test"})
 
     # UAS: mu <= -alpha at every sampled time for the best alpha > 0;
     # that pins a uniform exponential rate, so report alpha = -sup mu
@@ -668,8 +658,9 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
                          "grid"})
 
     # UNSTABLE: int mu[-(A + Delta + B K)] -> -inf
+    cl_dn = closed_loop_function(spec, ctrl, include_delta=True)
     entries["UNSTABLE"] = doubling_evidence(
-        "UNSTABLE", mu_dn, spec.t0, T, quad_tol,
+        "UNSTABLE", lambda t: lognorm(-cl_dn(t), k), spec.t0, T, quad_tol,
         _decay_notes("int mu of the negated perturbed loop"))
 
     note = ""

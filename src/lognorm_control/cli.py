@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -186,7 +187,7 @@ def cmd_simulate(args) -> int:
     cfg = _load(args)
     ctrl = _controller(cfg, args)
     trace = simulate(cfg.spec, ctrl, T=cfg.horizon, tol=cfg.tol,
-                     h_min=args.h_min, h_max=args.h_max, n_out=args.points)
+                     h_min=args.h_min, n_out=args.points)
     return _print_trace(trace, cfg, args, steps=int(len(trace.step_sizes)),
                         rejected=int(trace.n_rejected))
 
@@ -224,7 +225,7 @@ def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
     t_lo, t_hi = float(grid[i - 1]), float(grid[i])
     m_lo, m_hi = float(mag[i - 1]), float(mag[i])
     t_cap = t_lo + (PHI_LOG_CAP - m_lo) * (t_hi - t_lo) / (m_hi - m_lo)
-    return max(t_cap, t0 + (T - t0) / 100.0)
+    return max(t_cap, math.nextafter(t0, math.inf))  # > t0 if rounded
 
 
 def cmd_verify(args) -> int:
@@ -320,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(q)
     q.add_argument("--tol", type=float, help="local error tolerance")
     q.add_argument("--h-min", type=float, default=1e-9)
-    q.add_argument("--h-max", type=float, default=0.1)
     q.add_argument("--points", type=int, default=1001,
                    help="output grid points")
     q.add_argument("--out", help="CSV output path")

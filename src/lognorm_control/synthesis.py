@@ -260,7 +260,7 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
     ``Gamma(t) = max_i(lam_i + gamma_i(t))`` equals the closed-loop
     ``mu_2`` identically; the identity itself is re-verified on ``A + B K``
     through the gain, at 32 sample times evaluated as one batch.  Where
-    any of them cannot be evaluated, the verdict is inconclusive.  The
+    Gamma, A or the gain fails there, the note names it.  The
     divergence evidence is the doubling test ``J(T) <= 2 J(T_mid) < 0``
     on converged quadratures, taken from ``_share`` where A4's is the
     same.
@@ -270,12 +270,16 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
     rng = random.Random(32)  # fixed seed: reports stay reproducible
     ts = np.array(sorted(spec.t0 + (T - spec.t0) * rng.random()
                          for _ in range(32)))
-    try:
-        g = gamma_fn(ts)
-        M = spec.A.compiled()(ts) + spec.B @ ctrl.K(ts)
+    vals = []
+    try:  # the note names the first that fails
+        for what, fn in (("Gamma", gamma_fn), ("A", spec.A.compiled()),
+                         ("the gain", ctrl.K)):
+            vals.append(fn(ts))
     except EvalError as exc:
         return Evidence("C3", "inconclusive", {},
-                        f"could not evaluate the gain: {exc}")
+                        f"could not evaluate {what}: {exc}")
+    g, A, K = vals
+    M = A + spec.B @ K
     id_err = float((abs(lognorm(M, "two") - g) / (1.0 + abs(g))).max())
     if id_err > 1e-9:
         return Evidence(id="C3", verdict="inconclusive",

@@ -1,13 +1,24 @@
 """Snapshot every command output on the benchmark's configs, to show that
 a change keeps them byte for byte.
 
-The 14 configs are those of ``bench/workloads.py``: bundled, oscillator
-seeds 1 and 2 (six plants each) and plants-n8 seed 1.  Each runs in
-process through ``cli.main``, with six outputs: ``synthesize``,
-``classify``, ``classify --norm one``, ``simulate``'s stdout and its CSV
-(at the workload's ``--points``), and ``verify``.  The commands run in a
-fresh directory under relative paths, so the CSV path that simulate's
-report prints is the same on every run.
+The 14 benchmark configs are those of ``bench/workloads.py``: bundled,
+oscillator seeds 1 and 2 (six plants each) and plants-n8 seed 1.  Six
+more are built here from ``presets.example_config()``:
+
+- the disturbance-scale ladder, ``ladder-1`` to ``ladder-1e+09``: the
+  bundled plant with ``gamma`` "auto", margin 1, and ``omega`` and
+  ``omega_bound`` multiplied by s = 1, 1e3, 1e6 and 1e9;
+- ``ladder-open``, the bundled plant without a controller (``classify``
+  reads no disturbance, so this is every rung's open loop);
+- ``slow-decay``, a rotation under ``lambda = [-1, -1]`` and ``gamma =
+  2e-8 t``, whose rate turns positive only at t = 5e7.
+
+Each config runs in process through ``cli.main``, with six outputs:
+``synthesize``, ``classify``, ``classify --norm one``, ``simulate``'s
+stdout and its CSV (at the workload's ``--points``, 1001 for the built
+configs; no CSV where simulate fails), and ``verify``.  The commands run
+in a fresh directory under relative paths, so the CSV path that
+simulate's report prints is the same on every run.
 
 Run from the repository root:
 
@@ -17,8 +28,9 @@ Run from the repository root:
 ``--compare`` names each output that differs from the saved one (or is
 missing from it).  Where both sides of a differing ``.txt`` output are an
 ``exit N`` line and a JSON report, it also names the dotted paths that
-differ, such as ``exit`` or ``c3.measured.identity_max_rel_err``; a key on
-one side only is named too.
+differ, such as ``exit``, ``sandwich.passed`` or
+``c3.measured.identity_max_rel_err``, once each with list indices as
+``*`` (``sandwich.pairs.*.slack``); a key on one side only is named too.
 """
 
 import argparse
@@ -37,6 +49,7 @@ sys.path.insert(0, str(ROOT / "src"))
 # (workload, seed) pairs of the benchmark's configs
 RUNS = (("bundled", 1), ("oscillator", 1), ("oscillator", 2),
         ("plants-n8", 1))
+LADDER = (1.0, 1e3, 1e6, 1e9)  # disturbance scales s
 
 
 def _workloads():
@@ -46,6 +59,30 @@ def _workloads():
     sys.modules[spec.name] = mod  # its dataclasses look their module up
     spec.loader.exec_module(mod)
     return mod.WORKLOADS
+
+
+def _built_configs() -> list:
+    """``(name, config, points)`` of the ladder, its open loop and the
+    slowly decaying loop, from the bundled scenario."""
+    from lognorm_control.presets import example_config
+    base = example_config()
+    out = []
+    for s in LADDER:
+        out.append((f"ladder-{s:g}", {
+            **base,
+            "controller": {"lambda": [-1.0, -1.0], "gamma": "auto",
+                           "margin": 1.0},
+            "omega": [f"{s:g}*({e})" for e in base["omega"]],
+            "omega_bound": f"{s:g}*({base['omega_bound']})"}, 1001))
+    out.append(("ladder-open", {k: v for k, v in base.items()
+                                if k != "controller"}, 1001))
+    slow = {k: v for k, v in base.items()
+            if k not in ("Delta", "omega", "omega_bound")}
+    slow["A"] = [["0", "1"], ["-1", "0"]]
+    slow["controller"] = {"lambda": [-1.0, -1.0],
+                          "gamma": ["2e-8*t", "2e-8*t"]}
+    out.append(("slow-decay", slow, 1001))
+    return out
 
 
 def _command(main, argv) -> str:
@@ -59,31 +96,29 @@ def _command(main, argv) -> str:
 def snapshot() -> dict:
     """``{file name: text}`` of every output of every config."""
     from lognorm_control.cli import main
-    outputs = {}
     workloads = _workloads()
+    configs = [(problem.name, problem.config, workloads[wname].points)
+               for wname, seed in RUNS
+               for problem in workloads[wname].problems(seed)]
+    outputs = {}
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            for wname, seed in RUNS:
-                workload = workloads[wname]
-                for problem in workload.problems(seed):
-                    cfg, csv = f"{problem.name}.json", f"{problem.name}.csv"
-                    Path(cfg).write_text(json.dumps(problem.config))
-                    base = ["--config", cfg]
-                    for key, argv in (
-                            ("synthesize", ["synthesize", *base]),
-                            ("classify", ["classify", *base]),
-                            ("classify-one",
-                             ["classify", *base, "--norm", "one"]),
-                            ("simulate",
-                             ["simulate", *base, "--out", csv,
-                              "--points", str(workload.points)]),
-                            ("verify", ["verify", *base])):
-                        outputs[f"{problem.name}.{key}.txt"] = \
-                            _command(main, argv)
-                    outputs[f"{problem.name}.simulate.csv"] = \
-                        Path(csv).read_text()
+            for name, doc, points in configs + _built_configs():
+                cfg, csv = f"{name}.json", f"{name}.csv"
+                Path(cfg).write_text(json.dumps(doc))
+                base = ["--config", cfg]
+                for key, argv in (
+                        ("synthesize", ["synthesize", *base]),
+                        ("classify", ["classify", *base]),
+                        ("classify-one", ["classify", *base, "--norm", "one"]),
+                        ("simulate", ["simulate", *base, "--out", csv,
+                                      "--points", str(points)]),
+                        ("verify", ["verify", *base])):
+                    outputs[f"{name}.{key}.txt"] = _command(main, argv)
+                if Path(csv).is_file():
+                    outputs[f"{name}.simulate.csv"] = Path(csv).read_text()
         finally:
             os.chdir(cwd)
     return outputs
@@ -103,7 +138,8 @@ def _parsed(text: str):
 
 
 def _paths(old, new, prefix=""):
-    """The dotted paths at which two parsed JSON values differ."""
+    """The dotted paths at which two parsed JSON values differ, list
+    indices as ``*``."""
     if isinstance(old, dict) and isinstance(new, dict):
         out = []
         for k in list(old) + [k for k in new if k not in old]:
@@ -114,8 +150,8 @@ def _paths(old, new, prefix=""):
         return out
     if (isinstance(old, list) and isinstance(new, list)
             and len(old) == len(new)):
-        return [p for i, (a, b) in enumerate(zip(old, new))
-                for p in _paths(a, b, f"{prefix}{i}.")]
+        return [p for a, b in zip(old, new)
+                for p in _paths(a, b, f"{prefix}*.")]
     return [] if old == new else [prefix.rstrip(".")]
 
 
@@ -143,7 +179,7 @@ def main(argv=None) -> int:
         if name.endswith(".txt") and saved.is_file():
             old, new = _parsed(saved.read_text()), _parsed(outputs[name])
             if old is not None and new is not None:
-                for path in _paths(old, new):
+                for path in dict.fromkeys(_paths(old, new)):
                     print(f"    {path}")
     print(f"{len(outputs) - len(differ)} of {len(outputs)} outputs "
           "byte-identical")

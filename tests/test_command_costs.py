@@ -31,14 +31,19 @@ PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
 COMMANDS = ("synthesize", "classify", "simulate", "verify")
 
 
-def _oscillator_config():
-    """Config 0 of ``bench/workloads.py``'s oscillator workload, seed 1."""
+def _bench_configs(workload, seed):
+    """The configs of ``bench/workloads.py``'s ``workload`` at ``seed``."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclasses look their module up
     spec.loader.exec_module(mod)
-    return mod.oscillator_problems(1)[0].config
+    return [p.config for p in mod.WORKLOADS[workload].problems(seed)]
+
+
+def _oscillator_config():
+    """Config 0 of the benchmark's oscillator workload, seed 1."""
+    return _bench_configs("oscillator", 1)[0]
 
 
 @pytest.fixture(scope="module")
@@ -202,7 +207,7 @@ def test_a_wrong_gain_fails_where_it_is_read(configs, monkeypatch, capsys):
 def test_an_unevaluable_gain_leaves_classify_and_simulate_to_the_loop(
         tmp_path, capsys):
     # A, hence K, exists only on [0, 0.05]: synthesize's C3 cannot
-    # evaluate the gain at its samples and says so, while classify and
+    # evaluate A at its samples and says so, while classify and
     # simulate report the closed loop's own failure
     path = tmp_path / "short.json"
     path.write_text(json.dumps({
@@ -215,7 +220,7 @@ def test_an_unevaluable_gain_leaves_classify_and_simulate_to_the_loop(
     c3 = json.loads(capsys.readouterr().out)["c3"]
     assert c3["verdict"] == "inconclusive"
     assert c3["note"].startswith(
-        "could not evaluate the gain: entry (1,1): sqrt of negative value")
+        "could not evaluate A: entry (1,1): sqrt of negative value")
     assert cli.main(["classify", "--config", str(path)]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["entries"]["AS"]["note"].startswith(
@@ -270,25 +275,68 @@ def _quadrature_evals(monkeypatch, command, config):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("bundled", {"classify": [961, 1053, 2493],
+    ("bundled", {"classify": [961, 1141, 2493],
                  "verify": [349, 941, 961, 1141]}),
-    ("oscillator", {"classify": [537, 1025, 533],
+    ("oscillator", {"classify": [537, 513, 533],
                     "verify": [133, 801, 537, 513]}),
 ])
 def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
                                             counts):
     # the integrand evaluations of every cumulative_integral a command
-    # runs, in call order: classify's A1, its J and its UNSTABLE doubling
-    # test; verify's Phi horizon, sandwich, A1 and A4, whose quadrature
-    # C3 takes, as Gamma has the closed loop's mu_2 bits at its nodes.  A
-    # quadrature that starts to refine more (or less) shows here without
-    # timing
+    # runs, in call order: classify's A1 and its AS and UNSTABLE doubling
+    # tests (S, US and UAS read AS's J); verify's Phi horizon, sandwich,
+    # A1 and A4, whose quadrature C3 takes, as Gamma has the closed
+    # loop's mu_2 bits at its nodes.  A quadrature that starts to refine
+    # more (or less) shows here without timing
     got = {}
     for command in ("classify", "verify"):
         rc, got[command] = _quadrature_evals(monkeypatch, command,
                                              configs[workload])
         assert rc == 0
     assert got == counts
+
+
+def _as_and_a4(capsys, path):
+    """The AS entry of ``classify`` and the A4 and C3 entries of
+    ``verify`` on the config at ``path``."""
+    cli.main(["classify", "--config", str(path)])
+    as_ = json.loads(capsys.readouterr().out)["entries"]["AS"]
+    cli.main(["verify", "--config", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    return as_, doc["A4"], doc["C3"]
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("bundled", 1), ("oscillator", 1), ("plants-n8", 1)])
+def test_classify_as_is_verify_a4(tmp_path, capsys, workload, seed):
+    # one decay test per integral: classify's AS takes A4's quadrature
+    # and slack, so J, J_half, the error and the verdict are A4's bits,
+    # and C3 takes them too under the two-norm
+    for i, doc in enumerate(_bench_configs(workload, seed)):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(doc))
+        entries = _as_and_a4(capsys, path)
+        for key in ("J", "J_half", "quad_error"):
+            assert len({repr(e["measured"][key]) for e in entries}) == 1
+        assert {e["verdict"] for e in entries} == {"supported"}
+
+
+def test_classify_as_is_inconclusive_where_a4_is(tmp_path, capsys):
+    # Gamma = -1 + 2e-8 t turns positive only at t = 5e7: on T = 10, J(T)
+    # misses 2 J(T/2) by 5e-7, which the doubling test's slack does not
+    # cover, so AS reads "too slowly" as A4 and C3 do
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps({
+        "n": 2, "t0": 0.0, "x0": [1.0, -0.5], "norm": "two",
+        "A": [["0", "1"], ["-1", "0"]], "B": [[1.0, 0.0], [0.0, 1.0]],
+        "controller": {"lambda": [-1.0, -1.0],
+                       "gamma": ["2e-8*t", "2e-8*t"]},
+        "horizon": 10.0}))
+    as_, a4, c3 = _as_and_a4(capsys, path)
+    for ev in (as_, a4, c3):
+        assert ev["verdict"] == "inconclusive"
+        assert ev["note"].endswith("too slowly for the doubling test")
+        assert ev["measured"]["J"] == as_["measured"]["J"]
 
 
 def test_verify_integrates_c3_under_another_norm(configs, monkeypatch):

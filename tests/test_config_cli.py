@@ -668,6 +668,23 @@ def test_cli_verify_example(capsys, cfg_file):
     assert d["phi_horizon"] == pytest.approx(2.148151, abs=1e-5)
 
 
+def test_cli_verify_caps_phi_below_one_percent_of_the_horizon(capsys,
+                                                             tmp_path, cfg):
+    # the disturbance ladder's s = 1e6 rung: gamma "auto" grows with the
+    # envelope, so |int mu| reaches the cap near t = 1e-5, far below 1 %
+    # of the horizon, where Phi would be numerically singular
+    cfg["controller"] = {"lambda": [-1.0, -1.0], "gamma": "auto",
+                         "margin": 1.0}
+    cfg["omega"] = [f"1e6*({e})" for e in cfg["omega"]]
+    cfg["omega_bound"] = f"1e6*({cfg['omega_bound']})"
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(cfg))
+    rc, out, _ = run_cli(capsys, "verify", "--config", str(path))
+    d = json.loads(out)
+    assert rc == 0 and d["sandwich"]["passed"] is True
+    assert d["phi_horizon"] == pytest.approx(1.0377e-5, rel=1e-4)
+
+
 def test_cli_verify_on_a_horizon_below_one_sub_step(capsys, cfg_file):
     # Phi's cells are 5e-12 long, far below its largest sub-step
     rc, out, _ = run_cli(capsys, "verify", "--config", str(cfg_file),

@@ -370,7 +370,7 @@ def test_c3_inconclusive_where_gamma_is_undefined():
                                           parse("-1-t"))))
     ev = verify_c3(ctrl, 10.0)
     assert ev.verdict == "inconclusive" and ev.measured == {}
-    assert ev.note.startswith("could not evaluate the gain: entry 1: sqrt "
+    assert ev.note.startswith("could not evaluate Gamma: entry 1: sqrt "
                               "of negative value")
 
 
@@ -380,7 +380,7 @@ def test_c3_inconclusive_where_the_gain_is_undefined():
     spec = make_spec(A=parse_matrix([["sqrt(0.5-t)", "1"], ["0", "-1"]]))
     ev = verify_c3(synthesize(spec), 1.0)
     assert ev.verdict == "inconclusive" and ev.measured == {}
-    assert ev.note.startswith("could not evaluate the gain: entry (1,1): "
+    assert ev.note.startswith("could not evaluate A: entry (1,1): "
                               "sqrt of negative value")
 
 
