@@ -31,8 +31,8 @@ from .analysis import (
     classify_stability,
     cumulative_integral,
 )
-from .config import (CONFIG_SCHEMA, ConfigError, _entries, _schema_error,
-                     gamma_rule, load_config)
+from .config import (CONFIG_SCHEMA, ConfigError, _entries, _horizon,
+                     _schema_error, gamma_rule, load_config)
 from .expr import EvalError, SourceError, format_expr
 from .linalg import (
     INF,
@@ -69,11 +69,7 @@ def _load(args, cfg=None):
     """``cfg`` or the ``--config`` file, with ``--horizon`` and ``--tol``."""
     cfg = load_config(args.config) if cfg is None else cfg
     if getattr(args, "horizon", None) is not None:
-        if not np.isfinite(args.horizon):
-            raise ConfigError("--horizon must be finite")
-        if not (args.horizon > cfg.spec.t0):
-            raise ConfigError(f"--horizon must exceed t0={cfg.spec.t0}")
-        cfg.horizon = args.horizon
+        cfg.horizon = _horizon(cfg.spec.t0, args.horizon, "--horizon")
     if getattr(args, "tol", None) is not None:
         cfg.tol = args.tol
     return cfg

@@ -11,7 +11,9 @@ reported with their entry position and byte offset.
 from __future__ import annotations
 
 import json
+import math
 import operator
+import sys
 from dataclasses import dataclass
 from numbers import Number
 from pathlib import Path
@@ -170,6 +172,20 @@ def _entries(seq, n: int, name: str):
     return seq
 
 
+def _horizon(t0: float, horizon: float, name: str) -> float:
+    """``horizon`` if finite and above ``t0`` by 1024 steps that are normal
+    floats of at least 4 ulps, so that grids on it increase."""
+    if not np.isfinite(horizon):
+        raise ConfigError(f"{name} must be finite")
+    if not horizon > t0:
+        raise ConfigError(f"{name} must exceed t0={t0}")
+    if not (horizon - t0) / 1024 >= max(sys.float_info.min, 4 * math.ulp(
+            max(abs(t0), horizon))):
+        raise ConfigError(f"{name} must exceed t0={t0} by 1024 normal "
+                          f"floating-point steps of 4 ulps, got {horizon!r}")
+    return horizon
+
+
 def _parse_square(rows, n: int, allowed, name: str) -> MatrixFunction:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ConfigError(f"{name} must be {n}x{n} to match n={n}")
@@ -257,10 +273,7 @@ def load_config(source) -> LoadedConfig:
                           dtype=float) if "lambda" in c else None)
         controller = ControllerConfig(lam=lam, rule=gamma_rule(c, n))
 
-    horizon = float(doc.get("horizon", t0 + 10.0))
-    if not (t0 < horizon < np.inf):
-        raise ConfigError(f"horizon {horizon} must exceed t0={t0} and be "
-                          "finite")
+    horizon = _horizon(t0, float(doc.get("horizon", t0 + 10.0)), "horizon")
     tol = float(doc.get("tol", 1e-8))
     return LoadedConfig(spec=spec, controller=controller,
                         horizon=horizon, tol=tol)

@@ -151,7 +151,8 @@ def simpson_ref(f, a, b, tol=1e-8, max_depth=40):
     rule the package's level-synchronous quadrature follows, written as
     the plain depth-first recursion.  An integrand that returns an array
     of components gets arrays of values and errors, and a panel is
-    accepted only when every component passes."""
+    accepted only when every component passes.  ``tol`` may be an array
+    of one tolerance per component."""
     st = _SimpsonState(f, max_depth)
     fa = st.eval(a)
     m = 0.5 * (a + b)
@@ -162,10 +163,20 @@ def simpson_ref(f, a, b, tol=1e-8, max_depth=40):
     return value, st.error, st.evals, st.converged
 
 
-def cumulative_simpson_ref(f, grid, tol=1e-9):
+def cumulative_simpson_ref(f, grid, tol=1e-9, tol_rel=1e-10):
     """``simpson_ref`` cell by cell over grid, accumulated:
     ``(values, est_error, evals, converged)`` with values[..., 0] = 0;
-    a vector integrand gives (components, len(grid)) values."""
+    a vector integrand gives (components, len(grid)) values.  Each cell
+    starts from ``max(tol, tol_rel * S / cells)``, per component, with S
+    the Simpson estimate of ``int |f|`` over the cells added from the
+    left; its nodes are evaluated apart from the counted ones."""
+    floor = 0.0  # tol_rel / cells of S, added cell by cell
+    for a, b in zip(grid[:-1], grid[1:]):
+        fa, fm, fb = (np.abs(np.asarray(f(t), dtype=float))
+                      for t in (a, 0.5 * (a + b), b))
+        floor = floor + (b - a) / 6.0 * (tol_rel / (len(grid) - 1)) * (
+            fa + 4.0 * fm + fb)
+    tol = np.maximum(tol, floor)
     vals = []
     acc = err = 0.0
     evals = 0

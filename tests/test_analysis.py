@@ -220,23 +220,25 @@ def test_cumulative_integral_names_nonfinite_node():
                             np.linspace(0, 1, 3))
 
 
-def _simpson_outcome(f, grid, tol, float_panels):
+def _simpson_outcome(f, grid, tol, float_panels, max_evals=None):
     """Bits of ``_simpson``'s result, or its ValueError's text, and of the
     nodes of each call of ``f``, with levels of at most ``float_panels``
-    panels run on Python floats."""
+    panels run on Python floats (and ``max_evals`` for ``_MAX_EVALS``)."""
     calls = []
 
     def logged(t):
         calls.append(t.tobytes())
         return f(t)
-    saved, analysis._FLOAT_PANELS = analysis._FLOAT_PANELS, float_panels
+    saved = analysis._FLOAT_PANELS, analysis._MAX_EVALS
+    analysis._FLOAT_PANELS = float_panels
+    analysis._MAX_EVALS = max_evals or saved[1]
     try:
         with np.errstate(all="ignore"):
             value, err, evals, ok = analysis._simpson(logged, grid, tol)
     except ValueError as exc:
         return str(exc), calls
     finally:
-        analysis._FLOAT_PANELS = saved
+        analysis._FLOAT_PANELS, analysis._MAX_EVALS = saved
     return value.tobytes(), np.asarray(err).tobytes(), evals, ok, calls
 
 
@@ -245,21 +247,25 @@ def _simpson_outcome(f, grid, tol, float_panels):
        widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
        at_node=st.booleans(), where=st.floats(0.0, 1.0),
        p=st.sampled_from([-0.3, 0.3, 0.5, 1.5, 2.5]),
+       gap=st.sampled_from([None, 1e-3, 1e-12]),
        offset=st.sampled_from([0.0, 1e9]),
        spike=st.one_of(st.none(), st.floats(0.0, 1.0)),
-       two=st.booleans(), log_tol=st.floats(-9.0, -3.0))
+       two=st.booleans(), log_tol=st.floats(-9.0, -3.0),
+       max_evals=st.sampled_from([None, 60, 400]))
 def test_float_levels_keep_the_array_levels_bits(lo, widths, at_node, where,
-                                                  p, offset, spike, two,
-                                                  log_tol):
+                                                  p, gap, offset, spike, two,
+                                                  log_tol, max_evals):
     # |t - c|^p singular at a grid node (the endpoint of a cell) or inside
     # one reaches MAX_DEPTH there for a small tol (for any tol if p < 0);
-    # an offset of 1e9 makes the rounding-noise rule accept panels, a
-    # negative p at a node is a non-finite value, and a spike of 1e308
-    # overflows the panels whose nodes find it.  All-array levels,
-    # all-float levels from the first refinement on, and a hand-off in
-    # between call f on the same nodes and agree on every bit, count and
-    # error text.  ~1.5 s: the float levels cost ~5 us per panel (tol
-    # stays above 1e-9, or the panel counts grow past 1e4)
+    # a second singular point a gap past c makes the pending panels
+    # narrow and widen again; an offset of 1e9 makes the relative floor
+    # set the tolerance, a negative p at a node is a non-finite value, a
+    # spike of 1e308 overflows the panels whose nodes find it, and a cap
+    # of 60 or 400 evaluations stops the quadrature early.  All-array
+    # levels, all-float levels from the first refinement on, and a
+    # crossover between them call f on the same nodes and agree on every
+    # bit, count and error text.  ~1 s: the float levels cost ~5 us per
+    # panel (tol stays above 1e-9, or the panel counts grow past 1e4)
     grid = lo + np.concatenate(([0.0], np.cumsum(widths)))
     span = grid[-1] - grid[0]
     c = (grid[round(where * (len(grid) - 1))] if at_node
@@ -267,13 +273,65 @@ def test_float_levels_keep_the_array_levels_bits(lo, widths, at_node, where,
 
     def f(t):
         v = offset + np.abs(t - c) ** p
+        if gap is not None:
+            v = v + np.abs(t - c - gap) ** p
         if spike is not None:
             v = v + np.where(np.abs(t - grid[0] - spike * span) < 0.01,
                              1e308, 0.0)
         return np.stack([v, np.cos(t) * v]) if two else v
-    outcomes = [_simpson_outcome(f, grid, 10.0 ** log_tol, n)
+    outcomes = [_simpson_outcome(f, grid, 10.0 ** log_tol, n, max_evals)
                 for n in (0, 3, 10 ** 9)]
     assert outcomes[0] == outcomes[1] == outcomes[2]
+
+
+def test_float_levels_hand_back_to_arrays(monkeypatch):
+    # two square-root cusps 1e-12 apart: the pending panels go 2, 4, 6,
+    # ..., 4, 2, 4, 2, so with a crossover of 3 the float levels hand
+    # back to arrays and take over again, and the bits are those of
+    # arrays alone and of floats alone
+    def f(t):
+        return np.abs(t - 0.3) ** 0.5 + np.abs(t - 0.3 - 1e-12) ** 0.5
+    grid, runs = np.array([0.0, 0.5, 1.0]), []
+    float_levels = analysis._float_levels
+
+    def spy(f, lead, panels, *args):
+        runs.append(len(panels))
+        return float_levels(f, lead, panels, *args)
+    monkeypatch.setattr(analysis, "_float_levels", spy)
+    outcomes = [_simpson_outcome(f, grid, 1e-6, n) for n in (0, 3, 10 ** 9)]
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert outcomes[0][3] and runs[0] == 2 and len(runs) >= 3
+
+
+def test_quadrature_cost_does_not_grow_with_the_integrand_scale():
+    # s |t - 0.3|^2.5 at tol 1e-9: from s = 1e6 on, TOL_REL * int |f|
+    # sets every cell's tolerance, so a larger scale refines the same
+    # panels, not on down to the rounding-noise rule or MAX_DEPTH
+    grid, counts = np.linspace(0.0, 1.0, 5), {}
+    for s in (1.0, 1e6, 1e15, 1e300):
+        vals, err, counts[s], ok = cumulative_integral(
+            lambda t: s * np.abs(t - 0.3) ** 2.5, grid, 1e-9)
+        exact = s * (np.sign(grid - 0.3) * np.abs(grid - 0.3) ** 3.5
+                     + 0.3 ** 3.5) / 3.5
+        assert ok and np.abs(vals - exact).max() <= err
+    assert counts == {1.0: 97, 1e6: 461, 1e15: 461, 1e300: 461}
+
+
+def test_a_quadrature_stops_at_the_evaluation_cap(monkeypatch):
+    # sin(300 t) - 1 on doubling_evidence's grid needs ~2e5 evaluations
+    # to converge: under the cap the quadrature accepts its pending panels
+    # unconverged, and the doubling test reads that as inconclusive
+    f = lambda t: np.sin(300.0 * t) - 1.0  # noqa: E731
+    grid, tol = np.linspace(0.0, 10.0, 129), 1e-8 / 128
+    _, _, evals, ok = cumulative_integral(f, grid, tol)
+    assert not ok and evals <= analysis._MAX_EVALS
+    ev = analysis.doubling_evidence("A4", f, 0.0, 10.0, 1e-8,
+                                    analysis._decay_notes("int f"))
+    assert ev.verdict == "inconclusive"
+    assert ev.note == "quadrature did not converge"
+    monkeypatch.setattr(analysis, "_MAX_EVALS", 10 ** 6)
+    _, _, evals, ok = cumulative_integral(f, grid, tol)
+    assert ok and evals > 10 ** 5
 
 
 _OVERFLOWING_QUADRATURES = """

@@ -25,6 +25,7 @@ from lognorm_control.config import load_config
 from lognorm_control.expr import Bin, Lit, MatrixFunction
 from lognorm_control.presets import example_config
 from lognorm_control.system import ControllerSpec, closed_loop_function
+from snapshot_outputs import _built_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
@@ -50,10 +51,14 @@ def _oscillator_config():
 def configs(tmp_path_factory):
     out = tmp_path_factory.mktemp("configs")
     paths = {}
+    # the disturbance ladder's rungs s = 1 and 1e9 (see snapshot_outputs)
+    ladder = {name: doc for name, doc, _ in _built_configs()}
     for name, doc in (("bundled", example_config()),
                       ("bundled-norm-one", {**example_config(),
                                             "norm": "one"}),
-                      ("oscillator", _oscillator_config())):
+                      ("oscillator", _oscillator_config()),
+                      ("ladder-1", ladder["ladder-1"]),
+                      ("ladder-1e9", ladder["ladder-1e+09"])):
         paths[name] = out / f"{name}.json"
         paths[name].write_text(json.dumps(doc))
     return paths
@@ -275,10 +280,14 @@ def _quadrature_evals(monkeypatch, command, config):
 
 
 @pytest.mark.parametrize("workload, counts", [
-    ("bundled", {"classify": [961, 1141, 2493],
-                 "verify": [349, 941, 961, 1141]}),
+    ("bundled", {"classify": [961, 553, 669],
+                 "verify": [349, 941, 961, 553]}),
     ("oscillator", {"classify": [537, 513, 533],
                     "verify": [133, 801, 537, 513]}),
+    ("ladder-1", {"classify": [961, 513, 513],
+                  "verify": [141, 801, 961, 513]}),
+    ("ladder-1e9", {"classify": [961, 513, 513],
+                    "verify": [325, 801, 961, 513]}),
 ])
 def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
                                             counts):
@@ -287,7 +296,9 @@ def test_quadrature_evaluations_per_command(configs, monkeypatch, workload,
     # tests (S, US and UAS read AS's J); verify's Phi horizon, sandwich,
     # A1 and A4, whose quadrature C3 takes, as Gamma has the closed
     # loop's mu_2 bits at its nodes.  A quadrature that starts to refine
-    # more (or less) shows here without timing
+    # more (or less) shows here without timing.  The ladder's rungs s = 1
+    # and 1e9 (disturbance times s) cost the same: the relative floor
+    # keeps a large integrand from refining to the rounding-noise rule
     got = {}
     for command in ("classify", "verify"):
         rc, got[command] = _quadrature_evals(monkeypatch, command,
@@ -321,17 +332,19 @@ def test_classify_as_is_verify_a4(tmp_path, capsys, workload, seed):
         assert {e["verdict"] for e in entries} == {"supported"}
 
 
+# Gamma = -1 + 2e-8 t, which turns positive only at t = 5e7
+SLOW_DECAY = {
+    "n": 2, "t0": 0.0, "x0": [1.0, -0.5], "norm": "two",
+    "A": [["0", "1"], ["-1", "0"]], "B": [[1.0, 0.0], [0.0, 1.0]],
+    "controller": {"lambda": [-1.0, -1.0], "gamma": ["2e-8*t", "2e-8*t"]},
+    "horizon": 10.0}
+
+
 def test_classify_as_is_inconclusive_where_a4_is(tmp_path, capsys):
-    # Gamma = -1 + 2e-8 t turns positive only at t = 5e7: on T = 10, J(T)
-    # misses 2 J(T/2) by 5e-7, which the doubling test's slack does not
-    # cover, so AS reads "too slowly" as A4 and C3 do
+    # on T = 10, J(T) misses 2 J(T/2) by 5e-7, which the doubling test's
+    # slack does not cover, so AS reads "too slowly" as A4 and C3 do
     path = tmp_path / "slow.json"
-    path.write_text(json.dumps({
-        "n": 2, "t0": 0.0, "x0": [1.0, -0.5], "norm": "two",
-        "A": [["0", "1"], ["-1", "0"]], "B": [[1.0, 0.0], [0.0, 1.0]],
-        "controller": {"lambda": [-1.0, -1.0],
-                       "gamma": ["2e-8*t", "2e-8*t"]},
-        "horizon": 10.0}))
+    path.write_text(json.dumps(SLOW_DECAY))
     as_, a4, c3 = _as_and_a4(capsys, path)
     for ev in (as_, a4, c3):
         assert ev["verdict"] == "inconclusive"
@@ -339,12 +352,29 @@ def test_classify_as_is_inconclusive_where_a4_is(tmp_path, capsys):
         assert ev["measured"]["J"] == as_["measured"]["J"]
 
 
+def test_classify_supports_no_member_whose_implied_ones_are_not(tmp_path,
+                                                               capsys):
+    # UAS implies AS: where AS is inconclusive, so is UAS, whatever its
+    # own sampled rate says, and the strongest supported member is US
+    path = tmp_path / "slow.json"
+    path.write_text(json.dumps(SLOW_DECAY))
+    rc = cli.main(["classify", "--config", str(path)])
+    doc = json.loads(capsys.readouterr().out)
+    assert (rc, doc["strongest"]) == (1, "US")
+    verdicts = {k: e["verdict"] for k, e in doc["entries"].items()}
+    assert verdicts == {"S": "supported", "US": "supported",
+                        "AS": "inconclusive", "UAS": "inconclusive",
+                        "UNSTABLE": "refuted"}
+    assert doc["entries"]["UAS"]["note"] == ("uniform decay rate alpha = 1; "
+                                             "AS not supported")
+
+
 def test_verify_integrates_c3_under_another_norm(configs, monkeypatch):
     # under mu_1 the closed loop's rate is not Gamma, so C3 runs its own
     # quadrature after A4's: five in all (A1 stays inconclusive, exit 1)
     rc, evals = _quadrature_evals(monkeypatch, "verify",
                                   configs["bundled-norm-one"])
-    assert (rc, evals) == (1, [377, 981, 953, 1529, 1141])
+    assert (rc, evals) == (1, [377, 981, 261, 681, 553])
 
 
 def test_commands_in_one_process_repeat_their_bytes(configs):

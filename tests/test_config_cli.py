@@ -717,6 +717,38 @@ def test_cli_rejects_bad_tolerance_and_horizon(capsys, cfg_file, argv,
     assert err.startswith(f"error: {message}")
 
 
+@pytest.mark.parametrize("command", ["synthesize", "classify", "simulate",
+                                     "verify"])
+def test_cli_rejects_a_horizon_too_close_to_t0(capsys, cfg_file, tmp_path,
+                                               command):
+    # a subnormal span cannot hold the commands' grids: the horizon check
+    # says so, not a grid deep inside a command
+    extra = ["--out", str(tmp_path / "x.csv")] if command == "simulate" else []
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg_file),
+                           "--horizon", "5e-324", *extra)
+    assert (rc, out) == (2, "")
+    assert err == ("error: --horizon must exceed t0=0.0 by 1024 normal "
+                   "floating-point steps of 4 ulps, got 5e-324\n")
+
+
+@pytest.mark.parametrize("t0, horizon", [(0.0, 5e-324), (1e6, 1e6 + 1e-9)])
+def test_config_rejects_a_horizon_too_close_to_t0(cfg, t0, horizon):
+    # a subnormal span, and one below the spacing of floats near t0
+    cfg["t0"], cfg["horizon"] = t0, horizon
+    with pytest.raises(ConfigError) as exc:
+        load_config(cfg)
+    assert str(exc.value) == (f"horizon must exceed t0={t0} by 1024 normal "
+                              "floating-point steps of 4 ulps, got "
+                              f"{horizon!r}")
+
+
+@pytest.mark.parametrize("command", ["synthesize", "classify", "verify"])
+def test_cli_runs_on_a_tiny_normal_horizon(capsys, cfg_file, command):
+    rc, out, err = run_cli(capsys, command, "--config", str(cfg_file),
+                           "--horizon", "1e-300")
+    assert (rc, err) == (0, "") and json.loads(out)
+
+
 def test_cli_verify_rejects_quad_tol_before_phi(capsys, cfg_file,
                                                 monkeypatch):
     # a bad --quad-tol fails at once, not after the whole Phi integration
