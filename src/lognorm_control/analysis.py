@@ -45,11 +45,9 @@ VERDICT_ORDER = ("UAS", "AS", "US", "S", "UNSTABLE")
 A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
 A1_GRID = np.geomspace(1e-7, 1.0, 64)  # A1's grid, in fractions of the span
 MAX_DEPTH = 40  # adaptive Simpson splits a panel at most this often
-# A quadrature's error target is at least TOL_REL * int |f|, at any scale
-# of f: for a decay test's sign-definite mu, TOL_REL |J|.  Its slack's
-# 4 err is then <= 4e-10 |J|, 400x the rounding term 1e-12 (1 + |J|) but
-# 100x below the 5e-8 |J| by which a rate of -1 + 2e-8 t on [0, 10] misses
-# doubling, which must stay inconclusive.
+# The error target is at least TOL_REL |int f|, at any scale of f: in a decay
+# test the slack's 4 err <= 4e-10 |J| is 400x 1e-12 (1 + |J|) but 100x below
+# the 5e-8 |J| by which a rate of -1 + 2e-8 t on [0, 10] misses doubling.
 TOL_REL = 1e-10
 _MAX_EVALS = 100_000  # past this a quadrature accepts its pending panels
 _FLOAT_PANELS = 4  # from this few pending panels on, a quadrature uses floats
@@ -118,15 +116,16 @@ def _simpson(f, grid: np.ndarray, tol: float):
     Each level evaluates the two new nodes of every pending panel in one
     call ``f(nodes)`` (nodes ascending).  Acceptance follows the
     recursive rule panel by panel: Richardson ``|delta| <= 15 tol``, from
-    ``max(tol, TOL_REL * S / cells)`` per component (``S`` the first
-    level's Simpson estimate of ``int |f|``) halved per split, a panel
-    below its rounding noise accepted too, and forced acceptance
-    (unconverged) at ``MAX_DEPTH`` or where the panels a level splits
-    would take the next past ``_MAX_EVALS``; a panel of c components
-    passes when each does.  Values and errors are summed in the recursion's
-    order, so the result equals the per-cell recursion bit for bit.  An
-    estimate that overflows raises ValueError.  Returns ``(cell_values,
-    est_error, evals, converged)``.
+    ``max(tol, TOL_REL |S| / cells)`` (``S`` the first level's estimate
+    of ``int f``, per component) halved per split, a panel below its
+    rounding noise accepted too, and forced acceptance (unconverged) at
+    ``MAX_DEPTH`` or where the panels a level splits would take the next
+    past ``_MAX_EVALS``; a panel of c components passes when each does.
+    Values and errors are summed in the recursion's order, so the result
+    equals the per-cell recursion bit for bit.  Once at most
+    ``_FLOAT_PANELS`` panels are pending, the levels run on Python floats
+    (:func:`_float_levels`).  An estimate that overflows raises
+    ValueError.  Returns ``(cell_values, est_error, evals, converged)``.
     """
     ncell = len(grid) - 1
     x = np.empty(2 * ncell + 1)    # grid nodes and cell midpoints
@@ -134,35 +133,16 @@ def _simpson(f, grid: np.ndarray, tol: float):
     x[1::2] = 0.5 * (grid[:-1] + grid[1:])
     fx = _values(f, x)
     lead = fx.shape[:-1]
+    evals = len(x)
     a, m, b = x[0:-1:2], x[1::2], x[2::2]
     fa, fm, fb = fx[..., 0:-1:2], fx[..., 1::2], fx[..., 2::2]
-    h, u = (b - a) / 6.0, np.abs(fx)
-    # the floor TOL_REL * S / cells, S the Simpson estimate of int |f|
-    floor = np.cumsum(h * (TOL_REL / ncell) * (
-        u[..., 0:-1:2] + 4.0 * u[..., 1::2] + u[..., 2::2]), axis=-1)
-    leaves = []                    # (left ends, cells, errors) per level
-    value, evals, depth = _array_levels(
-        f, lead, np.maximum(tol, floor[..., -1:]), 0, len(x), leaves,
-        a, m, b, fa, fm, fb, h * (fa + 4.0 * fm + fb), np.arange(ncell))
-    # errors accumulate leaf by leaf from the left, first within each cell
-    # and then over the cells; leaves tile the grid, so sorting by left
-    # end restores that order
-    leaf_a, leaf_cell, leaf_err = zip(*leaves)
-    order = np.argsort(np.concatenate(leaf_a), kind="stable")
-    cell_err = np.zeros(lead + (ncell,))
-    np.add.at(cell_err, (..., np.concatenate(leaf_cell)[order]),
-              np.concatenate(leaf_err, axis=-1)[..., order])
-    err = np.cumsum(cell_err, axis=-1)[..., -1]  # adds in order, as above
-    return value, err if lead else float(err), evals, depth <= MAX_DEPTH
-
-
-def _array_levels(f, lead, tol, depth, evals, leaves, a, m, b, fa, fm, fb,
-                  whole, cell):
-    """:func:`_simpson`'s levels from the panels ``(a, m, b, fa, fm, fb,
-    whole, cell)`` on, ``tol`` shaped ``lead + (1,)``, handing a level of
-    at most ``_FLOAT_PANELS`` to :func:`_float_levels`.  Returns the
-    panels' values, evals and depth."""
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    tol = np.maximum(tol, np.abs(np.cumsum(  # scaled first: no overflow
+        TOL_REL / ncell * whole, axis=-1)[..., -1:]))
+    cell = np.arange(ncell)
     levels = []                    # (split panels, value) per level
+    leaves = []                    # (left ends, cells, errors) per level
+    depth = 0                      # past MAX_DEPTH: forced acceptance
     while len(a) > _FLOAT_PANELS:
         lm, rm = 0.5 * (a + m), 0.5 * (m + b)
         fnew = _values(f, _pair(lm, rm), lead)
@@ -200,30 +180,40 @@ def _array_levels(f, lead, tol, depth, evals, leaves, a, m, b, fa, fm, fb,
         depth += 1
     value = np.empty(lead + (0,))
     if len(a):  # a handful of panels: quicker on floats
-        value, evals, depth = _float_levels(
+        value, evals, depth, tail = _float_levels(
             f, lead, list(zip(a.tolist(), m.tolist(), b.tolist(), *(
                 zip(*np.atleast_2d(v).tolist()) for v in (fa, fm, fb, whole)),
-                cell.tolist())), tol.ravel().tolist(), depth, evals, leaves)
+                cell.tolist())), tol.ravel().tolist(), depth, evals)
+        leaves.append(tail)
     # a split panel's value is the sum of its two children's, bottom up
     for split, leaf_value in reversed(levels):
         leaf_value[split] = value[..., 0::2] + value[..., 1::2]
         value = leaf_value
-    return value, evals, depth
+    # errors accumulate leaf by leaf from the left, first within each cell
+    # and then over the cells; leaves tile the grid, so sorting by left
+    # end restores that order
+    leaf_a, leaf_cell, leaf_err = zip(*leaves)
+    order = np.argsort(np.concatenate(leaf_a), kind="stable")
+    cell_err = np.zeros(lead + (ncell,))
+    np.add.at(cell_err, (..., np.concatenate(leaf_cell)[order]),
+              np.concatenate(leaf_err, axis=-1)[..., order])
+    err = np.cumsum(cell_err, axis=-1)[..., -1]  # adds in order, as above
+    return value, err if lead else float(err), evals, depth <= MAX_DEPTH
 
 
-def _float_levels(f, lead, panels, tol, depth, evals, leaves):
-    """:func:`_array_levels` while 1 to ``_FLOAT_PANELS`` panels are
-    pending, on Python floats (values tuples and ``tol`` a list over the
-    components), whose ``+ - * /`` and ``abs`` round as numpy's do, in the
-    same nodes, operations and order; a wider level goes back to arrays."""
-    levels, accepted = [], []
-    columns = lambda rows: np.array(rows, dtype=float).T.reshape(lead + (-1,))
-    while 0 < len(panels) <= _FLOAT_PANELS:
+def _float_levels(f, lead, panels, tol, depth, evals):
+    """:func:`_simpson`'s levels from the ``panels`` ``(a, m, b, fa, fm,
+    fb, whole, cell)`` on, values tuples and ``tol`` a list over the
+    components: the array levels' nodes, operations and order, on floats,
+    whose ``+ - * /`` and ``abs`` round as numpy's do.  Returns the
+    panels' values, evals, depth and leaves' ``a``, ``cell`` and errors."""
+    levels, leaves = [], []
+    while panels:
         nodes = [x for a, m, b, *_ in panels
                  for x in (0.5 * (a + m), 0.5 * (m + b))]
         fnew = zip(*np.atleast_2d(_values(f, np.array(nodes), lead)).tolist())
         evals += len(nodes)
-        level, split, unsplit = [], [], []
+        level, split, held = [], [], []
         for lm, rm, (a, m, b, fa, fm, fb, whole, cell) in zip(
                 nodes[0::2], nodes[1::2], panels):
             flm, frm = next(fnew), next(fnew)
@@ -234,42 +224,34 @@ def _float_levels(f, lead, panels, tol, depth, evals, leaves):
             delta = [u + v - w for u, v, w in zip(left, right, whole)]
             if not all(map(math.isfinite, delta)):
                 raise ValueError(_OVERFLOW.format(a))
+            value = [u + v + d / 15.0 for u, v, d in zip(left, right, delta)]
+            leaf = (a, cell, [abs(d) / 15.0 for d in delta])
             if depth >= MAX_DEPTH or all(
                     abs(d) <= max(15.0 * t, 1e-15 * (abs(u) + abs(v)))
                     for d, u, v, t in zip(delta, left, right, tol)):
-                level.append(_leaf(accepted, a, cell, left, right, delta))
+                level.append(value)
+                leaves.append(leaf)
             else:
-                unsplit.append((len(level), a, cell, left, right, delta))
+                held.append((len(level), value, leaf))
                 level.append(None)
                 split += [(a, lm, m, fa, flm, fm, left, cell),
                           (m, rm, b, fm, frm, fb, right, cell)]
         if split and evals + 2 * len(split) > _MAX_EVALS:  # as MAX_DEPTH
-            for i, *panel in unsplit:
-                level[i] = _leaf(accepted, *panel)
+            for i, value, leaf in held:
+                level[i] = value
+                leaves.append(leaf)
             split, depth = [], MAX_DEPTH
         levels.append(level)
         panels, tol, depth = split, [0.5 * t for t in tol], depth + 1
-    value = []
-    if panels:  # widened again: back to arrays
-        a, m, b, *values, cell = zip(*panels)
-        value, evals, depth = _array_levels(
-            f, lead, np.reshape(tol, lead + (1,)), depth, evals, leaves,
-            *map(np.array, (a, m, b)), *map(columns, values), np.array(cell))
-        value = np.atleast_2d(value).T.tolist()
-    for level in reversed(levels):  # a split panel's is its children's sum
+    value = []  # a split panel's value is the sum of its children's
+    for level in reversed(levels):
         kids = iter(value)
         value = [v or [u + w for u, w in zip(next(kids), next(kids))]
                  for v in level]
-    if accepted:
-        a, cell, errs = zip(*accepted)
-        leaves.append((np.array(a), np.array(cell), columns(errs)))
-    return columns(value), evals, depth
-
-
-def _leaf(leaves, a, cell, left, right, delta):
-    """A float panel's value, its ``a``, ``cell`` and errors in ``leaves``."""
-    leaves.append((a, cell, [abs(d) / 15.0 for d in delta]))
-    return [u + v + d / 15.0 for u, v, d in zip(left, right, delta)]
+    a, cell, errs = zip(*leaves)
+    columns = lambda rows: np.array(rows).T.reshape(lead + (-1,))
+    return columns(value), evals, depth, (np.array(a), np.array(cell),
+                                          columns(errs))
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -277,11 +259,10 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """Adaptive Simpson quadrature of ``f`` over ``[a, b]``.
 
     ``f`` takes one float and returns one float.  The error target is
-    ``max(tol, TOL_REL * S)``, ``S`` the first Simpson estimate of ``int
-    |f|``; acceptance of a panel uses the usual Richardson comparison
-    ``|S(fine) - S(coarse)| <= 15 tol`` with the tolerance halved at each
-    split.  Exact for polynomials of degree three or less.  Non-finite
-    integrand values raise.
+    ``max(tol, TOL_REL |S|)``, ``S`` the first Simpson estimate of ``int
+    f``; a panel passes the Richardson test ``|S(fine) - S(coarse)| <= 15
+    tol``, the tolerance halved at each split.  Exact for polynomials of
+    degree three or less.  Non-finite integrand values raise.
     """
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("integration bounds must be finite")
@@ -313,17 +294,17 @@ def cumulative_integral(f: Callable[[np.ndarray], np.ndarray], grid,
     ``f`` is evaluated on arrays: it takes a 1-d array of N nodes and
     returns the N integrand values there, or a (c, N) array of c
     components, such as ``lognorm_pair``'s ``mu[M]`` and ``mu[-M]``.
-    Every cell is refined by adaptive Simpson (see :func:`_simpson`) to
-    ``max(tol, TOL_REL * S / cells)``, ``S`` the first level's estimate
-    of ``int |f|``, all cells together one level at a time; the first
-    call's nodes are the grid nodes and, between them, the cell
-    midpoints.  Components share their panels: one is accepted when every
-    component passes its own test.
+    Every cell is refined by adaptive Simpson (:func:`_simpson`) to
+    ``max(tol, TOL_REL |S| / cells)``, ``S`` the first level's estimate
+    of ``int f``, all cells together one level at a time; the first call's
+    nodes are the grid nodes and, between them, the cell midpoints.
+    Components share their panels: one is accepted when every component
+    passes its own test.
 
     Returns ``(values, est_error, evals, converged)`` with ``values[...,
     k] = int_{grid[0]}^{grid[k]} f`` and ``est_error`` a float, or a (c,
     len(grid)) array and c errors; the total estimated error is roughly
-    ``max(tol * cells, TOL_REL * S)``.  A non-finite integrand value,
+    ``max(tol * cells, TOL_REL |S|)``.  A non-finite integrand value,
     panel estimate or running sum raises ValueError naming the node, the
     panel's left end or the grid point, as do a ``tol`` that is not
     positive and finite and a bad grid.
@@ -625,9 +606,8 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     AS is ``verify``'s A4, and S, US and UAS read its ``J``, error and
     first-level ``mu``.  The UNSTABLE member integrates ``mu[-(A + Delta
     + B K)]``, whose divergence forces every solution of the perturbed
-    system to grow.  A member is supported only where those it implies
-    are (UAS => AS => S, UAS => US => S).  Deterministic: no randomness
-    anywhere, so two runs produce identical reports.
+    system to grow.  Deterministic: no randomness anywhere, so two runs
+    produce identical reports.
     """
     k = spec.norm
     if T is None:
@@ -694,9 +674,9 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
          "inconclusive": "no uniform negative bound for mu on the sampled "
                          "grid"})
 
-    # the members nest (UAS => AS => S, UAS => US => S), weakest first
-    for key, implied in ("AS", ["S"]), ("US", ["S"]), ("UAS", ["AS", "US"]):
-        missing = " and ".join(i for i in implied
+    # the members nest: UAS => AS => S, UAS => US => S
+    for key, implied in ("AS", "S"), ("US", "S"), ("UAS", "AS US"):
+        missing = " and ".join(i for i in implied.split()
                                if entries[i].verdict != "supported")
         if missing and entries[key].verdict == "supported":
             entries[key] = _downgrade(entries[key], missing + " not supported")

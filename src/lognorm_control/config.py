@@ -11,9 +11,7 @@ reported with their entry position and byte offset.
 from __future__ import annotations
 
 import json
-import math
 import operator
-import sys
 from dataclasses import dataclass
 from numbers import Number
 from pathlib import Path
@@ -173,14 +171,13 @@ def _entries(seq, n: int, name: str):
 
 
 def _horizon(t0: float, horizon: float, name: str) -> float:
-    """``horizon`` if finite and above ``t0`` by 1024 steps that are normal
-    floats of at least 4 ulps, so that grids on it increase."""
+    """``horizon``, if the commands' fixed grids from ``t0`` increase."""
     if not np.isfinite(horizon):
         raise ConfigError(f"{name} must be finite")
     if not horizon > t0:
         raise ConfigError(f"{name} must exceed t0={t0}")
-    if not (horizon - t0) / 1024 >= max(sys.float_info.min, 4 * math.ulp(
-            max(abs(t0), horizon))):
+    if not (horizon - t0) / 1024 >= max(np.finfo(float).tiny,
+                                        4 * np.spacing(max(abs(t0), horizon))):
         raise ConfigError(f"{name} must exceed t0={t0} by 1024 normal "
                           f"floating-point steps of 4 ulps, got {horizon!r}")
     return horizon

@@ -167,16 +167,16 @@ def cumulative_simpson_ref(f, grid, tol=1e-9, tol_rel=1e-10):
     """``simpson_ref`` cell by cell over grid, accumulated:
     ``(values, est_error, evals, converged)`` with values[..., 0] = 0;
     a vector integrand gives (components, len(grid)) values.  Each cell
-    starts from ``max(tol, tol_rel * S / cells)``, per component, with S
-    the Simpson estimate of ``int |f|`` over the cells added from the
+    starts from ``max(tol, |S|)``, per component, with S the Simpson
+    estimate of ``tol_rel / cells * int f`` over the cells added from the
     left; its nodes are evaluated apart from the counted ones."""
-    floor = 0.0  # tol_rel / cells of S, added cell by cell
+    S = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
-        fa, fm, fb = (np.abs(np.asarray(f(t), dtype=float))
+        fa, fm, fb = (np.asarray(f(t), dtype=float)
                       for t in (a, 0.5 * (a + b), b))
-        floor = floor + (b - a) / 6.0 * (tol_rel / (len(grid) - 1)) * (
-            fa + 4.0 * fm + fb)
-    tol = np.maximum(tol, floor)
+        S = S + tol_rel / (len(grid) - 1) * (
+            (b - a) / 6.0 * (fa + 4.0 * fm + fb))
+    tol = np.maximum(tol, np.abs(S))
     vals = []
     acc = err = 0.0
     evals = 0

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -243,36 +243,43 @@ def _simpson_outcome(f, grid, tol, float_panels, max_evals=None):
 
 
 @settings(max_examples=75)
+@example(lo=0.0, widths=[1.0], at_node=False, where=0.3, p=0.5, gap=None,
+         offset=1e9, wave=True, spike=None, two=False, log_tol=-9.0,
+         max_evals=None)
 @given(lo=st.floats(-3.0, 3.0),
        widths=st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
        at_node=st.booleans(), where=st.floats(0.0, 1.0),
        p=st.sampled_from([-0.3, 0.3, 0.5, 1.5, 2.5]),
        gap=st.sampled_from([None, 1e-3, 1e-12]),
-       offset=st.sampled_from([0.0, 1e9]),
+       offset=st.sampled_from([0.0, 1e9]), wave=st.booleans(),
        spike=st.one_of(st.none(), st.floats(0.0, 1.0)),
        two=st.booleans(), log_tol=st.floats(-9.0, -3.0),
        max_evals=st.sampled_from([None, 60, 400]))
 def test_float_levels_keep_the_array_levels_bits(lo, widths, at_node, where,
-                                                  p, gap, offset, spike, two,
-                                                  log_tol, max_evals):
+                                                  p, gap, offset, wave, spike,
+                                                  two, log_tol, max_evals):
     # |t - c|^p singular at a grid node (the endpoint of a cell) or inside
     # one reaches MAX_DEPTH there for a small tol (for any tol if p < 0);
     # a second singular point a gap past c makes the pending panels
     # narrow and widen again; an offset of 1e9 makes the relative floor
-    # set the tolerance, a negative p at a node is a non-finite value, a
-    # spike of 1e308 overflows the panels whose nodes find it, and a cap
-    # of 60 or 400 evaluations stops the quadrature early.  All-array
-    # levels, all-float levels from the first refinement on, and a
-    # crossover between them call f on the same nodes and agree on every
-    # bit, count and error text.  ~1 s: the float levels cost ~5 us per
-    # panel (tol stays above 1e-9, or the panel counts grow past 1e4)
+    # set the tolerance, unless it is a wave of one period over the grid,
+    # whose integral, and so floor, is about 0 on one cell: there the
+    # rounding-noise rule accepts panels (the example).  A negative p at
+    # a node is a non-finite value, a spike of 1e308 overflows the panels
+    # whose nodes find it, and a cap of 60 or 400 evaluations stops the
+    # quadrature early.  All-array levels, all-float levels from the first
+    # refinement on, and a crossover between them call f on the same
+    # nodes and agree on every bit, count and error text.  ~1 s: the float
+    # levels cost ~5 us per panel (tol stays above 1e-9, or the panel
+    # counts grow past 1e4)
     grid = lo + np.concatenate(([0.0], np.cumsum(widths)))
     span = grid[-1] - grid[0]
     c = (grid[round(where * (len(grid) - 1))] if at_node
          else grid[0] + where * span)
 
     def f(t):
-        v = offset + np.abs(t - c) ** p
+        v = offset * (np.sin(2.0 * np.pi * (t - grid[0]) / span) if wave
+                      else 1.0) + np.abs(t - c) ** p
         if gap is not None:
             v = v + np.abs(t - c - gap) ** p
         if spike is not None:
@@ -284,27 +291,8 @@ def test_float_levels_keep_the_array_levels_bits(lo, widths, at_node, where,
     assert outcomes[0] == outcomes[1] == outcomes[2]
 
 
-def test_float_levels_hand_back_to_arrays(monkeypatch):
-    # two square-root cusps 1e-12 apart: the pending panels go 2, 4, 6,
-    # ..., 4, 2, 4, 2, so with a crossover of 3 the float levels hand
-    # back to arrays and take over again, and the bits are those of
-    # arrays alone and of floats alone
-    def f(t):
-        return np.abs(t - 0.3) ** 0.5 + np.abs(t - 0.3 - 1e-12) ** 0.5
-    grid, runs = np.array([0.0, 0.5, 1.0]), []
-    float_levels = analysis._float_levels
-
-    def spy(f, lead, panels, *args):
-        runs.append(len(panels))
-        return float_levels(f, lead, panels, *args)
-    monkeypatch.setattr(analysis, "_float_levels", spy)
-    outcomes = [_simpson_outcome(f, grid, 1e-6, n) for n in (0, 3, 10 ** 9)]
-    assert outcomes[0] == outcomes[1] == outcomes[2]
-    assert outcomes[0][3] and runs[0] == 2 and len(runs) >= 3
-
-
 def test_quadrature_cost_does_not_grow_with_the_integrand_scale():
-    # s |t - 0.3|^2.5 at tol 1e-9: from s = 1e6 on, TOL_REL * int |f|
+    # s |t - 0.3|^2.5 at tol 1e-9: from s = 1e6 on, TOL_REL |int f|
     # sets every cell's tolerance, so a larger scale refines the same
     # panels, not on down to the rounding-noise rule or MAX_DEPTH
     grid, counts = np.linspace(0.0, 1.0, 5), {}
@@ -332,6 +320,14 @@ def test_a_quadrature_stops_at_the_evaluation_cap(monkeypatch):
     monkeypatch.setattr(analysis, "_MAX_EVALS", 10 ** 6)
     _, _, evals, ok = cumulative_integral(f, grid, tol)
     assert ok and evals > 10 ** 5
+
+
+def test_the_evaluation_cap_forces_only_a_level_that_splits():
+    # 30,000 cells of cos: the first refinement takes the count to
+    # 120,001, past the cap, but accepts every panel, so nothing is forced
+    _, _, evals, ok = cumulative_integral(np.cos, np.linspace(0, 1, 30001),
+                                          1e-9)
+    assert ok and evals == 120_001 > analysis._MAX_EVALS
 
 
 _OVERFLOWING_QUADRATURES = """

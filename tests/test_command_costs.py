@@ -352,6 +352,24 @@ def test_classify_as_is_inconclusive_where_a4_is(tmp_path, capsys):
         assert ev["measured"]["J"] == as_["measured"]["J"]
 
 
+@pytest.mark.parametrize("amplitude, note", [
+    (1e3, "too slowly for the doubling test"),
+    (1e6, "quadrature did not converge")])
+def test_a_swing_in_the_rate_keeps_a_slow_decay_inconclusive(
+        tmp_path, capsys, amplitude, note):
+    # a cos(2 pi t) added to the rate leaves J(10) and J(5) as they are
+    # but makes int |mu| ~ 0.64 a: the error floor follows |J|, not the
+    # swing, so the slack stays below the 5e-7 doubling miss; at a = 1e6
+    # resolving the swing to that floor takes more than the evaluation cap
+    doc = json.loads(json.dumps(SLOW_DECAY))
+    doc["controller"]["gamma"] = [f"2e-8*t + {amplitude:g}*cos(2*pi*t)"] * 2
+    path = tmp_path / "swing.json"
+    path.write_text(json.dumps(doc))
+    for ev in _as_and_a4(capsys, path):
+        assert ev["verdict"] == "inconclusive"
+        assert ev["note"].endswith(note)
+
+
 def test_classify_supports_no_member_whose_implied_ones_are_not(tmp_path,
                                                                capsys):
     # UAS implies AS: where AS is inconclusive, so is UAS, whatever its
