@@ -181,6 +181,8 @@ def cmd_synthesize(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _load(args)
+    _horizon(cfg.spec.t0, cfg.horizon, f"the horizon of --points "
+             f"{args.points}", max(args.points - 1, 1))
     ctrl = _controller(cfg, args)
     trace = simulate(cfg.spec, ctrl, T=cfg.horizon, tol=cfg.tol,
                      h_min=args.h_min, n_out=args.points)

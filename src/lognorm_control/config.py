@@ -170,15 +170,15 @@ def _entries(seq, n: int, name: str):
     return seq
 
 
-def _horizon(t0: float, horizon: float, name: str) -> float:
-    """``horizon``, if the commands' fixed grids from ``t0`` increase."""
+def _horizon(t0: float, horizon: float, name: str, steps: int = 1024) -> float:
+    """``horizon``, if fixed grids of ``steps`` steps from ``t0`` increase."""
     if not np.isfinite(horizon):
         raise ConfigError(f"{name} must be finite")
     if not horizon > t0:
         raise ConfigError(f"{name} must exceed t0={t0}")
-    if not (horizon - t0) / 1024 >= max(np.finfo(float).tiny,
-                                        4 * np.spacing(max(abs(t0), horizon))):
-        raise ConfigError(f"{name} must exceed t0={t0} by 1024 normal "
+    if not (horizon - t0) / steps >= max(np.finfo(float).tiny,
+                                         4 * np.spacing(max(abs(t0), horizon))):
+        raise ConfigError(f"{name} must exceed t0={t0} by {steps} normal "
                           f"floating-point steps of 4 ulps, got {horizon!r}")
     return horizon
 

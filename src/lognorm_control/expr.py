@@ -386,6 +386,75 @@ def collect_vars(e: Expr) -> set:
 
 
 # ---------------------------------------------------------------------------
+# differentiation
+
+_ZERO, _ONE = Lit(0.0), Lit(1.0)
+
+
+def derivatives(flat: Sequence[Expr], var: str) -> list:
+    """``d e / d var`` of each entry ``e`` of ``flat`` by the rules of
+    docs/expression-grammar.md, over the entries' own subtrees: a subtree
+    they share (see _dag) has one derivative, which they share in turn."""
+    memo = {}  # a node's id -> its derivative, None where it is 0
+    return [_derivative(e, var, memo) or _ZERO for e in flat]
+
+
+def _derivative(e: Expr, v: str, memo: dict) -> Expr | None:
+    kind = type(e)
+    if kind is Lit or kind is Var:
+        return _ONE if kind is Var and e.name == v else None
+    if id(e) not in memo:
+        a, b = (e.operand,) * 2 if kind is Neg else (e.left, e.right) \
+            if kind is Bin else (e.args[0], e.args[-1])
+        da, db = _derivative(a, v, memo), _derivative(b, v, memo)
+        fn = "-u" if kind is Neg else e.op if kind is Bin else e.fn
+        memo[id(e)] = None if da is None is db else \
+            _RULES["^" if fn == "pow" else fn](e, a, b, da, db)
+    return memo[id(e)]
+
+
+# e' of e = a op b, fn(a, b) or fn(a) (b is then a), from a' and b' (None
+# for 0, not both); min(a, b) is b if b < a, max(a, b) is b if a < b
+_RULES = {
+    "-u": lambda e, a, b, da, db: _op("-", None, da),
+    "+": lambda e, a, b, da, db: _op("+", da, db),
+    "-": lambda e, a, b, da, db: _op("-", da, db),
+    "*": lambda e, a, b, da, db: _op("+", _op("*", da, b), _op("*", a, db)),
+    "/": lambda e, a, b, da, db: _op("/", _op("-", da, _op("*", e, db)), b),
+    # a^b (b' log a + b a' / a), or c a^(c - 1) a' with no log a
+    "^": lambda e, a, b, da, db: _op("*", e, _op("+", _op(
+        "*", db, Call("log", (a,))), _op("*", b, _op("/", da, a))))
+    if db is not None else _op("*", Bin("*", b, Bin(
+        "^", a, Bin("-", b, _ONE))), da),
+    "sin": lambda e, a, b, da, db: _op("*", Call("cos", (a,)), da),
+    "cos": lambda e, a, b, da, db: Neg(_op("*", Call("sin", (a,)), da)),
+    "tan": lambda e, a, b, da, db: _op("*", Bin("+", _ONE, Bin("*", e, e)),
+                                       da),
+    "exp": lambda e, a, b, da, db: _op("*", e, da),
+    "log": lambda e, a, b, da, db: _op("/", da, a),
+    "sqrt": lambda e, a, b, da, db: _op("/", da, Bin("*", Lit(2.0), e)),
+    "abs": lambda e, a, b, da, db: _pick(_ZERO, a, da,
+                                         _pick(a, _ZERO, Neg(da))),
+    "min": lambda e, a, b, da, db: _pick(b, a, db, da),
+    "max": lambda e, a, b, da, db: _pick(a, b, db, da),
+}
+
+
+def _op(op: str, a, b):
+    """``a op b``, with None standing for 0 (not as a divisor) and a factor
+    1 left out; ``_op("-", None, b)`` is ``-b``."""
+    if a is None or b is None:
+        return (a or b if op == "+" else a or Neg(b)) if op in "+-" else None
+    return a if b is _ONE and op in "*/" else b if a is _ONE and op == "*" \
+        else Bin(op, a, b)
+
+
+def _pick(p, q, r, s=None):  # r if p < q else s, None standing for 0
+    return None if r is s is None else Call(
+        "_ifless", (p, q, r or _ZERO, s or _ZERO))
+
+
+# ---------------------------------------------------------------------------
 # formatting
 
 _PREC_ADD = 1.0
@@ -511,6 +580,8 @@ def _emit(e: Expr, ops: list, array: bool) -> tuple:
     form's ``t`` is the array of times; a value not depending on it is a
     float, computed as in the scalar form."""
     vec, const = ops[0][2] or ops[-1][2], ops[0][3] and ops[-1][3]
+    if len(ops) > 2:  # a derivative's _ifless; any() is slow for the rest
+        vec, const = any(o[2] for o in ops), all(o[3] for o in ops)
     if isinstance(e, Neg):
         return f"(-{ops[0][1]})", vec, const
     fn = e.fn if isinstance(e, Call) else "pow" if e.op == "^" else None
@@ -521,7 +592,7 @@ def _emit(e: Expr, ops: list, array: bool) -> tuple:
                      for o in ops)
     if not (array and vec):
         return f"{fn}({args})", vec, const
-    if fn in ("abs", "sqrt", "min", "max"):
+    if fn in ("abs", "sqrt", "min", "max", "_ifless"):
         return f"_{fn}({args})", vec, const
     return f"_map({fn}, {args})", vec, const
 
@@ -530,10 +601,10 @@ def _emit(e: Expr, ops: list, array: bool) -> tuple:
 # or nan where Python raises (x/0, sqrt(-1)).  An inf or nan operand
 # keeps the result non-finite, where the caller's final check sees it,
 # except at these positions: a divisor (x/inf = 0), the arguments of min,
-# max and pow (pow(inf, 0) = 1, min(nan, 1) = nan but min(1, nan) = 1)
-# and exp's (exp(-inf) = 0).  _finite checks an operand there, as the
-# checked evaluator checks every intermediate.
-_ABSORBING = frozenset(("min", "max", "pow", "exp"))
+# max, pow and a derivative's _ifless (pow(inf, 0) = 1, min(nan, 1) =
+# nan but min(1, nan) = 1) and exp's (exp(-inf) = 0).  _finite checks an
+# operand there, as the checked evaluator checks every intermediate.
+_ABSORBING = frozenset(("min", "max", "pow", "exp", "_ifless"))
 
 
 def _finite(e, src: str, vec: bool, const: bool, array: bool) -> str:
@@ -575,11 +646,13 @@ _GEN_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "abs": abs, "min": min, "max": max,
+    "_ifless": lambda p, q, r, s: r if p < q else s,  # see derivatives
     "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
     # the array form's; min(a, b) is a unless b < a, and max alike
     "_map": _map, "_abs": np.abs, "_sqrt": np.sqrt,
     "_min": lambda a, b: np.where(b < a, b, a),
     "_max": lambda a, b: np.where(b > a, b, a),
+    "__ifless": lambda p, q, r, s: np.where(p < q, r, s),
     "_allfinite": lambda v: np.isfinite(v).all(),
 }
 

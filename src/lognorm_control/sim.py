@@ -9,21 +9,21 @@ estimated from two stages it already has, and once that exceeds
 ``STIFF_H_RHO`` on ``STIFF_STEPS`` accepted steps in a row it finishes
 the run with RODAS4, a stiffly accurate linearly implicit Rosenbrock
 method of order 4(3) (Hairer & Wanner, *Solving ODEs II*, IV.7;
-Petzold's automatic method selection, 1983).  RODAS4 uses the exact
-Jacobian ``M(t)``, plus a differenced one for a state-dependent
-disturbance, and a cubic Hermite dense output.  Should the step size
-stay pinned at ``h_min`` for 50 consecutive attempts in either stepper,
-the run aborts with a :class:`StiffnessError` carrying the local
-logarithmic norm.
+Petzold's automatic method selection, 1983).  RODAS4 takes the exact
+Jacobian ``M(t) + d omega/dx`` and time derivative ``M'(t) x + d
+omega/dt`` from the expressions' symbolic derivatives, one compiled grid
+made when it takes over, and has a cubic Hermite dense output.  Should
+the step size stay pinned at ``h_min`` for 50 consecutive attempts in
+either stepper, the run aborts with a :class:`StiffnessError` carrying
+the local logarithmic norm.
 
 The right-hand side ``x' = M(t) x + omega(t, x)`` is linear in a matrix
 that does not depend on the state, and a step's stage times are known
 before its first stage.  So each attempt evaluates the matrix once, as a
 batch over its distinct stage times (five for DP5; for RODAS4 the four
-stage times, ``t`` for the Jacobian and ``t + dt`` for the time
-derivative), and runs the stages on that stack.  If a batch raises, the
-attempt is redone stage by stage, so a domain failure is reported at the
-stage and time where it first occurs.
+stage times and ``t`` for the Jacobian), and runs the stages on that
+stack.  If a batch raises, the attempt is redone stage by stage, so a
+domain failure is reported at the stage and time where it first occurs.
 
 :func:`fundamental_matrix` does not step: it multiplies Magnus
 propagators, a whole refinement level of sub-steps per batch of ``F``
@@ -41,11 +41,13 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import EvalError
+from .expr import (EvalError, Lit, VectorFunction, derivatives, eval_expr,
+                   state_vars)
 from .linalg import induced_norm, lognorm, lognorm_pair, vector_norm
 from .analysis import cumulative_integral, norm_name
 from .report import Report
-from .system import ControllerSpec, SystemSpec, closed_loop_function
+from .system import (ControllerSpec, SystemSpec, _closed_loop_grid,
+                     closed_loop_function)
 
 __all__ = [
     "NumericalError",
@@ -127,8 +129,8 @@ _FAC_MAX = 5.0
 # + sum_j c_ij U_j / h + h d_i f_t.  Stiffly accurate: the last two stage
 # arguments are the embedded and the final solution, so U_6 is the error.
 _GAMMA = 0.25
-_RT = np.array([0.0, 0.0, 0.386, 0.21, 0.63, 1.0])  # batch; [1] is t + dt
-_RJ = (None, 2, 3, 4, 5, 5)  # stage i -> its time in the batch
+# a step's batch: t, then the stage times (stages 4 and 5 share t + h)
+_RT = np.array([0.0, 0.386, 0.21, 0.63, 1.0])
 _RD = np.array([0.25, -0.1043, 0.1035, -0.0362000000000023, 0.0, 0.0])
 _RA = [
     None,
@@ -279,7 +281,7 @@ def _error(tol, y, y_new, err_vec):
     return True, math.sqrt(ee) / (tol * (1.0 + math.sqrt(y.dot(y))))
 
 
-def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
+def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, jacobian):
     """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
     by dense output and returns (outputs, accepted_h, n_rejected,
     n_explicit): the first n_explicit accepted steps are DP5's, the rest
@@ -292,9 +294,9 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     equal bit for bit to the scalar calls.  Each attempt evaluates ``M``
     once, as a batch on its distinct stage times; if that raises, the
     attempt is redone stage by stage with ``f(t_i, y_i)``, so any error
-    is the one the first failing stage raises.  ``nonlinear`` says ``g``
-    depends on ``y``; RODAS4 then adds its Jacobian, by forward
-    differences of ``f(t, ., 0)``, to ``M(t)``.
+    is the one the first failing stage raises.  ``jacobian()`` makes
+    RODAS4's ``jac(t, y, M(t)) -> (J, f_t)`` (see :func:`_jacobian`), once
+    it takes over.
 
     At n = 2 a numpy call costs more than its arithmetic, so the steppers
     make one ``f`` call per stage, at a float time, and build its argument,
@@ -323,7 +325,7 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, nonlinear):
     t, y, fy, h, stiff = _dp5(f, M, run, t0, y, fy, h)
     n_explicit, switch = len(run.accepted), run.gi
     if stiff:
-        y = _rodas(f, M, run, t, y, fy, h, nonlinear)
+        y = _rodas(f, M, jacobian(), run, t, y, fy, h)
     run.interpolate(slice(first, switch), _dp5_dense)
     run.interpolate(slice(switch, run.gi), _rodas_dense)
     run.hold(y, T)  # grid points at exactly T
@@ -378,7 +380,7 @@ def _dp5(f, M, run, t, y, fy, h):
         for ki, a, before, j in stages:  # y + h * (a @ before)
             add(y, mul(a.dot(before, out=tmp), h, out=tmp), out=yi)
             f(tl[j], yi, Ms[j], ki)
-        y_new = y + mul(_B5.dot(k, out=tmp), h, out=tmp)
+        y_new = yi.copy()  # stage 6's argument: _A[6] is _B5 (FSAL)
         mul(_E.dot(k, out=err_vec), h, out=err_vec)
         finite, err = _error(tol, y, y_new, err_vec)
         at_floor = not end_clamped and h_attempt <= run.floor
@@ -409,24 +411,41 @@ def _dp5(f, M, run, t, y, fy, h):
     return t, y, k[0], h, False
 
 
-def _jacobian_g(f, t, y, Z, yj, G):
-    """Forward differences of ``g = f(t, ., Z)`` (``Z`` zero) into ``G``,
-    with rodas.f's increments; ``yj`` is a row for the perturbed state."""
-    g0 = f(t, y, Z)
-    for j in range(len(y)):
-        yj[:] = y
-        yj[j] += math.sqrt(1e-16 * max(1e-5, abs(y[j])))
-        G[:, j] = (f(t, yj, Z) - g0) / (yj[j] - y[j])
-    return G
+def _jacobian(M, omega, n):
+    """``jac(t, y, M(t)) -> (J, f_t)`` of ``M(t) y + omega(t, y)`` from one
+    compiled grid of their derivatives; NumericalError names the first
+    that fails, such as ``d omega_1/dx2``, and t."""
+    xs, ks = ("t", *state_vars(n)), range(1, n + 1)
+    w = omega.entries if omega is not None else [Lit(0.0)] * n
+    flat = derivatives(M._flat(), "t") + [
+        d for v in xs for d in derivatives(w, v)]
+    names = [f"dM({i},{j})/dt" for i in ks for j in ks] + [
+        f"d omega_{i}/d{v}" for v in xs for i in ks]
+    D, nn = VectorFunction(flat, xs).compiled(), n * n
+
+    def jac(t, y, Mt):
+        try:
+            d = D(t, y)
+        except EvalError:
+            for name, e in zip(names, flat):
+                try:
+                    eval_expr(e, t, y)
+                except EvalError as exc:
+                    raise NumericalError(f"derivative {name} failed at "
+                                         f"t={t:.6g}: {exc}") from exc
+            raise
+        return (Mt + d[nn + n:].reshape(n, n).T,
+                d[:nn].reshape(n, n).dot(y) + d[nn:nn + n])
+    return jac
 
 
-def _rodas(f, M, run, t, y, fy, h, nonlinear):
+def _rodas(f, M, jac, run, t, y, fy, h):
     """RODAS4 steps from ``(t, y)``, ``fy = f(t, y)``, to T; returns the
     final state.
 
-    ``J = M(t)`` (plus the differenced Jacobian of ``g`` if ``nonlinear``)
-    and ``f_t`` by one forward difference in t, both per attempt; one
-    inverse of ``I / (h gamma) - J`` per attempt serves all six stages.
+    ``J`` and ``f_t`` come from one call of ``jac`` per attempt (see
+    :func:`_jacobian`); one inverse of ``I / (h gamma) - J`` per attempt
+    serves all six stages.
     The step size follows rodas.f: ``h err^(-1/4)`` with Gustafsson's
     predictive controller.  Dense output is the cubic Hermite interpolant
     on ``(y, f(t, y), y_new, f(t + h, y_new))``; its last slope is the
@@ -435,10 +454,9 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
     T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
     n = len(y)
     U = np.empty((6, n))
-    # scratch: stage times, f_t, a stage's argument and right-hand side,
-    # a weighted sum, and _jacobian_g's zero matrix, state row and result
-    tb, (ft, yi, fi, tmp, yj) = np.empty(len(_RT)), np.empty((5, n))
-    Z, eye, G = np.zeros((n, n)), np.eye(n), np.empty((n, n))
+    # scratch: stage times, a stage's argument and right-hand side and a
+    # weighted sum
+    tb, (yi, fi, tmp), eye = np.empty(len(_RT)), np.empty((3, n)), np.eye(n)
     mul, add = np.multiply, np.add
     h_acc = err_acc = None
     rejected = False
@@ -450,22 +468,16 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
             h = T - t
 
         add(t, mul(_RT, h, out=tb), out=tb)
-        tb[1] = t + math.sqrt(1e-16 * max(1e-5, abs(t)))  # rodas.f's dt
         Ms, tl = _batch(M, tb), tb.tolist()
         # M(t) was evaluated before, as the previous step's end
-        J = M(t) if Ms[0] is None else Ms[0]
-        f(tl[1], y, Ms[1], ft)
-        np.divide(np.subtract(ft, fy, out=ft), tl[1] - t, out=ft)
-        if nonlinear:
-            J = J + _jacobian_g(f, t, y, Z, yj, G)
+        J, ft = jac(t, y, M(t) if Ms[0] is None else Ms[0])
         E_inv = np.linalg.inv(eye / (h * _GAMMA) - J)
         add(fy, mul(ft, h * _RD[0], out=tmp), out=fi)
         E_inv.dot(fi, out=U[0])
         for i in range(1, 6):
             Ui = U[:i]
             add(y, _RA[i].dot(Ui, out=tmp), out=yi)
-            j = _RJ[i]
-            f(tl[j], yi, Ms[j], fi)
+            f(tl[min(i, 4)], yi, Ms[min(i, 4)], fi)
             # fi + (_RG[i] @ U[:i]) / h + (h * _RD[i]) * ft
             add(fi, np.divide(_RG[i].dot(Ui, out=tmp), h, out=tmp), out=fi)
             add(fi, mul(ft, h * _RD[i], out=tmp), out=fi)
@@ -475,7 +487,7 @@ def _rodas(f, M, run, t, y, fy, h, nonlinear):
         at_floor = not end_clamped and h <= run.floor
         fac = min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
         if err <= 1.0:
-            f_new = f(tl[5], y_new, Ms[5])
+            f_new = f(tl[4], y_new, Ms[4])
             if run.next_out <= t + h:
                 run.record(t, h, y, y_new, fy, f_new)
             run.accepted.append(h)
@@ -568,7 +580,8 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     states, steps, nrej, n_explicit = _integrate(
         f, spec.t0, spec.x0, T, tol, h_min, h_max, grid, M=Acl,
         diag_mu=lambda t: lognorm(Acl(t), k),
-        nonlinear=omega is not None and spec.omega.state_dependent)
+        jacobian=lambda: _jacobian(_closed_loop_grid(spec, ctrl, True),
+                                   spec.omega, spec.n))
     norms = vector_norm(states, k)
     x0n = vector_norm(spec.x0, k)
     levels = []  # the first level's even nodes are the grid
@@ -906,7 +919,10 @@ def convergence_report(trace: Trace) -> ConvergenceReport:
     m = len(trace.times)
     half = min(m // 2, m - 2)
     norms = np.maximum(trace.norms, 1e-300)
-    rate = float(np.polyfit(trace.times[half:], np.log(norms[half:]), 1)[0])
+    ts = trace.times[half:]  # polyfit squares them: scaled by 2^-e, exactly
+    e = math.frexp(max(-ts[0], ts[-1]))[1]
+    fit = np.polyfit(np.ldexp(ts, -e), np.log(norms[half:]), 1)
+    rate = math.ldexp(fit[0], -e)
     quarter = (3 * m) // 4
     tail = trace.norms[quarter:]
     atol = 1e-9 * (1.0 + float(trace.norms.max()))

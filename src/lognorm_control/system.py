@@ -190,6 +190,11 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     fails, the error is ``A``'s or the loop's, else it names the first
     entry where ``Delta`` fails or the sum is not finite.
     """
+    return _closed_loop_grid(spec, ctrl, include_delta).compiled()
+
+
+def _closed_loop_grid(spec, ctrl, include_delta) -> MatrixFunction:
+    """The grid :func:`closed_loop_function` compiles."""
     if ctrl is None:
         M = spec.A
     elif ctrl.system.A != spec.A or not np.array_equal(ctrl.system.B, spec.B):
@@ -199,4 +204,4 @@ def closed_loop_function(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         M = ctrl.closed_loop
     if include_delta and spec.Delta is not None:
         M = M.plus(spec.Delta)
-    return M.compiled()
+    return M

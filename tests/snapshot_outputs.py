@@ -31,6 +31,8 @@ missing from it).  Where both sides of a differing ``.txt`` output are an
 differ, such as ``exit``, ``sandwich.passed`` or
 ``c3.measured.identity_max_rel_err``, once each with list indices as
 ``*`` (``sandwich.pairs.*.slack``); a key on one side only is named too.
+For a differing CSV trace it prints the first ``t`` at which a row
+differs and the largest absolute difference in each column.
 """
 
 import argparse
@@ -155,6 +157,22 @@ def _paths(old, new, prefix=""):
     return [] if old == new else [prefix.rstrip(".")]
 
 
+def _csv_changes(old: str, new: str) -> list:
+    """Lines saying where two CSV traces first differ and by how much at
+    most in each column (0 where a column's text is the same)."""
+    (head, *a), (new_head, *b) = ([line.split(",") for line in
+                                   text.splitlines()] for text in (old, new))
+    if head != new_head or len(a) != len(b):
+        return [f"header or row count differs ({len(a)} -> {len(b)} rows)"]
+    first = next(r[0] for r, s in zip(a, b) if r != s)
+    diffs = (max(abs(float(u) - float(v)) if u != v else 0.0
+                 for u, v in zip(col_a, col_b))
+             for col_a, col_b in zip(zip(*a), zip(*b)))
+    return [f"first differs at t={first}",
+            "max |diff|: " + ", ".join(f"{name} {d:.3g}"
+                                       for name, d in zip(head, diffs))]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     mode = p.add_mutually_exclusive_group(required=True)
@@ -181,6 +199,9 @@ def main(argv=None) -> int:
             if old is not None and new is not None:
                 for path in dict.fromkeys(_paths(old, new)):
                     print(f"    {path}")
+        elif name.endswith(".csv") and saved.is_file():
+            for line in _csv_changes(saved.read_text(), outputs[name]):
+                print(f"    {line}")
     print(f"{len(outputs) - len(differ)} of {len(outputs)} outputs "
           "byte-identical")
     return 1 if differ else 0

@@ -749,6 +749,32 @@ def test_cli_runs_on_a_tiny_normal_horizon(capsys, cfg_file, command):
     assert (rc, err) == (0, "") and json.loads(out)
 
 
+@pytest.mark.parametrize("horizon", ["1e-200", "1e-300"])
+def test_cli_simulate_fits_a_rate_on_a_tiny_horizon(capsys, cfg_file,
+                                                    horizon):
+    # the rate's least-squares fit squares the times: scaled by a power of
+    # two first, they do not underflow to a singular fit
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(cfg_file),
+                           "--horizon", horizon, "--points", "11")
+    assert (rc, err) == (0, "")
+    assert np.isfinite(json.loads(out)["fitted_rate"])
+
+
+def test_cli_simulate_rejects_more_points_than_the_horizon_resolves(
+        capsys, cfg, tmp_path):
+    # 100,000 steps of 1e-11 near 1e6 are below the spacing of floats
+    # there: the horizon rule names --points, not a grid error in simulate
+    cfg["t0"], cfg["horizon"] = 1e6, 1e6 + 10.0
+    p = tmp_path / "late.json"
+    p.write_text(json.dumps(cfg))
+    rc, out, err = run_cli(capsys, "simulate", "--config", str(p),
+                           "--horizon", "1000000.000001", "--points", "100001")
+    assert (rc, out) == (2, "")
+    assert err == ("error: the horizon of --points 100001 must exceed "
+                   "t0=1000000.0 by 100000 normal floating-point steps of 4 "
+                   "ulps, got 1000000.000001\n")
+
+
 def test_cli_verify_rejects_quad_tol_before_phi(capsys, cfg_file,
                                                 monkeypatch):
     # a bad --quad-tol fails at once, not after the whole Phi integration
@@ -798,9 +824,9 @@ def test_cli_repro_example(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "repro-example", "--out", str(out_csv))
     d = json.loads(out)
     assert rc == 0
-    assert d["final_norm"] == pytest.approx(0.05614105125885324, rel=1e-10)
+    assert d["final_norm"] == pytest.approx(0.056141051267078676, rel=1e-10)
     # scipy Radau on the same loop, rtol 1e-13, atol 1e-15, exact Jacobian
-    assert d["final_norm"] == pytest.approx(0.0561410514482648, rel=1e-7)
+    assert abs(d["final_norm"] - 0.0561410514482648) <= 1.9e-10
     assert len(d["final_state"]) == 2
     assert out_csv.exists()
 

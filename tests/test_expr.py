@@ -19,6 +19,7 @@ from lognorm_control.expr import (
     Var,
     VectorFunction,
     collect_vars,
+    derivatives,
     eval_expr,
     format_expr,
     parse,
@@ -348,6 +349,114 @@ def test_array_form_matches_interpreted_bitwise(e, ts, x1, x2):
         return
     got = batch(np.array(ts), [x1, x2])
     assert got.tobytes() == np.array(want).reshape(-1, 2, 2).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# symbolic derivatives
+
+_VARS = ("t", "x1", "x2")
+
+
+def _gradient_grid(e):
+    """The compiled grid of ``e``'s derivatives in t, x1 and x2."""
+    return VectorFunction([d for v in _VARS for d in derivatives([e], v)],
+                          _VARS).compiled()
+
+
+def _quotients(e, p, k, h):
+    """Difference quotients of the compiled ``e`` in coordinate ``k`` at
+    ``p``, each Richardson-extrapolated from the steps h and h / 2:
+    central, forward and backward (errors O(h^4), O(h^2) and O(h^2)), and
+    the largest intermediate of ``e`` on the stencil, for rounding."""
+    f = VectorFunction([e], _VARS).compiled()
+    qs = [list(p) for _ in range(5)]
+    for q, s in zip(qs, (-h, -h / 2, 0.0, h / 2, h)):
+        q[k] += s
+    fs = [float(f(q[0], q[1:])[0]) for q in qs]
+    nodes, stack = [], [e]
+    while stack:  # every subtree of e
+        node = stack.pop()
+        nodes.append(node)
+        stack += ([node.operand] if type(node) is Neg else
+                  [node.left, node.right] if type(node) is Bin else
+                  list(node.args) if type(node) is Call else [])
+    big = max(abs(eval_expr(n, q[0], q[1:])) for q in qs for n in nodes)
+
+    def dq(i, j):
+        return (fs[i] - fs[j]) / (qs[i][k] - qs[j][k])
+    return ((4 * dq(3, 1) - dq(4, 0)) / 3, 2 * dq(3, 2) - dq(4, 2),
+            2 * dq(2, 1) - dq(2, 0)), big
+
+
+@settings(max_examples=300)
+@given(e=_tree, t=st.floats(0.1, 5.0), x1=st.floats(-3.0, 3.0),
+       x2=st.floats(-3.0, 3.0))
+def test_derivatives_match_difference_quotients(e, t, x1, x2):
+    # each derivative is within 1e-6 (1 + |d|) + 64 eps S / h of the
+    # central quotient of the compiled entry (h = 2^-16 max(1, |p_k|), S
+    # its largest intermediate on the stencil), or, at a kink such as
+    # min(x1, t) at x1 = t, of the one-sided quotient on the side the
+    # evaluator takes.  Where the derivative, the entry on the stencil or
+    # a quotient is not finite, there is nothing to compare
+    p = [t, x1, x2]
+    try:
+        grad = _gradient_grid(e)(t, [x1, x2])
+    except EvalError:
+        return
+    for k, d in enumerate(grad.tolist()):
+        h = 2.0 ** -16 * max(1.0, abs(p[k]))
+        try:
+            quotients, big = _quotients(e, p, k, h)
+        except EvalError:
+            continue
+        errors = [abs(d - q) for q in quotients if math.isfinite(q)]
+        if errors:
+            bound = 1e-6 * (1.0 + abs(d)) + 64 * 2.0 ** -52 * big / h
+            assert min(errors) <= bound, (format_expr(e), _VARS[k], d)
+
+
+@settings(max_examples=100)
+@given(e=_tree, ts=st.lists(st.floats(0.1, 5.0), min_size=1,
+                            max_size=4 * expr._ARRAY_MIN),
+       x1=st.floats(-3.0, 3.0), x2=st.floats(-3.0, 3.0))
+def test_derivative_batches_equal_their_scalar_calls(e, ts, x1, x2):
+    # below and from expr._ARRAY_MIN times, scalar code and array code
+    grad = _gradient_grid(e)
+    try:
+        want = [grad(t, [x1, x2]) for t in ts]
+    except EvalError as exc:
+        with pytest.raises(EvalError) as got:
+            grad(np.array(ts), [x1, x2])
+        assert str(got.value) == str(exc)
+        return
+    assert grad(np.array(ts), [x1, x2]).tobytes() == np.array(want).tobytes()
+
+
+def test_derivative_rules_at_their_corners():
+    def d(text, var="t", t=0.0, x1=0.0):
+        (de,) = derivatives([parse(text, _VARS)], var)
+        return eval_expr(de, t, [x1, 0.0])
+    assert d("abs(t)") == 0.0 and d("abs(t)", t=-2.0) == -1.0
+    # min and max follow the operand the evaluator picks: a tie takes the
+    # first one
+    assert (d("min(t, x1)"), d("min(x1, t)"), d("max(t, 2*t)", t=1.0)) == \
+        (1.0, 0.0, 2.0)
+    assert d("t^3") == 0.0  # a constant exponent takes no log t
+    assert d("t^t", t=1.0) == 1.0
+    with pytest.raises(EvalError, match="log of non-positive value 0"):
+        d("t^x1", "x1")  # 0^0 is 1, but a variable exponent takes log t
+    # a subtree the entries share has one derivative, which they share
+    s = parse("sin(t*x1)", _VARS)
+    ds, dsquare = derivatives([s, Bin("*", s, s)], "t")
+    assert dsquare.left.left is ds and dsquare.right.right is ds
+    # the kinks' branches in the array code, bit for bit as time by time
+    kinks = parse("abs(t - 2) + min(t, x1)*max(x2, t^2)", _VARS)
+    grad = _gradient_grid(kinks)
+    ts = np.linspace(0.0, 4.0, 2 * expr._ARRAY_MIN + 1)  # t = 1, 2, 3 too
+    want = np.array([grad(t, [1.0, 2.0]) for t in ts])
+    assert grad(ts, [1.0, 2.0]).tobytes() == want.tobytes()
+    assert want[[0, 24, 48, 72]].tolist() == [
+        [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [4.0, 4.0, 0.0], [7.0, 9.0, 0.0]]
 
 
 @pytest.mark.parametrize("text, at", [

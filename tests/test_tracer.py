@@ -64,7 +64,7 @@ def test_traced_simulate_counts_every_rhs_call(example):
     # the tracer counts the right-hand sides sim._integrate is handed
     # through a (*args, **kwargs) wrapper: a stepper that bypasses f, or
     # whose output row does not pass through that wrapper, changes the
-    # count or the states.  4,623 is the bundled scenario's count.
+    # count or the states.  3,727 is the bundled scenario's count.
     spec, ctrl = example
     plain = sim.simulate(spec, ctrl, T=10.0)
     tracer = _load_tracer().Tracer()
@@ -75,7 +75,7 @@ def test_traced_simulate_counts_every_rhs_call(example):
         restore()
     rhs = sum(n for (_, name), (n, _) in tracer.hot.items()
               if name == "sim.rhs")
-    assert rhs == 4623
+    assert rhs == 3727
     assert traced.states.tobytes() == plain.states.tobytes()
     assert traced.step_sizes.tobytes() == plain.step_sizes.tobytes()
 
