@@ -41,8 +41,8 @@ from typing import Callable
 
 import numpy as np
 
-from .expr import (EvalError, Lit, VectorFunction, derivatives, eval_expr,
-                   state_vars)
+from .expr import (Bin, EvalError, Lit, Var, VectorFunction, derivatives,
+                   eval_expr, state_vars)
 from .linalg import induced_norm, lognorm, lognorm_pair, vector_norm
 from .analysis import cumulative_integral, norm_name
 from .report import Report
@@ -412,16 +412,20 @@ def _dp5(f, M, run, t, y, fy, h):
 
 
 def _jacobian(M, omega, n):
-    """``jac(t, y, M(t)) -> (J, f_t)`` of ``M(t) y + omega(t, y)`` from one
-    compiled grid of their derivatives; NumericalError names the first
-    that fails, such as ``d omega_1/dx2``, and t."""
-    xs, ks = ("t", *state_vars(n)), range(1, n + 1)
-    w = omega.entries if omega is not None else [Lit(0.0)] * n
-    flat = derivatives(M._flat(), "t") + [
-        d for v in xs for d in derivatives(w, v)]
-    names = [f"dM({i},{j})/dt" for i in ks for j in ks] + [
-        f"d omega_{i}/d{v}" for v in xs for i in ks]
-    D, nn = VectorFunction(flat, xs).compiled(), n * n
+    """``jac(t, y, M(t)) -> (J, f_t)`` of ``f = M(t) y + omega(t, y)``: ``J
+    = M(t) + d omega/dx`` and ``f_t = M'(t) y + d omega/dt``, from one
+    compiled grid of symbolic derivatives.  NumericalError names the first
+    that fails, such as ``d omega_1/dx2`` or ``d f_2/dt``, and t."""
+    xs, ks = state_vars(n), range(1, n + 1)
+    w = f = omega.entries if omega is not None else [Lit(0.0)] * n
+    for j, x in enumerate(xs):  # f_i = omega_i + M_i1 x1 + ... + M_in xn
+        f = [Bin("+", fi, Bin("*", row[j], Var(x)))
+             for fi, row in zip(f, M.entries)]
+    cols = [derivatives(w, x) for x in xs]  # J's, row major after f_t
+    flat = derivatives(f, "t") + [d for row in zip(*cols) for d in row]
+    names = [f"d f_{i}/dt" for i in ks] + [
+        f"d omega_{i}/d{x}" for i in ks for x in xs]
+    D = VectorFunction(flat, ("t", *xs)).compiled()
 
     def jac(t, y, Mt):
         try:
@@ -434,8 +438,7 @@ def _jacobian(M, omega, n):
                     raise NumericalError(f"derivative {name} failed at "
                                          f"t={t:.6g}: {exc}") from exc
             raise
-        return (Mt + d[nn + n:].reshape(n, n).T,
-                d[:nn].reshape(n, n).dot(y) + d[nn:nn + n])
+        return Mt + d[n:].reshape(n, n), d[:n]
     return jac
 
 

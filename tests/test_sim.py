@@ -814,13 +814,14 @@ def test_one_batched_evaluation_per_attempt_after_the_switch(example):
 
 
 @pytest.mark.parametrize("entry, term, derivative", [
-    (1, "1 + 0*max(0, t - 5)^t", "d omega_2/dt"),
+    (1, "1 + 0*max(0, t - 5)^t", "d f_2/dt"),
     (0, "t^(11/4)*cos(x1) + 0*max(0, x2 - 5)^(x1 + 10)", "d omega_1/dx1"),
 ])
 def test_rodas4_names_an_undefined_derivative(entry, term, derivative):
     # the added term is 0 on the path, but its derivative in t (or x1)
     # takes log max(0, ...) = log 0: the run fails where RODAS4 takes over
-    # and names the derivative, though DP5 got there
+    # and names the derivative, though DP5 got there.  A time derivative
+    # is f's, f = M(t) x + omega (f_t sums M'(t) x and d omega/dt)
     from lognorm_control.config import load_config
     from lognorm_control.presets import example_config
     doc = example_config()
