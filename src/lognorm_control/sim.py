@@ -421,7 +421,7 @@ def _jacobian(M, omega, n):
     for j, x in enumerate(xs):  # f_i = omega_i + M_i1 x1 + ... + M_in xn
         f = [Bin("+", fi, Bin("*", row[j], Var(x)))
              for fi, row in zip(f, M.entries)]
-    cols = [derivatives(w, x) for x in xs]  # J's, row major after f_t
+    cols = [derivatives(w, x) for x in xs]  # d omega/dx, column by column
     flat = derivatives(f, "t") + [d for row in zip(*cols) for d in row]
     names = [f"d f_{i}/dt" for i in ks] + [
         f"d omega_{i}/d{x}" for i in ks for x in xs]

@@ -824,7 +824,7 @@ def test_cli_repro_example(capsys, tmp_path):
     rc, out, _ = run_cli(capsys, "repro-example", "--out", str(out_csv))
     d = json.loads(out)
     assert rc == 0
-    assert d["final_norm"] == pytest.approx(0.056141051267078676, rel=1e-10)
+    assert d["final_norm"] == pytest.approx(0.05614105126707865, rel=1e-10)
     # scipy Radau on the same loop, rtol 1e-13, atol 1e-15, exact Jacobian
     assert abs(d["final_norm"] - 0.0561410514482648) <= 1.9e-10
     assert len(d["final_state"]) == 2
