@@ -43,6 +43,7 @@ __all__ = [
 VERDICT_ORDER = ("UAS", "AS", "US", "S", "UNSTABLE")
 
 A1_MIN_HORIZON = 1e4  # improper integrals get at least this much horizon
+QUAD_TOL = 1e-8  # total error target of each verdict's integral
 A1_GRID = np.geomspace(1e-7, 1.0, 64)  # A1's grid, in fractions of the span
 MAX_DEPTH = 40  # adaptive Simpson splits a panel at most this often
 # The error target is at least TOL_REL |int f|, at any scale of f: in a decay
@@ -374,14 +375,14 @@ def _downgrade(ev: Evidence, reason: str) -> Evidence:
                     (ev.note + "; " if ev.note else "") + reason)
 
 
-def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8) -> Evidence:
+def check_A1(spec: SystemSpec, T: float) -> Evidence:
     """Absolute integrability of the uncertainty's logarithmic norm:
     ``int_{t0}^{inf} |mu[Delta(s)]| ds < inf``.
 
     Checked by comparing the integral at the horizon against the integral
     at the midpoint (Cauchy tail), both from one cumulative quadrature on
     ``t0``, the midpoint, ``T`` and ``t0 + (T - t0) A1_GRID``, each cell to
-    ``quad_tol / cells``: the geometric cells are short near ``t0``, where
+    ``QUAD_TOL / cells``: the geometric cells are short near ``t0``, where
     an integrable ``|mu[Delta]|`` has its mass.  ``Delta`` absent is
     trivially supported with integral zero.  Never refuted: a heavy tail
     on a finite horizon proves nothing either way.
@@ -398,7 +399,7 @@ def check_A1(spec: SystemSpec, T: float, quad_tol: float = 1e-8) -> Evidence:
     try:
         vals, err, _, ok = cumulative_integral(
             lambda s: np.abs(lognorm(D(s), spec.norm)), grid,
-            quad_tol / (len(grid) - 1))
+            QUAD_TOL / (len(grid) - 1))
     except EvalError as exc:
         return Evidence("A1", "inconclusive", {},
                         f"could not evaluate the uncertainty: {exc}")
@@ -422,12 +423,12 @@ def _slack(err: float, J: float) -> float:
 
 
 def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
-                      t0: float, T: float, quad_tol: float, notes: Callable,
+                      t0: float, T: float, notes: Callable,
                       measured: dict | None = None,
                       failure: str = "could not evaluate",
                       share: dict | None = None) -> Evidence:
     """The doubling test for ``J(t) = int_{t0}^{t} f -> -inf``, from one
-    quadrature over 128 equal cells to ``quad_tol / 128`` each: with the
+    quadrature over 128 equal cells to ``QUAD_TOL / 128`` each: with the
     slack ``4 err + 1e-12 (1 + |J|)``, supported when ``J_half < 0`` and
     ``J <= 2 J_half + slack``, refuted when ``J_half >= 0`` and ``J >=
     J_half - slack``, else (and unconverged) inconclusive.
@@ -436,13 +437,13 @@ def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
     inconclusive verdict whose note starts with ``failure``.  In
     ``share``, a dict one command holds, the first call keeps its nodes
     (the first 257 are the grid and midpoints), values and quadrature; a
-    later one on the same grid and tolerance takes that quadrature if its
+    later one on the same grid takes that quadrature if its
     ``f`` has those bits at those nodes."""
     extra = measured or {}
     # integrate cell by cell so endpoint singularities (sqrt-type plant
     # entries at t0) cannot exhaust the recursion depth of a single panel
     grid = np.linspace(t0, T, 129)
-    key, log = (t0, T, quad_tol), []
+    key, log = (t0, T), []
 
     def keep(x):  # f, with its nodes and values logged for share
         log.append((x, np.asarray(f(x), dtype=float)))
@@ -452,7 +453,7 @@ def doubling_evidence(id_: str, f: Callable[[np.ndarray], np.ndarray],
             quad = share[key][2]
         else:
             quad = cumulative_integral(f if share is None or key in share
-                                       else keep, grid, quad_tol / 128.0)
+                                       else keep, grid, QUAD_TOL / 128.0)
     except EvalError as exc:
         return Evidence(id_, "inconclusive", extra, f"{failure}: {exc}")
     if log:
@@ -490,7 +491,7 @@ def _decay_notes(description: str) -> Callable:
 
 
 def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
-                quad_tol: float = 1e-8, *, _share: dict | None = None):
+                *, _share: dict | None = None):
     """The closed-loop decay assumptions.
 
     A2: ``mu[A + B K](t)`` is eventually negative; checked on a trailing
@@ -512,7 +513,7 @@ def check_A2_A4(spec: SystemSpec, ctrl: ControllerSpec | None, T: float,
             "supported": "mu is negative on the trailing window",
             "refuted": "mu is positive on the whole trailing window",
             "inconclusive": "mu changes sign on the trailing window"})
-    a4 = doubling_evidence("A4", mu, spec.t0, T, quad_tol,
+    a4 = doubling_evidence("A4", mu, spec.t0, T,
                            _decay_notes("int mu of the closed loop"),
                            share=_share)
     return a2, a4
@@ -596,8 +597,7 @@ class EvidenceReport(Report):
 
 
 def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
-                       T: float | None = None,
-                       quad_tol: float = 1e-8) -> EvidenceReport:
+                       T: float | None = None) -> EvidenceReport:
     """Assess the taxonomy for ``x' = [A + Delta] x + B K x``.
 
     The four stability members are judged from ``J(t) = int mu[A + B K]``
@@ -615,14 +615,14 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     if not (T > spec.t0):
         raise ValueError(f"horizon T={T} must exceed t0={spec.t0}")
 
-    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), quad_tol)
+    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON))
 
     cl_up = closed_loop_function(spec, ctrl)
     share = {}  # AS's quadrature record, which S, US and UAS read
 
     # AS: J -> -inf, by A4's doubling test
     entries = {"AS": doubling_evidence(
-        "AS", lambda t: lognorm(cl_up(t), k), spec.t0, T, quad_tol,
+        "AS", lambda t: lognorm(cl_up(t), k), spec.t0, T,
         lambda J_half, J: {
             "supported": "int mu diverges to -inf (doubling test)",
             "refuted": "int mu is not decreasing",
@@ -634,7 +634,7 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
         entries = {key: Evidence(key, "inconclusive", {}, note)
                    for key in VERDICT_ORDER}
         return EvidenceReport(norm_name(k), T, a1, entries, None, note)
-    nodes, mu, (J, J_err, _, _) = share[spec.t0, T, quad_tol]
+    nodes, mu, (J, J_err, _, _) = share[spec.t0, T]
     nodes, mu = nodes[:257], mu[:257]  # the first level: grid, midpoints
     widx = int(np.searchsorted(nodes[0::2], T - WINDOW_FRAC * (T - spec.t0)))
 
@@ -684,7 +684,7 @@ def classify_stability(spec: SystemSpec, ctrl: ControllerSpec | None = None,
     # UNSTABLE: int mu[-(A + Delta + B K)] -> -inf
     cl_dn = closed_loop_function(spec, ctrl, include_delta=True)
     entries["UNSTABLE"] = doubling_evidence(
-        "UNSTABLE", lambda t: lognorm(-cl_dn(t), k), spec.t0, T, quad_tol,
+        "UNSTABLE", lambda t: lognorm(-cl_dn(t), k), spec.t0, T,
         _decay_notes("int mu of the negated perturbed loop"))
 
     note = ""

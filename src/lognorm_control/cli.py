@@ -104,14 +104,11 @@ def _controller(cfg, args):
                                       "controller.lambda"), dtype=float)
         if rule is None and ("gamma" in doc or "margin" in doc):
             rule = gamma_rule(doc, cfg.spec.n)
-    if lam is None and rule is None:
-        if cfg.controller is None:
-            return None
-        return cfg.controller.build(cfg.spec)
-    if rule is None and cfg.controller is not None:
-        rule = cfg.controller.rule
-    if lam is None and cfg.controller is not None:
-        lam = cfg.controller.lam
+    if cfg.controller is not None:
+        lam = cfg.controller.lam if lam is None else lam
+        rule = cfg.controller.rule if rule is None else rule
+    elif lam is None and rule is None:
+        return None
     return synthesize(cfg.spec, lam, rule)
 
 
@@ -147,8 +144,7 @@ def cmd_classify(args) -> int:
     if args.norm:
         cfg.spec.norm = args.norm
     ctrl = _controller(cfg, args)
-    report = classify_stability(cfg.spec, ctrl, T=cfg.horizon,
-                                quad_tol=args.quad_tol)
+    report = classify_stability(cfg.spec, ctrl, T=cfg.horizon)
     print(dumps(report.to_dict()))
     return 0 if report.strongest in ("AS", "UAS") else 1
 
@@ -180,9 +176,11 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.points < 2:
+        raise ConfigError(f"--points must be at least 2, got {args.points}")
     cfg = _load(args)
     _horizon(cfg.spec.t0, cfg.horizon, f"the horizon of --points "
-             f"{args.points}", max(args.points - 1, 1))
+             f"{args.points}", args.points - 1)
     ctrl = _controller(cfg, args)
     trace = simulate(cfg.spec, ctrl, T=cfg.horizon, tol=cfg.tol,
                      h_min=args.h_min, n_out=args.points)
@@ -232,8 +230,6 @@ def cmd_verify(args) -> int:
     if ctrl is None:
         raise ConfigError("verify requires a controller: add a 'controller' "
                           "section to the config or pass --controller FILE")
-    if not (0.0 < args.quad_tol < np.inf):  # before the costly Phi
-        raise ValueError("tol must be a positive finite number")
     spec = cfg.spec
     T = cfg.horizon
 
@@ -242,11 +238,11 @@ def cmd_verify(args) -> int:
     tt = fundamental_matrix(cl, spec.t0, T_phi, tol=PHI_TOL)
     sandwich = verify_sandwich(tt, cl, spec.norm)
 
-    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON), args.quad_tol)
+    a1 = check_A1(spec, max(T, spec.t0 + A1_MIN_HORIZON))
     share = {}  # A4's quadrature, which C3 takes where Gamma has its bits
-    a2, a4 = check_A2_A4(spec, ctrl, T, args.quad_tol, _share=share)
+    a2, a4 = check_A2_A4(spec, ctrl, T, _share=share)
     a3 = check_A3(spec, ctrl, max(T, spec.t0 + RATIO_MIN_HORIZON))
-    c3 = verify_c3(ctrl, T, args.quad_tol, _share=share)
+    c3 = verify_c3(ctrl, T, _share=share)
 
     doc = {
         "phi_horizon": T_phi,
@@ -307,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(q)
     q.add_argument("--norm", choices=["one", "two", "inf"],
                    help="norm override for the analysis")
-    q.add_argument("--quad-tol", type=float, default=1e-8)
     q.set_defaults(func=cmd_classify)
 
     q = sub.add_parser("synthesize",
@@ -328,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="transition-matrix sandwich and assumptions "
                             "A1-A4, c3")
     common(q)
-    q.add_argument("--quad-tol", type=float, default=1e-8)
     q.set_defaults(func=cmd_verify)
 
     q = sub.add_parser("repro-example",

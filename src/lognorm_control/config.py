@@ -23,15 +23,14 @@ from .expr import (
     MatrixFunction,
     SourceError,
     VectorFunction,
-    format_expr,
     parse,
     state_vars,
 )
-from .linalg import MAX_DIM, MIN_DIM, TWO, LinalgError, Weighted
+from .linalg import MAX_DIM, MIN_DIM, TWO, LinalgError
 from .synthesis import AutoGamma, ExplicitGamma, synthesize
 from .system import ControllerSpec, SystemSpec
 
-__all__ = ["ConfigError", "load_config", "serialize_config"]
+__all__ = ["ConfigError", "load_config"]
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -128,10 +127,6 @@ def _schema_error(v, s: dict = CONFIG_SCHEMA):
         best, path = first, path + first[0]
     return best and ("$" + "".join(f"[{p}]" if isinstance(p, int) else
                                    f".{p}" for p in path), best[3])
-
-
-def _plainly_valid(doc: dict) -> bool:
-    return _schema_error(doc) is None
 
 
 class ConfigError(ValueError):
@@ -275,48 +270,3 @@ def load_config(source) -> LoadedConfig:
     return LoadedConfig(spec=spec, controller=controller,
                         horizon=horizon, tol=tol)
 
-
-def serialize_config(spec: SystemSpec, controller=None,
-                     horizon: float | None = None,
-                     tol: float | None = None) -> dict:
-    """The inverse of :func:`load_config`: a JSON-ready document.
-
-    ``controller`` may be a ControllerConfig or a ControllerSpec; a
-    synthesized controller serializes with its gamma written out
-    explicitly.  Weighted analysis norms have no config representation.
-    """
-    if isinstance(spec.norm, Weighted):
-        raise ConfigError("weighted norms have no config representation")
-    doc = {
-        "n": spec.n,
-        "t0": spec.t0,
-        "x0": [float(v) for v in spec.x0],
-        "norm": str(spec.norm),
-        "A": spec.A.formatted(),
-        "B": [[float(v) for v in row] for row in spec.B],
-    }
-    if spec.Delta is not None:
-        doc["Delta"] = spec.Delta.formatted()
-    if spec.omega is not None:
-        doc["omega"] = spec.omega.formatted()
-    if spec.omega_bound is not None:
-        doc["omega_bound"] = format_expr(spec.omega_bound)
-    if isinstance(controller, ControllerSpec):  # synthesized
-        controller = ControllerConfig(controller.lam,
-                                      ExplicitGamma(controller.gamma))
-    if controller is not None:
-        c = {}
-        if controller.lam is not None:
-            c["lambda"] = [float(v) for v in controller.lam]
-        if isinstance(controller.rule, AutoGamma):
-            c["gamma"] = "auto"
-            if controller.rule.margin != 1.0:
-                c["margin"] = controller.rule.margin
-        else:
-            c["gamma"] = [format_expr(g) for g in controller.rule.entries]
-        doc["controller"] = c
-    if horizon is not None:
-        doc["horizon"] = float(horizon)
-    if tol is not None:
-        doc["tol"] = float(tol)
-    return doc

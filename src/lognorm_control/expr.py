@@ -318,6 +318,9 @@ def _eval(e: Expr, env: dict) -> float:
             return _check_finite(a / b, "division", e.pos)
         return _pow(a, b, e.pos)
     if isinstance(e, Call):
+        if e.fn == "_ifless":  # a derivative's kink: only the branch taken
+            p, q, r, s = e.args
+            return _eval(r if _eval(p, env) < _eval(q, env) else s, env)
         args = [_eval(a, env) for a in e.args]
         return _call(e.fn, args, e.pos)
     raise TypeError(f"not an expression node: {e!r}")
@@ -588,8 +591,11 @@ def _emit(e: Expr, ops: list, array: bool) -> tuple:
     if fn is None:
         right = _finite(*ops[1], array) if e.op == "/" else ops[1][1]
         return f"({ops[0][1]}{e.op}{right})", vec, const
-    args = ", ".join(_finite(*o, array) if fn in _ABSORBING else o[1]
-                     for o in ops)
+    args = [_finite(*o, array) if fn in _ABSORBING else o[1] for o in ops]
+    if fn == "_ifless" and not (array and vec):  # only the branch taken
+        return f"({args[2]} if {args[0]} < {args[1]} else {args[3]})", \
+            vec, const
+    args = ", ".join(args)
     if not (array and vec):
         return f"{fn}({args})", vec, const
     if fn in ("abs", "sqrt", "min", "max", "_ifless"):
@@ -646,7 +652,6 @@ _GEN_GLOBALS = {
     "sin": math.sin, "cos": math.cos, "tan": math.tan,
     "exp": math.exp, "log": math.log, "sqrt": math.sqrt,
     "abs": abs, "min": min, "max": max,
-    "_ifless": lambda p, q, r, s: r if p < q else s,  # see derivatives
     "_isfinite": math.isfinite, "_nonfinite": _nonfinite,
     # the array form's; min(a, b) is a unless b < a, and max alike
     "_map": _map, "_abs": np.abs, "_sqrt": np.sqrt,
@@ -891,9 +896,6 @@ class VectorFunction(_Grid):
 
     def _flat(self):
         return list(self.entries)
-
-    def formatted(self):
-        return [format_expr(e) for e in self.entries]
 
 
 def parse_matrix(rows, allowed_vars=("t",)) -> MatrixFunction:

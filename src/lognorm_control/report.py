@@ -34,6 +34,3 @@ class Report:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-    def to_json(self) -> str:
-        return dumps(self.to_dict())

@@ -253,7 +253,7 @@ def verify_c2(ctrl: ControllerSpec, T: float) -> Evidence:
                     f"sampled on a tail grid up to T={T:g}")
 
 
-def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
+def verify_c3(ctrl: ControllerSpec, T: float, *,
               _share: dict | None = None) -> Evidence:
     """Check that ``J(T) = int_{t0}^{T} Gamma`` is heading to -infinity.
 
@@ -288,7 +288,7 @@ def verify_c3(ctrl: ControllerSpec, T: float, quad_tol: float = 1e-8, *,
                              "max_i(lam_i + gamma_i); check the gain")
 
     return doubling_evidence(
-        "C3", gamma_fn, spec.t0, T, quad_tol,
+        "C3", gamma_fn, spec.t0, T,
         lambda J_half, J: {
             "supported": f"doubling test passed: J({T:g}) = {J:.6g} <= "
                          f"2 J(mid) = {2 * J_half:.6g}",

@@ -198,7 +198,7 @@ def test_a_wrong_gain_fails_where_it_is_read(configs, monkeypatch, capsys):
     # both; classify and simulate evaluate the closed loop and never K
     for part in ("B_inv", "adaptive_part"):
         monkeypatch.setattr(
-            "lognorm_control.config.synthesize",
+            "lognorm_control.cli.synthesize",
             lambda *args: _off_by_1e3(synthesis.synthesize(*args), part))
         for command, key, rc in (("synthesize", "c3", 0),
                                  ("verify", "C3", 1)):

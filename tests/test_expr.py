@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lognorm_control import expr
@@ -391,6 +391,8 @@ def _quotients(e, p, k, h):
 @settings(max_examples=300)
 @given(e=_tree, t=st.floats(0.1, 5.0), x1=st.floats(-3.0, 3.0),
        x2=st.floats(-3.0, 3.0))
+@example(e=parse("max(1, sqrt(abs(x1) - abs(x1)))", _VARS), t=1.0, x1=0.5,
+         x2=0.0)  # the branch not taken has no derivative
 def test_derivatives_match_difference_quotients(e, t, x1, x2):
     # each derivative is within 1e-6 (1 + |d|) + 64 eps S / h of the
     # central quotient of the compiled entry (h = 2^-16 max(1, |p_k|), S
@@ -441,6 +443,10 @@ def test_derivative_rules_at_their_corners():
     # first one
     assert (d("min(t, x1)"), d("min(x1, t)"), d("max(t, 2*t)", t=1.0)) == \
         (1.0, 0.0, 2.0)
+    # only the branch taken is evaluated: sqrt's derivative at 0 is 1/0
+    kink = "max(1, sqrt(abs(x1) - abs(x1)))"
+    assert (d(kink, "x1", x1=0.5), d(f"min(2*x1, {kink})", "x1")) == \
+        (0.0, 2.0)
     assert d("t^3") == 0.0  # a constant exponent takes no log t
     assert d("t^t", t=1.0) == 1.0
     with pytest.raises(EvalError, match="log of non-positive value 0"):
@@ -457,6 +463,9 @@ def test_derivative_rules_at_their_corners():
     assert grad(ts, [1.0, 2.0]).tobytes() == want.tobytes()
     assert want[[0, 24, 48, 72]].tolist() == [
         [1.0, 0.0, 0.0], [1.0, 0.0, 1.0], [4.0, 4.0, 0.0], [7.0, 9.0, 0.0]]
+    # an untaken non-finite branch sends the array code's batch to the
+    # scalar code, which takes only the branch taken
+    assert not _gradient_grid(parse(kink, _VARS))(ts, [0.5, 0.0]).any()
 
 
 @pytest.mark.parametrize("text, at", [
