@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -29,9 +28,9 @@ from .analysis import (
     check_A2_A4,
     check_A3,
     classify_stability,
-    cumulative_integral,
+    cumulative_integral,  # noqa: F401 -- bench/tracer.py patches it here
 )
-from .config import (CONFIG_SCHEMA, ConfigError, _entries, _horizon,
+from .config import (CONFIG_SCHEMA, ConfigError, _horizon, _rates,
                      _schema_error, gamma_rule, load_config)
 from .expr import EvalError, SourceError, format_expr
 from .linalg import (
@@ -43,16 +42,17 @@ from .linalg import (
     as_matrix,
     induced_norm,
     lognorm,
-    lognorm_pair,
 )
 from .presets import example_loaded
 from .report import dumps
 from .sim import (
+    H_MAX,
+    PHI_TOL,
     NumericalError,
     StiffnessError,
-    _stack,
     convergence_report,
     fundamental_matrix,
+    phi_horizon,
     simulate,
     verify_sandwich,
     write_trace_csv,
@@ -61,8 +61,6 @@ from .synthesis import synthesize, verify_c2, verify_c3
 from .system import closed_loop_function
 
 RATIO_MIN_HORIZON = 1e3  # ratio-limit checks need a long tail
-PHI_LOG_CAP = 12.0       # keep transition-norm noise below the slack
-PHI_TOL = 1e-10          # local tolerance for the Phi integration
 
 
 def _load(args, cfg=None):
@@ -80,8 +78,7 @@ def _controller(cfg, args):
     lam = None
     rule = None
     if getattr(args, "lam", None) is not None:
-        lam = np.array([float(v) for v in _entries(args.lam.split(","),
-                                                   cfg.spec.n, "--lambda")])
+        lam = _rates(args.lam.split(","), cfg.spec.n, "--lambda")
     if args.gamma is not None or args.margin is not None:
         flags = {"gamma": "auto" if args.gamma in (None, ["auto"])
                  else args.gamma}
@@ -100,8 +97,7 @@ def _controller(cfg, args):
                 raise ConfigError(f"--controller file: {key!r} is not a "
                                   f"valid controller.{key}")
         if lam is None and "lambda" in doc:
-            lam = np.asarray(_entries(doc["lambda"], cfg.spec.n,
-                                      "controller.lambda"), dtype=float)
+            lam = _rates(doc["lambda"], cfg.spec.n, "controller.lambda")
         if rule is None and ("gamma" in doc or "margin" in doc):
             rule = gamma_rule(doc, cfg.spec.n)
     if cfg.controller is not None:
@@ -178,6 +174,9 @@ def cmd_synthesize(args) -> int:
 def cmd_simulate(args) -> int:
     if args.points < 2:
         raise ConfigError(f"--points must be at least 2, got {args.points}")
+    if not (0.0 < args.h_min <= H_MAX):
+        raise ConfigError(f"--h-min must be positive and at most {H_MAX:g}, "
+                          f"got {args.h_min:g}")
     cfg = _load(args)
     _horizon(cfg.spec.t0, cfg.horizon, f"the horizon of --points "
              f"{args.points}", args.points - 1)
@@ -198,32 +197,6 @@ def _print_trace(trace, cfg, args, **extra) -> int:
     return 0
 
 
-def _phi_horizon(spec, ctrl, t0: float, T: float) -> float:
-    """Largest horizon on which the sandwich check stays meaningful.
-
-    Once |int mu| (either direction) exceeds -log of Phi's tolerance, the
-    computed Phi sits at the integrator's absolute noise floor and
-    transition norms test noise, not the bound; cap well before that.
-    """
-    cl = closed_loop_function(spec, ctrl, include_delta=True)
-    grid = np.linspace(t0, T, 33)
-    # both signs in one quadrature; _stack names the earliest time where
-    # the loop fails
-    J, _, _, _ = cumulative_integral(
-        lambda ts: lognorm_pair(_stack(cl, ts), spec.norm),
-        grid, 1e-6)
-    mag = np.abs(J).max(axis=0)
-    exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
-    if len(exceed) == 0:
-        return T
-    # interpolate the crossing: mag[0] = 0, so i >= 1, and m_hi > cap >= m_lo
-    i = int(exceed[0])
-    t_lo, t_hi = float(grid[i - 1]), float(grid[i])
-    m_lo, m_hi = float(mag[i - 1]), float(mag[i])
-    t_cap = t_lo + (PHI_LOG_CAP - m_lo) * (t_hi - t_lo) / (m_hi - m_lo)
-    return max(t_cap, math.nextafter(t0, math.inf))  # > t0 if rounded
-
-
 def cmd_verify(args) -> int:
     cfg = _load(args)
     ctrl = _controller(cfg, args)
@@ -233,8 +206,8 @@ def cmd_verify(args) -> int:
     spec = cfg.spec
     T = cfg.horizon
 
-    T_phi = _phi_horizon(spec, ctrl, spec.t0, T)
     cl = closed_loop_function(spec, ctrl, include_delta=True)
+    T_phi = phi_horizon(cl, spec.t0, T, spec.norm)
     tt = fundamental_matrix(cl, spec.t0, T_phi, tol=PHI_TOL)
     sandwich = verify_sandwich(tt, cl, spec.norm)
 

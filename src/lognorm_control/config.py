@@ -165,6 +165,20 @@ def _entries(seq, n: int, name: str):
     return seq
 
 
+def _rates(seq, n: int, name: str) -> np.ndarray:
+    """The decay rates ``seq``, numbers or the numerals of ``--lambda``, as
+    n negative finite floats; errors name ``name``."""
+    seq = _entries(seq, n, name)
+    try:
+        lam = np.array([float(v) for v in seq])
+    except ValueError:  # a numeral that is no number
+        lam = None
+    if lam is None or not np.isfinite(lam).all() or (lam >= 0.0).any():
+        raise ConfigError(f"{name} entries must be negative finite numbers, "
+                          f"got {', '.join(map(str, seq))}")
+    return lam
+
+
 def _horizon(t0: float, horizon: float, name: str, steps: int = 1024) -> float:
     """``horizon``, if fixed grids of ``steps`` steps from ``t0`` increase."""
     if not np.isfinite(horizon):
@@ -261,8 +275,8 @@ def load_config(source) -> LoadedConfig:
     controller = None
     if "controller" in doc:
         c = doc["controller"]
-        lam = (np.asarray(_entries(c["lambda"], n, "controller.lambda"),
-                          dtype=float) if "lambda" in c else None)
+        lam = (_rates(c["lambda"], n, "controller.lambda")
+               if "lambda" in c else None)
         controller = ControllerConfig(lam=lam, rule=gamma_rule(c, n))
 
     horizon = _horizon(t0, float(doc.get("horizon", t0 + 10.0)), "horizon")

@@ -12,10 +12,11 @@ method of order 4(3) (Hairer & Wanner, *Solving ODEs II*, IV.7;
 Petzold's automatic method selection, 1983).  RODAS4 takes the exact
 Jacobian ``M(t) + d omega/dx`` and time derivative ``M'(t) x + d
 omega/dt`` from the expressions' symbolic derivatives, one compiled grid
-made when it takes over, and has a cubic Hermite dense output.  Should
-the step size stay pinned at ``h_min`` for 50 consecutive attempts in
-either stepper, the run aborts with a :class:`StiffnessError` carrying
-the local logarithmic norm.
+made when it takes over, and has a cubic Hermite dense output.  Both
+run one attempt loop, :meth:`_Run.steps`, which keeps steps within
+``[h_min, H_MAX]``; should the step size stay pinned at ``h_min`` for
+``PIN_LIMIT`` consecutive attempts, the run aborts with a
+:class:`StiffnessError` carrying the local logarithmic norm.
 
 The right-hand side ``x' = M(t) x + omega(t, x)`` is linear in a matrix
 that does not depend on the state, and a step's stage times are known
@@ -58,12 +59,14 @@ __all__ = [
     "ConvergenceReport",
     "simulate",
     "fundamental_matrix",
+    "phi_horizon",
     "verify_sandwich",
     "convergence_report",
     "write_trace_csv",
 ]
 
 PIN_LIMIT = 50  # consecutive attempts at h_min before StiffnessError
+H_MAX = 0.1  # longest step of simulate
 _BOUNDS_TOL = 1e-10  # per-cell tolerance of simulate's bound integrals
 _PHI_H_MIN, _PHI_H_MAX = 1e-9, 0.1  # sub-step bounds of fundamental_matrix
 # at most _PHI_ENTRIES / n^2 sub-steps per Phi, and _PHI_CHUNK node times
@@ -186,37 +189,20 @@ class StiffnessError(RuntimeError):
         super().__init__(msg)
 
 
-def _initial_step(k, y0, h_min, h_max):
-    # deterministic heuristic: aim for a step that moves the state ~1%,
-    # given the slope k = f(t0, y0)
-    scale = (1.0 + float(np.linalg.norm(y0))) / (1.0 + float(np.linalg.norm(k)))
-    return float(min(max(0.01 * scale, h_min), h_max))
-
-
-def _batch(M, ts):
-    """``M`` on all of ``ts`` at once, or ``[None] * len(ts)`` if that
-    raises: each stage then evaluates its own matrix, so the first failing
-    stage raises."""
-    try:
-        return M(ts)
-    except Exception:
-        return [None] * len(ts)
-
-
 class _Run:
-    """What both steppers of one integration share: the output grid, its
-    cursor (``next_out`` is the next point's time), each point's step
-    (``ts``, ``hs``, interpolant data in ``dense``), the accepted step
-    sizes, the rejections and the run of consecutive attempts at h_min."""
+    """One integration: the attempt loop both steppers run (:meth:`steps`),
+    the output grid and its cursor (``next_out`` is the next point's time),
+    each point's step (``ts``, ``hs``, interpolant data in ``dense``), the
+    accepted step sizes, the rejections and the attempts at h_min in a row."""
 
-    def __init__(self, grid, ndim, T, tol, h_min, h_max, diag_mu):
+    def __init__(self, grid, ndim, T, tol, h_min, M, diag_mu):
         self.grid, self.times = grid, [*grid.tolist(), math.inf]
         self.out = np.empty((len(grid), ndim))
         self.dense = np.empty((len(grid), 5, ndim))
         self.ts, self.hs = np.empty((2, len(grid)))
         self.gi = 0
         self.next_out = self.times[0]
-        self.T, self.tol, self.h_min, self.h_max = T, tol, h_min, h_max
+        self.T, self.tol, self.h_min, self.M = T, tol, h_min, M
         self.floor = h_min * (1.0 + 1e-9)
         self.diag_mu = diag_mu
         self.accepted = []
@@ -245,23 +231,57 @@ class _Run:
         theta = (self.grid[part, None] - self.ts[part, None]) / h
         self.out[part] = interp(theta, h, *self.dense[part].transpose(1, 0, 2))
 
-    def reject(self, t, finite, at_floor):
-        self.n_rejected += 1
-        if not finite and at_floor:
-            raise NumericalError(
-                f"state became non-finite at t={t:.6g} with the step "
-                "already at h_min")
-
-    def pin(self, t, at_floor):
-        """Count an attempt at h_min (a step above it resets the count);
-        raise StiffnessError at PIN_LIMIT in a row."""
-        self.pinned = self.pinned + 1 if at_floor else 0
-        if self.pinned >= PIN_LIMIT:
+    def steps(self, t, y, h, c, attempt, accept, reject):
+        """One method's attempts from ``(t, y)``, the first of length ``h``,
+        until T or until ``accept`` says it is done; returns ``(t, y, h,
+        done)``, ``h`` the next attempt's.  An attempt is clamped to [h_min,
+        H_MAX] and to end at T, and evaluates ``M`` once, as a batch on its
+        stage times ``t + c h`` (if that raises, each stage gets None and
+        evaluates its own).  ``attempt(t, y, h, tl, Ms)`` returns the new
+        state and the error vector; ``accept(t, h, y, y_new, err, tl, Ms)``
+        records the dense output and returns ``(next h, done)``, and
+        ``reject(h, err, finite)`` the cut step.  A non-finite state at
+        h_min raises NumericalError; PIN_LIMIT attempts in a row at h_min
+        raise StiffnessError."""
+        T, h_min, M = self.T, self.h_min, self.M
+        ts = np.empty(len(c))
+        mul, add = np.multiply, np.add
+        while T - t > 4e-16 * max(1.0, abs(T)):  # else within rounding of T
+            h = min(max(h, h_min), H_MAX)
+            end_clamped = t + h >= T
+            if end_clamped:
+                h = T - t
+            add(t, mul(c, h, out=ts), out=ts)
             try:
-                mu = self.diag_mu(t)
+                Ms = M(ts)
             except Exception:
-                mu = None
-            raise StiffnessError(t, self.h_min, mu)
+                Ms = [None] * len(c)
+            tl = ts.tolist()
+            y_new, err_vec = attempt(t, y, h, tl, Ms)
+            finite, err = _error(self.tol, y, y_new, err_vec)
+            at_floor = not end_clamped and h <= self.floor
+            if err <= 1.0:
+                self.accepted.append(h)
+                h_next, done = accept(t, h, y, y_new, err, tl, Ms)
+                t, y = t + h, y_new
+            else:
+                self.n_rejected += 1
+                if not finite and at_floor:
+                    raise NumericalError(
+                        f"state became non-finite at t={t:.6g} with the "
+                        "step already at h_min")
+                h_next, done = reject(h, err, finite), False
+            self.pinned = self.pinned + 1 if at_floor else 0
+            if self.pinned >= PIN_LIMIT:
+                try:
+                    mu = self.diag_mu(t)
+                except Exception:
+                    mu = None
+                raise StiffnessError(t, h_min, mu)
+            h = h_next
+            if done:
+                return t, y, h, True
+        return t, y, h, False
 
 
 def _error(tol, y, y_new, err_vec):
@@ -281,22 +301,19 @@ def _error(tol, y, y_new, err_vec):
     return True, math.sqrt(ee) / (tol * (1.0 + math.sqrt(y.dot(y))))
 
 
-def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, jacobian):
-    """Core stepper.  Fills `grid` (strictly increasing, within [t0, T])
-    by dense output and returns (outputs, accepted_h, n_rejected,
-    n_explicit): the first n_explicit accepted steps are DP5's, the rest
-    RODAS4's (see :func:`_dp5` for the switch).
+def _integrate(f, t0, y0, T, tol, h_min, grid, M, diag_mu, jacobian):
+    """Core stepper.  Fills ``grid`` (strictly increasing, within [t0, T],
+    as :func:`simulate` checks) by dense output and returns (outputs,
+    accepted_h, n_rejected, n_explicit): the first n_explicit accepted
+    steps are DP5's, the rest RODAS4's (see :func:`_dp5` for the switch).
 
     ``f(t, y, Mt=None, out=None)`` is the right-hand side ``Mt @ y +
     g(t, y)`` with ``Mt = M(t)`` (evaluated by ``f`` if None), written
     into the row ``out`` and returned, or returned as a new array.
     ``M`` takes one time, or a 1-d array of times and returns the stack,
-    equal bit for bit to the scalar calls.  Each attempt evaluates ``M``
-    once, as a batch on its distinct stage times; if that raises, the
-    attempt is redone stage by stage with ``f(t_i, y_i)``, so any error
-    is the one the first failing stage raises.  ``jacobian()`` makes
-    RODAS4's ``jac(t, y, M(t)) -> (J, f_t)`` (see :func:`_jacobian`), once
-    it takes over.
+    equal bit for bit to the scalar calls; :meth:`_Run.steps` batches it
+    per attempt.  ``jacobian()`` makes RODAS4's ``jac(t, y, M(t)) -> (J,
+    f_t)`` (see :func:`_jacobian`), once it takes over.
 
     At n = 2 a numpy call costs more than its arithmetic, so the steppers
     make one ``f`` call per stage, at a float time, and build its argument,
@@ -306,26 +323,19 @@ def _integrate(f, t0, y0, T, tol, h_min, h_max, grid, M, diag_mu, jacobian):
     too, dense output is recorded per step and each interpolant evaluated
     once per run on all its points, bit for bit as point by point.
     """
-    if not (tol > 0.0) or not np.isfinite(tol):
-        raise ValueError("tol must be a positive finite number")
-    if not (0.0 < h_min <= h_max):
-        raise ValueError("need 0 < h_min <= h_max")
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or (np.diff(grid) <= 0).any():
-        raise ValueError("output grid must be strictly increasing")
-    if grid[0] < t0 or grid[-1] > T:
-        raise ValueError("output grid must lie within [t0, T]")
-
     y = np.asarray(y0, dtype=float).copy()
-    run = _Run(grid, len(y), T, tol, h_min, h_max, diag_mu)
+    run = _Run(grid, len(y), T, tol, h_min, M, diag_mu)
     run.hold(y, t0)
     first = run.gi
-    fy = f(t0, y)
-    h = _initial_step(fy, y, h_min, h_max)
-    t, y, fy, h, stiff = _dp5(f, M, run, t0, y, fy, h)
+    k = np.empty((7, len(y)))  # DP5's stages; k[0] the slope at y
+    k[0] = fy = f(t0, y)
+    # the first step would move the state by ~1 % at the slope fy
+    h = 0.01 * ((1.0 + float(np.linalg.norm(y)))
+                / (1.0 + float(np.linalg.norm(fy))))
+    t, y, h, stiff = run.steps(t0, y, h, *_dp5(f, run, k))
     n_explicit, switch = len(run.accepted), run.gi
     if stiff:
-        y = _rodas(f, M, jacobian(), run, t, y, fy, h)
+        _, y, _, _ = run.steps(t, y, h, *_rodas(f, jacobian(), run, k[0]))
     run.interpolate(slice(first, switch), _dp5_dense)
     run.interpolate(slice(switch, run.gi), _rodas_dense)
     run.hold(y, T)  # grid points at exactly T
@@ -348,67 +358,43 @@ def _rodas_dense(th, h, y, y_new, fy, f_new, _):
         (1.0 - 2.0 * th) * dy + (th - 1.0) * h * fy + th * h * f_new)
 
 
-def _dp5(f, M, run, t, y, fy, h):
-    """Dormand-Prince 5(4) steps with PI control from ``(t, y)``, ``fy =
-    f(t, y)``, until T or until the stiffness indicator has exceeded
-    STIFF_H_RHO on STIFF_STEPS accepted steps in a row.  Returns ``(t, y,
-    f(t, y), h, stiff)``."""
-    T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
-    accepted = run.accepted
-    k = np.empty((7, len(y)))
-    k[0] = fy
+def _dp5(f, run, k):
+    """Dormand-Prince 5(4) with PI control, as :meth:`_Run.steps` takes a
+    method; ``k`` holds its stages, ``k[0]`` the slope at the state.  It is
+    done once the stiffness indicator has exceeded STIFF_H_RHO on
+    STIFF_STEPS accepted steps in a row."""
     # stage i: its row of k, its weights on the rows before it and its
     # time's index in the batch (stages 5 and 6 both sit at t + h)
     stages = [(k[i], _A[i], k[:i], min(i, 5) - 1) for i in range(1, 7)]
-    # scratch: stage times, _RHO's rows, a stage's argument, a weighted
-    # sum and the error vector
-    ts, rho = np.empty(len(_C_BATCH)), np.empty((2, len(y)))
-    yi, tmp, err_vec = (np.empty(len(y)) for _ in range(3))
+    # scratch: _RHO's rows, a stage's argument, a weighted sum, the error
+    n = k.shape[1]
+    rho, (yi, tmp, err_vec) = np.empty((2, n)), np.empty((3, n))
     mul, add = np.multiply, np.add
-    facold = 1e-4
-    stiff = 0
-    while t < T:
-        if T - t <= 4e-16 * max(1.0, abs(T)):
-            break  # within rounding of the endpoint
-        end_clamped = t + h >= T
-        if end_clamped:
-            h = T - t
-        h_attempt = h
+    facold, stiff = 1e-4, 0
 
-        add(t, mul(_C_BATCH, h, out=ts), out=ts)
-        Ms, tl = _batch(M, ts), ts.tolist()
+    def attempt(t, y, h, tl, Ms):
         for ki, a, before, j in stages:  # y + h * (a @ before)
             add(y, mul(a.dot(before, out=tmp), h, out=tmp), out=yi)
             f(tl[j], yi, Ms[j], ki)
-        y_new = yi.copy()  # stage 6's argument: _A[6] is _B5 (FSAL)
-        mul(_E.dot(k, out=err_vec), h, out=err_vec)
-        finite, err = _error(tol, y, y_new, err_vec)
-        at_floor = not end_clamped and h_attempt <= run.floor
-        if err <= 1.0:
-            if run.next_out <= t + h:  # dense output over (t, t + h]
-                run.record(t, h, y, y_new, k[0], k[6], _D @ k)
-            accepted.append(h)
-            dk, dy = _RHO.dot(k, out=rho).tolist()
-            stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
-                else 0
-            t = t + h
-            y = y_new
-            k[0] = k[6]  # first-same-as-last
-            eps = max(err, 1e-16)
-            fac = _SAFETY * eps ** (-_ALPHA) * facold ** _BETA
-            h = h_attempt * min(_FAC_MAX, max(_FAC_MIN, fac))
-            facold = max(err, 1e-4)
-        else:
-            run.reject(t, finite, at_floor)
-            fac = _FAC_MIN if not finite else \
-                min(1.0, max(_FAC_MIN, _SAFETY * err ** (-0.2)))
-            h = h_attempt * fac
-        h = min(max(h, h_min), h_max)
-        if at_floor or run.pinned:
-            run.pin(t, at_floor)
-        if stiff >= STIFF_STEPS:
-            return t, y, k[0], h, True
-    return t, y, k[0], h, False
+        # stage 6's argument is the new state: _A[6] is _B5 (FSAL)
+        return yi.copy(), mul(_E.dot(k, out=err_vec), h, out=err_vec)
+
+    def accept(t, h, y, y_new, err, tl, Ms):
+        nonlocal facold, stiff
+        if run.next_out <= t + h:  # dense output over (t, t + h]
+            run.record(t, h, y, y_new, k[0], k[6], _D @ k)
+        dk, dy = _RHO.dot(k, out=rho).tolist()
+        stiff = stiff + 1 if math.hypot(*dk) > STIFF_H_RHO * math.hypot(*dy) \
+            else 0
+        k[0] = k[6]  # first-same-as-last
+        fac = _SAFETY * max(err, 1e-16) ** (-_ALPHA) * facold ** _BETA
+        facold = max(err, 1e-4)
+        return h * min(_FAC_MAX, max(_FAC_MIN, fac)), stiff >= STIFF_STEPS
+
+    def reject(h, err, finite):
+        return h * (_FAC_MIN if not finite else
+                    min(1.0, max(_FAC_MIN, _SAFETY * err ** (-0.2))))
+    return _C_BATCH, attempt, accept, reject
 
 
 def _jacobian(M, omega, n):
@@ -442,9 +428,8 @@ def _jacobian(M, omega, n):
     return jac
 
 
-def _rodas(f, M, jac, run, t, y, fy, h):
-    """RODAS4 steps from ``(t, y)``, ``fy = f(t, y)``, to T; returns the
-    final state.
+def _rodas(f, jac, run, fy):
+    """RODAS4, as :func:`_dp5`, from a state whose slope is ``fy``, to T.
 
     ``J`` and ``f_t`` come from one call of ``jac`` per attempt (see
     :func:`_jacobian`); one inverse of ``I / (h gamma) - J`` per attempt
@@ -454,26 +439,17 @@ def _rodas(f, M, jac, run, t, y, fy, h):
     on ``(y, f(t, y), y_new, f(t + h, y_new))``; its last slope is the
     next step's first stage.
     """
-    T, tol, h_min, h_max = run.T, run.tol, run.h_min, run.h_max
-    n = len(y)
+    n = len(fy)
     U = np.empty((6, n))
-    # scratch: stage times, a stage's argument and right-hand side and a
-    # weighted sum
-    tb, (yi, fi, tmp), eye = np.empty(len(_RT)), np.empty((3, n)), np.eye(n)
+    # scratch: a stage's argument and right-hand side and a weighted sum
+    (yi, fi, tmp), eye = np.empty((3, n)), np.eye(n)
     mul, add = np.multiply, np.add
     h_acc = err_acc = None
     rejected = False
-    while t < T:
-        if T - t <= 4e-16 * max(1.0, abs(T)):
-            break
-        end_clamped = t + h >= T
-        if end_clamped:
-            h = T - t
 
-        add(t, mul(_RT, h, out=tb), out=tb)
-        Ms, tl = _batch(M, tb), tb.tolist()
+    def attempt(t, y, h, tl, Ms):
         # M(t) was evaluated before, as the previous step's end
-        J, ft = jac(t, y, M(t) if Ms[0] is None else Ms[0])
+        J, ft = jac(t, y, run.M(t) if Ms[0] is None else Ms[0])
         E_inv = np.linalg.inv(eye / (h * _GAMMA) - J)
         add(fy, mul(ft, h * _RD[0], out=tmp), out=fi)
         E_inv.dot(fi, out=U[0])
@@ -485,32 +461,27 @@ def _rodas(f, M, jac, run, t, y, fy, h):
             add(fi, np.divide(_RG[i].dot(Ui, out=tmp), h, out=tmp), out=fi)
             add(fi, mul(ft, h * _RD[i], out=tmp), out=fi)
             E_inv.dot(fi, out=U[i])
-        y_new = yi + U[5]
-        finite, err = _error(tol, y, y_new, U[5])
-        at_floor = not end_clamped and h <= run.floor
+        return yi + U[5], U[5]
+
+    def accept(t, h, y, y_new, err, tl, Ms):
+        nonlocal fy, h_acc, err_acc, rejected
+        f_new = f(tl[4], y_new, Ms[4])
+        if run.next_out <= t + h:
+            run.record(t, h, y, y_new, fy, f_new)
         fac = min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
-        if err <= 1.0:
-            f_new = f(tl[4], y_new, Ms[4])
-            if run.next_out <= t + h:
-                run.record(t, h, y, y_new, fy, f_new)
-            run.accepted.append(h)
-            if h_acc is not None:  # Gustafsson
-                gus = (h_acc / h) * (err * err / err_acc) ** 0.25 / _SAFETY
-                fac = max(fac, min(_R_FAC_MAX, max(_R_FAC_MIN, gus)))
-            h_acc, err_acc = h, max(1e-2, err)
-            h_new = h / fac
-            if rejected:
-                h_new = min(h_new, h)
-            rejected = False
-            t, y, fy = t + h, y_new, f_new
-        else:
-            run.reject(t, finite, at_floor)
-            h_new = h / fac
-            rejected = True
-        h = min(max(h_new, h_min), h_max)
-        if at_floor or run.pinned:
-            run.pin(t, at_floor)
-    return y
+        if h_acc is not None:  # Gustafsson
+            gus = (h_acc / h) * (err * err / err_acc) ** 0.25 / _SAFETY
+            fac = max(fac, min(_R_FAC_MAX, max(_R_FAC_MIN, gus)))
+        h_acc, err_acc = h, max(1e-2, err)
+        h_next = min(h / fac, h) if rejected else h / fac
+        rejected, fy = False, f_new
+        return h_next, False
+
+    def reject(h, err, finite):
+        nonlocal rejected
+        rejected = True
+        return h / min(_R_FAC_MAX, max(_R_FAC_MIN, err ** 0.25 / _SAFETY))
+    return _RT, attempt, accept, reject
 
 
 @dataclass
@@ -541,24 +512,39 @@ class Trace:
 
 def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
              T: float | None = None, tol: float = 1e-8,
-             h_min: float = 1e-9, h_max: float = 0.1,
-             grid=None, n_out: int = 1001) -> Trace:
+             h_min: float = 1e-9, grid=None, n_out: int = 1001) -> Trace:
     """Integrate ``x' = [A + Delta + B K] x + omega(t, x)`` from (t0, x0).
 
-    The local error per step is held below ``tol * (1 + ||x||)``.  The
-    returned trace carries the state on the output grid together with the
-    pointwise closed-loop logarithmic norm and the integrated envelopes,
-    whose ``int mu[M]`` and ``int mu[-M]`` come from one two-component
-    quadrature (``mu_cl`` from its first level, on the grid's nodes).
-    Raises StiffnessError / NumericalError as described in the module
-    docstring; expression domain failures along the trajectory are
-    wrapped in NumericalError.
+    The local error per step is held below ``tol * (1 + ||x||)``, with
+    steps from ``h_min`` to ``H_MAX``.  The returned trace carries the
+    state on the output grid together with the pointwise closed-loop
+    logarithmic norm and the integrated envelopes, whose ``int mu[M]``
+    and ``int mu[-M]`` come from one two-component quadrature (``mu_cl``
+    from its first level, on the grid's nodes).  Raises StiffnessError /
+    NumericalError as described in the module docstring; expression
+    domain failures along the trajectory are wrapped in NumericalError.
     """
     if T is None:
         T = spec.t0 + 10.0
     if not (spec.t0 < T < math.inf):
         raise ValueError(f"horizon T={T} must exceed t0={spec.t0} and be "
                          "finite")
+    if not (0.0 < tol < math.inf):
+        raise ValueError("tol must be a positive finite number")
+    if not (0.0 < h_min <= H_MAX):
+        raise ValueError(f"h_min must be positive and at most H_MAX = "
+                         f"{H_MAX:g}, got {h_min:g}")
+    if grid is None:
+        if n_out < 2:
+            raise ValueError("n_out must be at least 2")
+        grid = np.linspace(spec.t0, T, n_out)
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise ValueError("output grid must have at least 2 points")
+    if grid.ndim != 1 or (np.diff(grid) <= 0).any():
+        raise ValueError("output grid must be strictly increasing")
+    if grid[0] < spec.t0 or grid[-1] > T:
+        raise ValueError("output grid must lie within [t0, T]")
     k = spec.norm
     Acl = closed_loop_function(spec, ctrl, include_delta=True)
     omega = spec.omega.compiled() if spec.omega is not None else None
@@ -573,15 +559,8 @@ def simulate(spec: SystemSpec, ctrl: ControllerSpec | None = None,
                 f"expression evaluation failed at t={t:.6g}: {exc}") from exc
         return dy
 
-    if grid is None:
-        if n_out < 2:
-            raise ValueError("n_out must be at least 2")
-        grid = np.linspace(spec.t0, T, n_out)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError("output grid must have at least 2 points")
     states, steps, nrej, n_explicit = _integrate(
-        f, spec.t0, spec.x0, T, tol, h_min, h_max, grid, M=Acl,
+        f, spec.t0, spec.x0, T, tol, h_min, grid, M=Acl,
         diag_mu=lambda t: lognorm(Acl(t), k),
         jacobian=lambda: _jacobian(_closed_loop_grid(spec, ctrl, True),
                                    spec.omega, spec.n))
@@ -800,11 +779,36 @@ class SandwichReport(Report):
     notes: list = field(default_factory=list)
 
 
+# verify builds Phi to PHI_TOL and checks the sandwich up to where |int mu|
+# first passes PHI_LOG_CAP either way (see phi_horizon): so e^{J-} <= e^12
+# in pair_slack, whose noise term stays below about 5e-4 (16 * 1e-10 * 2e^12)
+PHI_TOL, PHI_LOG_CAP = 1e-10, 12.0
 _NOISE_GAIN = 16.0  # a few steps' worth of local error, absorbed into slack
 _PAIRS = 20                       # sampled (tau, t) pairs
 _BASE_SLACK = math.log1p(1e-6)    # log-domain slack before quadrature error
 _QUAD_TOL = 1e-9                  # per-cell tolerance of the mu integrals
 _SEED = 0                         # of the pair and unit-vector sample
+
+
+def phi_horizon(F: Callable, t0: float, T: float, kind) -> float:
+    """The horizon, at most T, on which verify checks the sandwich of the
+    loop ``F``: past -log PHI_TOL of |int mu| Phi would sit at its absolute
+    noise floor, and transition norms test noise, not the bound.  Where
+    ``F`` fails, NumericalError names the earliest time (see :func:`_stack`).
+    """
+    grid = np.linspace(t0, T, 33)
+    J, _, _, _ = cumulative_integral(  # both signs in one quadrature
+        lambda ts: lognorm_pair(_stack(F, ts), kind), grid, 1e-6)
+    mag = np.abs(J).max(axis=0)
+    exceed = np.nonzero(mag > PHI_LOG_CAP)[0]
+    if len(exceed) == 0:
+        return T
+    # interpolate the crossing: mag[0] = 0, so i >= 1, and m_hi > cap >= m_lo
+    i = int(exceed[0])
+    t_lo, t_hi = float(grid[i - 1]), float(grid[i])
+    m_lo, m_hi = float(mag[i - 1]), float(mag[i])
+    t_cap = t_lo + (PHI_LOG_CAP - m_lo) * (t_hi - t_lo) / (m_hi - m_lo)
+    return max(t_cap, math.nextafter(t0, math.inf))  # > t0 if rounded
 
 
 def verify_sandwich(tt: TransitionTrace, F: Callable[[float], np.ndarray],

@@ -1,12 +1,9 @@
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 from lognorm_control.presets import example_system
+from snapshot_outputs import _workloads
 
 # deterministic property testing: same examples on every run
 settings.register_profile(
@@ -85,12 +82,7 @@ def plant8():
 @pytest.fixture(scope="session")
 def workloads():
     """The benchmark's problem generators, ``bench/workloads.py``."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # its dataclasses look their module up
-    spec.loader.exec_module(mod)
-    return mod
+    return _workloads()
 
 
 @pytest.fixture(scope="session")

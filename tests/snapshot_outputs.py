@@ -37,6 +37,7 @@ differs and the largest absolute difference in each column.
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -54,13 +55,16 @@ RUNS = (("bundled", 1), ("oscillator", 1), ("oscillator", 2),
 LADDER = (1.0, 1e3, 1e6, 1e9)  # disturbance scales s
 
 
+@functools.cache
 def _workloads():
+    """The benchmark's problem generators, ``bench/workloads.py``, loaded
+    once per process (the tests load them here too)."""
     spec = importlib.util.spec_from_file_location(
         "bench_workloads", ROOT / "bench" / "workloads.py")
     mod = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = mod  # its dataclasses look their module up
     spec.loader.exec_module(mod)
-    return mod.WORKLOADS
+    return mod
 
 
 def _built_configs() -> list:
@@ -98,7 +102,7 @@ def _command(main, argv) -> str:
 def snapshot() -> dict:
     """``{file name: text}`` of every output of every config."""
     from lognorm_control.cli import main
-    workloads = _workloads()
+    workloads = _workloads().WORKLOADS
     configs = [(problem.name, problem.config, workloads[wname].points)
                for wname, seed in RUNS
                for problem in workloads[wname].problems(seed)]

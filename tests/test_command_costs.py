@@ -9,10 +9,8 @@ code for) something it does not read shows without timing anything.
 import contextlib
 import dataclasses
 import gc
-import importlib.util
 import io
 import json
-import sys
 import types
 from pathlib import Path
 
@@ -25,21 +23,15 @@ from lognorm_control.config import load_config
 from lognorm_control.expr import Bin, Lit, MatrixFunction
 from lognorm_control.presets import example_config
 from lognorm_control.system import ControllerSpec, closed_loop_function
-from snapshot_outputs import _built_configs
+from snapshot_outputs import _built_configs, _workloads
 
-ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = str(Path(lognorm_control.__file__).resolve().parent)
 COMMANDS = ("synthesize", "classify", "simulate", "verify")
 
 
 def _bench_configs(workload, seed):
     """The configs of ``bench/workloads.py``'s ``workload`` at ``seed``."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_workloads", ROOT / "bench" / "workloads.py")
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # its dataclasses look their module up
-    spec.loader.exec_module(mod)
-    return [p.config for p in mod.WORKLOADS[workload].problems(seed)]
+    return [p.config for p in _workloads().WORKLOADS[workload].problems(seed)]
 
 
 def _oscillator_config():
@@ -478,5 +470,5 @@ def test_one_quadrature_per_log_norm_pair(configs, monkeypatch, workload):
     assert _run("simulate", configs[workload]) == 0
     assert _run("verify", configs[workload]) == 0
     # simulate's envelopes; verify's Phi horizon, then its sandwich
-    assert [q[:2] for q in quads] == [("sim", 2), ("cli", 2), ("sim", 2)]
+    assert [q[:2] for q in quads] == [("sim", 2), ("sim", 2), ("sim", 2)]
     assert all(calls == loops for _, _, calls, loops in quads)

@@ -567,6 +567,32 @@ def test_cli_lambda_length_is_worded_as_in_a_config(capsys, plant_file,
     assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("where, value, got", [
+    ("--lambda", "a,b", "a, b"), ("--lambda", "1,-1", "1, -1"),
+    ("--lambda", "nan,-1", "nan, -1"), ("--lambda", "-1,inf", "-1, inf"),
+    ("--controller", [1.0, -1.0], "1.0, -1.0"),
+    ("--controller", [-1.0, float("nan")], "-1.0, nan"),
+    ("config", [1.0, -1.0], "1.0, -1.0"), ("config", [-1.0, 0], "-1.0, 0")])
+def test_cli_lambda_entries_are_checked_with_their_count(
+        capsys, cfg, plant_file, tmp_path, where, value, got):
+    # the rates are checked where their count is, so the error names the
+    # flag or the config key
+    path = tmp_path / "lam.json"
+    if where == "--lambda":
+        argv = ["--config", str(plant_file), f"--lambda={value}"]
+    elif where == "--controller":
+        path.write_text(json.dumps({"lambda": value}))
+        argv = ["--config", str(plant_file), "--controller", str(path)]
+    else:
+        cfg["controller"] = {"lambda": value}  # plant_file took it out
+        path.write_text(json.dumps(cfg))
+        argv = ["--config", str(path)]
+    name = "--lambda" if where == "--lambda" else "controller.lambda"
+    rc, out, err = run_cli(capsys, "synthesize", *argv)
+    assert (rc, out, err) == (2, "", f"error: {name} entries must be "
+                              f"negative finite numbers, got {got}\n")
+
+
 def test_cli_controller_file_round_trip(capsys, plant_file, tmp_path):
     rc, out, _ = run_cli(capsys, "synthesize", "--config", str(plant_file),
                          "--gamma", "auto")
@@ -614,6 +640,18 @@ def test_cli_simulate_rejects_fewer_than_two_points(capsys, cfg_file, points):
                            "--points", points)
     assert (rc, out) == (2, "")
     assert err == f"error: --points must be at least 2, got {points}\n"
+
+
+@pytest.mark.parametrize("h_min, got", [
+    ("0.5", "0.5"), ("1", "1"), ("0", "0"), ("-1", "-1"), ("nan", "nan")])
+def test_cli_simulate_rejects_an_h_min_outside_its_range(capsys, tmp_path,
+                                                         h_min, got):
+    # checked before the config is read, against the longest step
+    rc, out, err = run_cli(capsys, "simulate", "--config",
+                           str(tmp_path / "absent.json"), f"--h-min={h_min}")
+    assert (rc, out) == (2, "")
+    assert err == f"error: --h-min must be positive and at most 0.1, " \
+                  f"got {got}\n"
 
 
 def test_cli_simulate_tol_reaches_simulate(capsys, cfg, cfg_file):
@@ -938,7 +976,7 @@ def test_star_import_binds_the_modules_and_their_names():
     names = {n for m in modules[:-1] for n in
              importlib.import_module(f"lognorm_control.{m}").__all__}
     assert set(ns) == set(modules) | names
-    assert len(ns) == 80
+    assert len(ns) == 81
     assert all(getattr(lognorm_control, n) is v for n, v in ns.items())
 
 

@@ -2,19 +2,16 @@
 
 import contextlib
 import csv
-import importlib.util
 import itertools
 import math
-import sys
 import threading
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from lognorm_control import cli, sim
+from lognorm_control import sim
 from lognorm_control.analysis import integrate
 from lognorm_control.expr import EvalError, parse_matrix, parse_vector
 from lognorm_control.linalg import lognorm
@@ -30,6 +27,7 @@ from lognorm_control.sim import (
 )
 from lognorm_control.synthesis import synthesize
 from lognorm_control.system import SystemSpec, closed_loop_function
+from snapshot_outputs import _workloads
 
 
 def make_spec(A, x0=(1.0, 0.0), **over):
@@ -47,6 +45,14 @@ def wobble_rhs(t, x):
     return np.array([[-1.0, math.sin(t)], [math.cos(t), -2.0]]) @ x
 
 
+@pytest.fixture(scope="module")
+def wobble_rk4():
+    """``(times, states)`` of WOBBLE from (1, -1) to t = 5 by 200,000 RK4
+    steps, run once for the tests that compare with it."""
+    return oracles.rk4_solve(wobble_rhs, 0.0, np.array([1.0, -1.0]), 5.0,
+                             200_000)
+
+
 # ---------------------------------------------------------------------------
 # the initial value solver
 
@@ -59,35 +65,32 @@ def test_simulate_exponential_decay_golden():
     assert tr.norm_kind == "two"
 
 
-def test_simulate_matches_rk4_oracle():
+def test_simulate_matches_rk4_oracle(wobble_rk4):
     s = make_spec(WOBBLE, x0=(1.0, -1.0))
-    _, ref = oracles.rk4_solve(wobble_rhs, 0.0, np.array([1.0, -1.0]),
-                               5.0, 200_000)
+    _, ref = wobble_rk4
     tr = simulate(s, None, T=5.0, tol=1e-10, n_out=2)
     assert np.linalg.norm(tr.states[-1] - ref[-1]) < 1e-9
 
 
-def test_integrator_order_at_least_four():
-    # cap h_max so the error is step-limited, then halve it twice
+def test_integrator_order_at_least_four(wobble_rk4, monkeypatch):
+    # cap H_MAX so the error is step-limited, then halve it twice
     s = make_spec(WOBBLE, x0=(1.0, -1.0))
-    _, ref = oracles.rk4_solve(wobble_rhs, 0.0, np.array([1.0, -1.0]),
-                               5.0, 200_000)
+    _, ref = wobble_rk4
     errs = []
     for h in (0.2, 0.1, 0.05):
-        tr = simulate(s, None, T=5.0, tol=1e6, h_min=1e-9, h_max=h, n_out=2)
+        monkeypatch.setattr(sim, "H_MAX", h)
+        tr = simulate(s, None, T=5.0, tol=1e6, h_min=1e-9, n_out=2)
         errs.append(np.linalg.norm(tr.states[-1] - ref[-1]))
     assert errs[0] / errs[1] > 10.0
     assert errs[1] / errs[2] > 10.0
     assert errs[0] / errs[2] > 256.0  # order >= 4 over a quartered step
 
 
-def test_dense_output_accuracy():
+def test_dense_output_accuracy(wobble_rk4):
     s = make_spec(WOBBLE, x0=(1.0, -1.0))
-    n = 50_000
-    times, ref = oracles.rk4_solve(wobble_rhs, 0.0, np.array([1.0, -1.0]),
-                                   5.0, n)
-    tr = simulate(s, None, grid=times[:: n // 100], tol=1e-10)
-    worst = np.max(np.abs(tr.states - ref[:: n // 100]))
+    times, ref = wobble_rk4
+    tr = simulate(s, None, grid=times[::2000], tol=1e-10)
+    worst = np.max(np.abs(tr.states - ref[::2000]))
     assert worst < 1e-8
 
 
@@ -144,7 +147,7 @@ def test_interpolants_round_columns_as_floats(rng, interp):
         assert columns[i].tobytes() == row.tobytes()
 
 
-def test_simulate_validations():
+def test_simulate_validations(monkeypatch):
     s = make_spec(DECAY)
     with pytest.raises(ValueError, match="must exceed t0"):
         simulate(s, None, T=0.0)
@@ -152,8 +155,9 @@ def test_simulate_validations():
         simulate(s, None, T=math.inf)
     with pytest.raises(ValueError, match="n_out"):
         simulate(s, None, T=1.0, n_out=1)
+    monkeypatch.setattr(sim, "H_MAX", 0.1)
     with pytest.raises(ValueError, match="h_min"):
-        simulate(s, None, T=1.0, h_min=0.5, h_max=0.1)
+        simulate(s, None, T=1.0, h_min=0.5)
     with pytest.raises(ValueError, match="strictly increasing"):
         simulate(s, None, grid=[0.0, 1.0, 0.5])
 
@@ -458,13 +462,8 @@ def test_sandwich_pair_records(rng):
 def _oscillators():
     """The benchmark's 12 oscillator plants of seeds 1-2 as (params,
     config), from bench/workloads.py."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    mod = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = mod  # its dataclasses look their module up
-    spec.loader.exec_module(mod)
     return [(p.params, p.config) for seed in (1, 2)
-            for p in mod.oscillator_problems(seed)]
+            for p in _workloads().oscillator_problems(seed)]
 
 
 def _closed_loop(config):
@@ -521,7 +520,7 @@ def test_expm_matches_scipy():
 def test_phi_matches_dop853_on_the_bundled_scenario(example):
     spec, ctrl = example
     cl = closed_loop_function(spec, ctrl, include_delta=True)
-    T_phi = cli._phi_horizon(spec, ctrl, spec.t0, 10.0)
+    T_phi = sim.phi_horizon(cl, spec.t0, 10.0, spec.norm)
     tt = fundamental_matrix(cl, spec.t0, T_phi, tol=1e-10)
     ref = _phi_ref(oracles.repro_closed_loop, spec.t0, tt.times)
     assert 2.1 < T_phi < 2.2
